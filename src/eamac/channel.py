@@ -9,6 +9,7 @@ covariance matrix of that chain plus the point-to-point reductions used
 by the rate computations.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,14 @@ __all__ = [
 ]
 
 
+def _require_finite(params, *names):
+    """NaN passes every range comparison, so finiteness is checked first."""
+    for name in names:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class MacParams:
     """Channel triple (tau, kappa, n_b); n_t is always derived."""
@@ -39,6 +48,7 @@ class MacParams:
     n_b: float
 
     def __post_init__(self):
+        _require_finite(self, "tau", "kappa", "n_b")
         if not 0.0 <= self.tau <= 1.0:
             raise DomainError(f"tau must lie in [0, 1], got {self.tau}")
         if not 0.0 < self.kappa < 1.0:
@@ -59,6 +69,7 @@ class ModulationConfig:
     psk_order: int = 64
 
     def __post_init__(self):
+        _require_finite(self, "n_s")
         if self.n_s < 0.0:
             raise DomainError(f"n_s must be >= 0, got {self.n_s}")
         if self.psk_order < 1:
@@ -74,6 +85,7 @@ class EffectiveChannel:
     n_s: float
 
     def __post_init__(self):
+        _require_finite(self, "kappa_eff", "n_t_eff", "n_s")
         if not 0.0 <= self.kappa_eff <= 1.0:
             raise DomainError(f"kappa_eff must lie in [0, 1], got {self.kappa_eff}")
         if self.n_t_eff < 0.0:

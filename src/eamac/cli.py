@@ -231,6 +231,8 @@ def _region_svg(reg, config, args) -> str:
 
 
 def cmd_region(config, args) -> str:
+    if config["boundary_points"] < 0:
+        raise ConfigError(f"boundary_points must be >= 0, got {config['boundary_points']}")
     p = MacParams(tau=config["tau"], kappa=config["kappa"], n_b=config["n_b"])
     m = ModulationConfig(n_s=config["n_s"], psk_order=config["psk_order"])
     numerics = rg.RegionNumerics(

@@ -33,6 +33,10 @@ class TruncationError(EamacError, RuntimeError):
         self.required_cutoff = required_cutoff
 
 
+class NumericalError(EamacError, ArithmeticError):
+    """A computed value breaks an invariant that holds by construction."""
+
+
 class InfeasibleError(EamacError, RuntimeError):
     """A covert plan violates its power budget.
 

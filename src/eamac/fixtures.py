@@ -102,10 +102,19 @@ def regenerate(path=None) -> dict:
         "tolerance": 5e-7,
     }
 
+    # entropy change due to the coherences psk_order 64 keeps at produced
+    s_avg = [
+        fock.spectral_entropy(fock.phase_averaged_spectrum(eff_unc, produced, order, tight)[0])
+        for order in (64, 128)
+    ]
     lines = [
         "# Golden oracle records: parameters, working cutoff, provenance, value.",
         "# Regenerate with eamac.fixtures.regenerate(); values are computed at",
         "# produced_cutoff (double the working cutoff) with tail budget 1e-12.",
+        "# psk_mi_unconditioned uses psk_order 64 < 2 * produced_cutoff, so it",
+        "# keeps coherences with |x - y| = 32 that the working cutoff cannot hold.",
+        "# Its phase-averaged entropy minus the psk_order 128 one, from the",
+        f"# photon-number-sector spectrum at produced_cutoff: {s_avg[0] - s_avg[1]!r}.",
         f"version = {VERSION}",
     ]
     for name, rec in records.items():

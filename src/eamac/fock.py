@@ -4,6 +4,9 @@ Everything here exists to validate the Gaussian closed forms against an
 independent route: states are explicit density matrices on a cutoff-d
 photon-number basis, channels are built by exponentiating the two-mode
 hopping generator, and entropies come straight from eigenvalues.
+The one exception is ``phase_averaged_spectrum``, which the region
+uses: it takes the same per-total-photon blocks but never forms a dense
+state, and the dense route is its oracle.
 
 Truncation bookkeeping: each constructor takes a tail budget
 ``tail_tol`` and raises TruncationError (naming the required cutoff)
@@ -36,10 +39,12 @@ __all__ = [
     "mac_mix_fock",
     "mac_joint_fock",
     "entropy_fock",
+    "spectral_entropy",
     "trace_distance_fock",
     "rel_entropy_fock",
     "phase_average_fock",
     "conditional_output_density",
+    "phase_averaged_spectrum",
     "psk_ensemble_mi",
     "photon_distribution_thermal",
     "layer1_mode_distributions",
@@ -218,17 +223,43 @@ def beamsplitter_fock(d1: int, d2: int, transmissivity: float) -> np.ndarray:
     unitary = np.zeros((dim, dim))
     for total in range(d1 + d2 - 1):
         ks = np.arange(max(0, total - d2 + 1), min(total, d1 - 1) + 1)
-        if ks.size == 0:
-            continue
-        gen = np.zeros((ks.size, ks.size))
-        for i, k in enumerate(ks[:-1]):
-            val = math.sqrt((k + 1) * (total - k))
-            gen[i + 1, i] = val
-            gen[i, i + 1] = -val
-        block = expm(xi * gen)
         idx = ks * d2 + (total - ks)
-        unitary[np.ix_(idx, idx)] = block
+        unitary[np.ix_(idx, idx)] = _hopping_block(xi, total, ks[0], ks[-1])
     return unitary
+
+
+def _hopping_block(xi: float, total: int, lo: int = 0, hi=None) -> np.ndarray:
+    """exp(xi (a^dag b - a b^dag)) on the sector of ``total`` photons.
+
+    Rows and columns are the first-mode counts lo..hi (default: the whole
+    sector 0..total) of the states |k, total - k>.  A clipped range
+    exponentiates the clipped generator, which keeps the block orthogonal.
+    """
+    hi = total if hi is None else hi
+    k = np.arange(lo, hi)
+    val = np.sqrt((k + 1) * (total - k))
+    return expm(xi * (np.diag(val, -1) - np.diag(val, 1)))
+
+
+def _loss_amplitudes(kappa: float, n_env: float, d_in: int, d_out: int, d_env: int) -> np.ndarray:
+    """Weighted hopping amplitudes W[x, n, e] = <x, n + e - x|U|n, e> sqrt(p_e).
+
+    U is the beamsplitter of transmissivity kappa and p the thermal(n_env)
+    law of the environment input, truncated at d_env and renormalized.
+    Each amplitude comes from the whole sector of n + e photons, so the
+    environment output absorbs every signal photon and only the levels
+    x >= d_out are cut off.  Zero where x > n + e.
+    """
+    xi = math.acos(min(1.0, math.sqrt(kappa)))
+    p_env = photon_distribution_thermal(n_env, d_env).probs
+    p_env = p_env / p_env.sum()
+    amps = np.zeros((d_out, d_in, d_env))
+    for total in range(d_in + d_env - 1):
+        block = _hopping_block(xi, total)
+        x = np.arange(min(total, d_out - 1) + 1)
+        n = np.arange(max(0, total - d_env + 1), min(total, d_in - 1) + 1)
+        amps[x[:, None], n[None, :], total - n[None, :]] = block[np.ix_(x, n)]
+    return amps * np.sqrt(p_env)
 
 
 @lru_cache(maxsize=8)
@@ -243,29 +274,13 @@ def _thermal_loss_superop(kappa: float, n_env: float, d_in: int, d_out: int, d_e
     losses are the environment input tail and signal levels spilling past
     d_out; both show up in the output trace.  Real because U is real.
     """
-    xi = math.acos(min(1.0, math.sqrt(kappa)))
-    p_env = photon_distribution_thermal(n_env, d_env).probs
-    p_env = p_env / p_env.sum()
-    n_max = d_in + d_env - 2
-    e_out_dim = n_max + 1
-    # u_slice[x, e_out, n, e_in] over the index ranges that can carry weight
-    u_slice = np.zeros((d_out, e_out_dim, d_in, d_env))
-    for total in range(n_max + 1):
-        gen = np.zeros((total + 1, total + 1))
-        for i in range(total):
-            val = math.sqrt((i + 1) * (total - i))
-            gen[i + 1, i] = val
-            gen[i, i + 1] = -val
-        block = expm(xi * gen)
-        k_out = np.arange(min(total, d_out - 1) + 1)
-        k_in = np.arange(max(0, total - d_env + 1), min(total, d_in - 1) + 1)
-        if k_in.size == 0:
-            continue
-        u_slice[k_out[:, None], total - k_out[:, None], k_in[None, :], total - k_in[None, :]] = block[
-            np.ix_(k_out, k_in)
-        ]
-    b = u_slice * np.sqrt(p_env)[None, None, None, :]
-    b = b.transpose(0, 2, 1, 3).reshape(d_out * d_in, e_out_dim * d_env)
+    amps = _loss_amplitudes(kappa, n_env, d_in, d_out, d_env)
+    # b[x, e_out, n, e_in] over the index ranges that can carry weight
+    x, n, e = np.indices(amps.shape)
+    live = x <= n + e
+    b = np.zeros((d_out, d_in + d_env - 1, d_in, d_env))
+    b[x[live], (n + e - x)[live], n[live], e[live]] = amps[live]
+    b = b.transpose(0, 2, 1, 3).reshape(d_out * d_in, -1)
     gram = b @ b.T
     k4 = gram.reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
     return np.ascontiguousarray(k4.reshape(d_out * d_out, d_in * d_in))
@@ -330,7 +345,11 @@ def mac_mix_fock(rho_x: FockDensity, rho_y: FockDensity, tau: float) -> FockDens
 
 def entropy_fock(rho: FockDensity) -> float:
     """Von Neumann entropy in nats from the eigenvalue spectrum."""
-    eigs = np.linalg.eigvalsh(rho.matrix)
+    return spectral_entropy(np.linalg.eigvalsh(rho.matrix))
+
+
+def spectral_entropy(eigs: np.ndarray) -> float:
+    """Entropy -sum lambda ln lambda in nats of a density-matrix spectrum."""
     if np.min(eigs) < -1e-10:
         raise PhysicalityError(f"density matrix has eigenvalue {np.min(eigs):.3e} < -1e-10")
     eigs = eigs[eigs > 0.0]
@@ -404,6 +423,45 @@ def conditional_output_density(
         return psi.to_density()
     n_env = eff.n_t_eff / (1.0 - eff.kappa_eff)
     return thermal_loss_fock(psi.to_density(), eff.kappa_eff, n_env, d_env=d_env, mode=0, tail_tol=tail_tol)
+
+
+def phase_averaged_spectrum(
+    eff: EffectiveChannel,
+    cutoff: int,
+    psk_order,
+    tail_tol: float = DEFAULT_TAIL_TOL,
+) -> tuple[np.ndarray, float]:
+    """Spectrum and trace deficit of the PSK phase-averaged (B, idler) state.
+
+    The state is phase_average_fock(conditional_output_density(eff, cutoff),
+    psk_order), never built densely.  The channel conserves total photon
+    number, so |k, k> (signal, idler) reaches only |x, k> with the photon
+    difference x - k carried by the environment; entries of the output
+    couple (x, k) and (y, l) only when x - k = y - l.  The phase average
+    keeps them only when 2 (x - y) = 0 (mod L), i.e. x = y modulo
+    L / gcd(2, L).  The state is therefore a direct sum of Gram blocks
+    V_B V_B^T, one per (x - k, x mod L / gcd(2, L)), with
+    V[(x, k), e] = sqrt(p_k) <x, k + e - x|U|k, e> sqrt(p_e).  For
+    ``psk_order=None`` or L >= 2 cutoff every block is 1 x 1.  The trace
+    deficit is 1 minus the summed block traces.
+    """
+    pair = np.diagonal(tmsv_fock(eff.n_s, cutoff, tail_tol).amplitudes).real
+    # kappa_eff = 1 has no environment: the identity law on d_env = 1
+    n_env = 0.0 if eff.kappa_eff >= 1.0 else eff.n_t_eff / (1.0 - eff.kappa_eff)
+    d_env = _env_cutoff_for(n_env, tail_tol, None)
+    rows = _loss_amplitudes(eff.kappa_eff, n_env, cutoff, cutoff, d_env) * pair[None, :, None]
+    rows = rows.reshape(cutoff**2, d_env)
+    period = cutoff if psk_order is None else min(psk_order // math.gcd(2, psk_order), cutoff)
+    x, k = np.divmod(np.arange(cutoff**2), cutoff)
+    key = (x - k + cutoff - 1) * period + x % period
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    sizes = np.diff(np.append(starts, order.size))
+    eigs = []
+    for size in np.unique(sizes):
+        blocks = rows[order[starts[sizes == size][:, None] + np.arange(size)]]
+        eigs.append(np.linalg.eigvalsh(blocks @ blocks.transpose(0, 2, 1)).ravel())
+    return np.concatenate(eigs), 1.0 - float(np.einsum("ij,ij->", rows, rows))
 
 
 def psk_ensemble_mi(

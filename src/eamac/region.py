@@ -3,17 +3,22 @@
 The region is an intersection of three half-planes: per-sender bounds
 from the heterodyne-conditioned point-to-point links and a sum bound
 that is the better of the two decoding orders.  Each mutual information
-is the entropy of the phase-averaged (B, idler) state, computed in
-truncated Fock space, minus the closed-form conditional entropy.
+is the entropy of the phase-averaged (B, idler) state minus the
+closed-form conditional entropy.  That entropy comes from the
+photon-number-sector spectrum (fock.phase_averaged_spectrum): the
+averaged state splits into small blocks by photon difference and phase
+class, so no dense Fock matrix is built.  The dense Fock route
+(fock.psk_ensemble_mi) is the oracle the tests compare against.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fock
 from .channel import EffectiveChannel, MacParams, ModulationConfig, effective_params
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .gaussian import g_entropy
 
 __all__ = [
@@ -33,12 +38,21 @@ class RegionNumerics:
     """Fock-space settings for the mutual-information evaluations.
 
     ``psk_order`` of at least twice the cutoff makes the discrete phase
-    average equal the continuous one on the truncated space.
+    average equal the continuous one on the truncated space; ``None`` is
+    the continuous average.
     """
 
     cutoff: int = 24
-    psk_order: int = 64
+    psk_order: int | None = 64
     tail_tol: float = fock.DEFAULT_TAIL_TOL
+
+    def __post_init__(self):
+        if self.cutoff < 1:
+            raise DomainError(f"cutoff must be >= 1, got {self.cutoff}")
+        if self.psk_order is not None and self.psk_order < 1:
+            raise DomainError(f"psk_order must be >= 1 or None, got {self.psk_order}")
+        if not (math.isfinite(self.tail_tol) and 0.0 < self.tail_tol < 1.0):
+            raise DomainError(f"tail_tol must be finite and lie in (0, 1), got {self.tail_tol}")
 
 
 @dataclass(frozen=True)
@@ -108,20 +122,21 @@ def partial_rate_expansion(eff: EffectiveChannel) -> float:
 def continuous_phase_mi(eff: EffectiveChannel, numerics: RegionNumerics = RegionNumerics()) -> float:
     """Mutual information of the uniformly phase-modulated link, in nats.
 
-    Fock-space entropy of the phase-averaged joint state minus the
-    closed-form conditional entropy.  Nonnegative up to numerical noise;
-    values above -1e-9 are clamped to zero.
+    Entropy of the phase-averaged joint state, from its photon-number-sector
+    spectrum at the numerics' cutoff, minus the closed-form conditional
+    entropy.  Equals the dense Fock route (entropy of
+    phase_average_fock(conditional_output_density(...))) to rounding.
+    Nonnegative up to numerical noise; values above -1e-9 are clamped to
+    zero.
     """
     if eff.n_s == 0.0 or eff.kappa_eff == 0.0:
         return 0.0
-    rho0 = fock.conditional_output_density(eff, numerics.cutoff, tail_tol=numerics.tail_tol)
-    deficit = rho0.tail()
+    eigs, deficit = fock.phase_averaged_spectrum(eff, numerics.cutoff, numerics.psk_order, numerics.tail_tol)
     if deficit > 4.0 * numerics.tail_tol:
         raise fock.TruncationError(
             f"output trace deficit {deficit:.3e} exceeds budget; raise the cutoff"
         )
-    s_avg = fock.entropy_fock(fock.phase_average_fock(rho0, numerics.psk_order, mode=0))
-    value = s_avg - conditional_entropy_term(eff)
+    value = fock.spectral_entropy(eigs) - conditional_entropy_term(eff)
     if value < -1e-9:
         raise fock.TruncationError(f"mutual information {value:.3e} below -1e-9; numerics inconsistent")
     return max(value, 0.0)
@@ -150,8 +165,9 @@ def achievable_region(p: MacParams, m: ModulationConfig, numerics: RegionNumeric
         sum_bound, branch = order_x_first, "x-unconditioned"
     else:
         sum_bound, branch = order_y_first, "y-unconditioned"
-    # the max never falls below either of its arguments, by construction
-    assert sum_bound >= order_x_first - 1e-15 and sum_bound >= order_y_first - 1e-15
+    # the max never falls below either of its arguments unless one is NaN
+    if not (sum_bound >= order_x_first - 1e-15 and sum_bound >= order_y_first - 1e-15):
+        raise NumericalError(f"sum bound {sum_bound!r} below a decoding order {(order_x_first, order_y_first)}")
 
     vertices = _assemble_vertices(mi_x_cond, mi_y_cond, sum_bound)
     validity = {

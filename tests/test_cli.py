@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from eamac.cli import main
 
 
@@ -87,6 +89,25 @@ class TestRegionCommand:
             assert run(["region", "--config", cfg, "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestRegionInputDomain:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("tail_tol", 0.0),
+            ("tail_tol", "nan"),
+            ("n_b", "nan"),
+            ("n_b", "inf"),
+            ("n_s", "nan"),
+            ("boundary_points", -3),
+        ],
+    )
+    def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "c.cfg", **{**REGION_BASE, key: value})
+        assert run(["region", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
 
 
 class TestBudgetAndPlan:

@@ -193,6 +193,79 @@ class TestPskEnsembleMi:
         assert value == pytest.approx(rec["value"], abs=rec["tolerance"])
 
 
+def _dense_spectrum_entropy(eff, cutoff, psk_order, tail_tol):
+    rho0 = fk.conditional_output_density(eff, cutoff, tail_tol=tail_tol)
+    return fk.entropy_fock(fk.phase_average_fock(rho0, psk_order, mode=0)), rho0.tail()
+
+
+def _criterion7_links(seed, count):
+    """Effective links of seeded MAC points over the criterion-7 ranges."""
+    rng = np.random.default_rng(seed)
+    links = []
+    for _ in range(count):
+        p = ch.MacParams(tau=rng.uniform(0.05, 0.95), kappa=rng.uniform(0.1, 0.9), n_b=rng.uniform(0.2, 1.2))
+        m = ch.ModulationConfig(n_s=rng.uniform(0.02, 0.3))
+        sender, conditioned = ("x", "y")[rng.integers(2)], bool(rng.integers(2))
+        links.append(ch.effective_params(p, m, sender, conditioned))
+    return links
+
+
+class TestPhaseAveragedSpectrum:
+    """The photon-number-sector route against the dense Fock oracle."""
+
+    EDGE_LINKS = [
+        ch.EffectiveChannel(0.3, 0.0, 0.2),  # pure loss
+        ch.EffectiveChannel(0.4, 0.3, 0.0),  # no signal
+        ch.EffectiveChannel(1.0, 0.0, 0.2),  # identity channel
+        ch.EffectiveChannel(0.0, 0.5, 0.2),  # decoupled signal
+    ]
+
+    @pytest.mark.parametrize("psk_order", [2, 4, 6, 10, 64, None])
+    def test_matches_dense_on_seeded_grid(self, psk_order):
+        for eff in _criterion7_links(2024, 6) + self.EDGE_LINKS:
+            eigs, deficit = fk.phase_averaged_spectrum(eff, 14, psk_order, tail_tol=1e-5)
+            s_dense, tail_dense = _dense_spectrum_entropy(eff, 14, psk_order, 1e-5)
+            assert abs(fk.spectral_entropy(eigs) - s_dense) <= 1e-12
+            assert abs(deficit - tail_dense) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["psk_mi_unconditioned", "continuous_mi_conditioned"])
+    def test_matches_dense_at_golden_points(self, name):
+        from eamac import fixtures
+
+        rec = fixtures.load_fixtures()[name]
+        eff = ch.EffectiveChannel(rec["kappa_eff"], rec["n_t_eff"], rec["n_s"])
+        eigs, deficit = fk.phase_averaged_spectrum(eff, int(rec["cutoff"]), 64)
+        s_dense, tail_dense = _dense_spectrum_entropy(eff, int(rec["cutoff"]), 64, fk.DEFAULT_TAIL_TOL)
+        assert abs(fk.spectral_entropy(eigs) - s_dense) <= 1e-12
+        assert abs(deficit - tail_dense) <= 1e-12
+
+    def test_blocks_are_one_by_one_for_large_order(self):
+        # L >= 2d leaves a diagonal state: d^2 eigenvalues, one per (x, k)
+        eff = ch.EffectiveChannel(0.25, 0.525, 0.1)
+        eigs, deficit = fk.phase_averaged_spectrum(eff, 12, 24, tail_tol=1e-5)
+        diag, _ = fk.phase_averaged_spectrum(eff, 12, None, tail_tol=1e-5)
+        assert eigs.size == 144
+        np.testing.assert_array_equal(np.sort(eigs), np.sort(diag))
+        assert abs(eigs.sum() - (1.0 - deficit)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "eff, cutoff, tail_tol",
+        [
+            (ch.EffectiveChannel(0.5, 2.0, 0.5), 10, 1e-10),  # TMSV tail check
+            (ch.EffectiveChannel(0.5, 2.0, 0.05), 10, 1e-8),  # output trace deficit
+        ],
+    )
+    def test_both_routes_reject_the_same_small_cutoff(self, eff, cutoff, tail_tol):
+        from eamac import region as rg
+
+        numerics = rg.RegionNumerics(cutoff=cutoff, psk_order=64, tail_tol=tail_tol)
+        with pytest.raises(TruncationError) as sector:
+            rg.continuous_phase_mi(eff, numerics)
+        with pytest.raises(TruncationError) as dense:
+            fk.psk_ensemble_mi(eff, 64, cutoff, tail_tol=tail_tol)
+        assert sector.value.required_cutoff == dense.value.required_cutoff
+
+
 class TestLayer1Distributions:
     def test_silent_senders_single_background(self):
         p = ch.MacParams(tau=0.5, kappa=0.5, n_b=1.0)

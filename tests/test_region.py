@@ -9,10 +9,32 @@ from eamac import fixtures
 from eamac import gaussian as g
 from eamac import region as rg
 from eamac.channel import EffectiveChannel, MacParams, ModulationConfig, effective_cov, effective_params
-from eamac.errors import DomainError
+from eamac.errors import DomainError, EamacError, NumericalError
 
 # unit-test numerics: small cutoff, budget matched to its tail size
 FAST = rg.RegionNumerics(cutoff=16, psk_order=64, tail_tol=1e-7)
+
+
+class TestRegionNumerics:
+    @pytest.mark.parametrize(
+        "kwargs, key",
+        [
+            ({"cutoff": 0}, "cutoff"),
+            ({"psk_order": 0}, "psk_order"),
+            ({"tail_tol": 0.0}, "tail_tol"),
+            ({"tail_tol": 1.0}, "tail_tol"),
+            ({"tail_tol": float("nan")}, "tail_tol"),
+            ({"tail_tol": float("inf")}, "tail_tol"),
+        ],
+    )
+    def test_rejects_out_of_domain(self, kwargs, key):
+        with pytest.raises(DomainError, match=key):
+            rg.RegionNumerics(**kwargs)
+
+    def test_continuous_average_allowed(self):
+        numerics = rg.RegionNumerics(cutoff=16, psk_order=None, tail_tol=1e-7)
+        eff = EffectiveChannel(0.25, 0.5, 0.1)
+        assert rg.continuous_phase_mi(eff, numerics) == pytest.approx(rg.continuous_phase_mi(eff, FAST), abs=1e-15)
 
 
 class TestConditionalEntropyTerm:
@@ -117,6 +139,13 @@ class TestAchievableRegion:
         reg = rg.achievable_region(p, ModulationConfig(n_s=0.5), rg.RegionNumerics(cutoff=16, tail_tol=1e-5))
         assert not reg.validity["x_conditioned"]
         assert reg.x_bound > 0.0 and math.isfinite(reg.sum_bound)
+
+    def test_nan_link_raises_numerical_error(self, monkeypatch):
+        # the decoding-order check is explicit, so it also holds under python -O
+        monkeypatch.setattr(rg, "continuous_phase_mi", lambda eff, numerics: float("nan"))
+        with pytest.raises(NumericalError) as err:
+            rg.achievable_region(MacParams(tau=0.5, kappa=0.5, n_b=1.0), ModulationConfig(n_s=0.1), FAST)
+        assert isinstance(err.value, EamacError)
 
     def test_interference_free_point_reports_inactive_sum(self):
         # at tau = 1 the decoding orders tie and the sum adds nothing
