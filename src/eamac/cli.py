@@ -131,6 +131,8 @@ def parse_config(path: str, schema: dict) -> dict:
                 config[key] = conv(raw[key])
             except ValueError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from exc
+            if conv is float and not math.isfinite(config[key]):
+                raise ConfigError(f"config key {key!r} must be finite, got {raw[key]}")
         elif default is REQUIRED:
             raise ConfigError(f"missing required config key {key!r}")
         else:
@@ -264,8 +266,10 @@ def cmd_budget(config, args) -> str:
     budget = planner.covert_budget(config["n"], config["delta"], p)
     lines = _header("budget", config, args)
     lines.append(f"budget = {_fmt(budget)}")
-    provided = [config[k] for k in ("alpha", "beta", "s")]
-    if all(v is not None for v in provided):
+    missing = [k for k in ("alpha", "beta", "s") if config[k] is None]
+    if 0 < len(missing) < 3:
+        raise ConfigError(f"budget needs all of alpha, beta, s or none; missing {', '.join(missing)}")
+    if not missing:
         power = planner.weighted_power(config["alpha"], config["beta"], config["s"], p)
         lines.append(f"power = {_fmt(power)}")
         lines.append(f"feasible = {_fmt(power <= budget)}")

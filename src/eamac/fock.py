@@ -2,8 +2,14 @@
 
 Everything here exists to validate the Gaussian closed forms against an
 independent route: states are explicit density matrices on a cutoff-d
-photon-number basis, channels are built by exponentiating the two-mode
-hopping generator, and entropies come straight from eigenvalues.
+photon-number basis, entropies come straight from eigenvalues, and the
+thermal-loss channel is built per total photon number from a spectral
+basis of the two-mode hopping generator.  That generator is, up to a
+diagonal phase, 2 J_x on each sector, with eigenvalues N - 2m and
+eigenvectors independent of the transmissivity; one cached basis per
+sector gives every loss channel without a matrix exponential.  Only
+``beamsplitter_fock`` exponentiates the generator, blockwise; it is the
+oracle for those channel amplitudes.
 The one exception is ``phase_averaged_spectrum``, which the region
 uses: it takes the same per-total-photon blocks but never forms a dense
 state, and the dense route is its oracle.
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from .channel import EffectiveChannel, MacParams
 from .errors import DomainError, PhysicalityError, ShapeError, SupportError, TruncationError
@@ -228,17 +234,39 @@ def beamsplitter_fock(d1: int, d2: int, transmissivity: float) -> np.ndarray:
     return unitary
 
 
-def _hopping_block(xi: float, total: int, lo: int = 0, hi=None) -> np.ndarray:
+def _hopping_block(xi: float, total: int, lo: int, hi: int) -> np.ndarray:
     """exp(xi (a^dag b - a b^dag)) on the sector of ``total`` photons.
 
-    Rows and columns are the first-mode counts lo..hi (default: the whole
-    sector 0..total) of the states |k, total - k>.  A clipped range
-    exponentiates the clipped generator, which keeps the block orthogonal.
+    Rows and columns are the first-mode counts lo..hi of the states
+    |k, total - k>.  A clipped range exponentiates the clipped generator,
+    which keeps the block orthogonal.
     """
-    hi = total if hi is None else hi
     k = np.arange(lo, hi)
     val = np.sqrt((k + 1) * (total - k))
     return expm(xi * (np.diag(val, -1) - np.diag(val, 1)))
+
+
+# sectors of fewer photons keep their basis between calls (at most
+# CACHED_SECTORS^3 / 3 doubles, 5.6 MB); larger ones, which only a hot
+# environment reaches, are rebuilt per call so the cache stays bounded
+CACHED_SECTORS = 128
+# sectors handled per batched product, which bounds its scratch memory
+SECTOR_CHUNK = 64
+
+
+@lru_cache(maxsize=None)
+def _sector_basis(total: int) -> np.ndarray:
+    """Eigenvectors V of the hopping matrix S on the sector of ``total`` photons.
+
+    S is real symmetric tridiagonal with off-diagonal sqrt((k+1)(total-k)),
+    i.e. 2 J_x of spin total/2, so its eigenvalues are exactly 2m - total,
+    m = 0..total, in the order of the columns of V.  S does not depend on
+    the transmissivity, so one basis serves every channel.
+    """
+    k = np.arange(total)
+    vecs = eigh_tridiagonal(np.zeros(total + 1), np.sqrt((k + 1) * (total - k)))[1]
+    vecs.flags.writeable = False
+    return vecs
 
 
 def _loss_amplitudes(kappa: float, n_env: float, d_in: int, d_out: int, d_env: int) -> np.ndarray:
@@ -249,17 +277,36 @@ def _loss_amplitudes(kappa: float, n_env: float, d_in: int, d_out: int, d_env: i
     Each amplitude comes from the whole sector of n + e photons, so the
     environment output absorbs every signal photon and only the levels
     x >= d_out are cut off.  Zero where x > n + e.
+
+    On a sector the generator is xi (a^dag b - a b^dag) = -i xi D S D^dag
+    with D = diag(i^k) and S = V diag(lam) V^T (see _sector_basis), so the
+    block is i^(x-n) (V cos(xi lam) V^T - i V sin(xi lam) V^T)[x, n].  S anticommutes
+    with diag((-1)^k), so the cosine part vanishes for odd x - n and the
+    sine part for even x - n: the block is V (cos + sin)(xi lam) V^T with
+    the sign (-1)^floor((x - n) / 2).
     """
     xi = math.acos(min(1.0, math.sqrt(kappa)))
     p_env = photon_distribution_thermal(n_env, d_env).probs
     p_env = p_env / p_env.sum()
-    amps = np.zeros((d_out, d_in, d_env))
-    for total in range(d_in + d_env - 1):
-        block = _hopping_block(xi, total)
-        x = np.arange(min(total, d_out - 1) + 1)
-        n = np.arange(max(0, total - d_env + 1), min(total, d_in - 1) + 1)
-        amps[x[:, None], n[None, :], total - n[None, :]] = block[np.ix_(x, n)]
-    return amps * np.sqrt(p_env)
+    sectors = d_in + d_env - 1
+    # sector t holds the inputs (n, t - n) with n from first(t) to first(t) + width - 1
+    width = min(d_in, d_env)
+    first = np.maximum(0, np.arange(sectors) - d_env + 1)
+    table = np.empty((sectors, d_out, width))
+    for start in range(0, sectors, SECTOR_CHUNK):
+        stop = min(start + SECTOR_CHUNK, sectors)
+        # basis rows of the outputs and of the inputs, zero-padded to the chunk's largest sector
+        out_rows = np.zeros((stop - start, d_out, stop))
+        in_rows = np.zeros((stop - start, width, stop))
+        for i, total in enumerate(range(start, stop)):
+            vecs = _sector_basis(total) if total < CACHED_SECTORS else _sector_basis.__wrapped__(total)
+            out_rows[i, : total + 1, : total + 1] = vecs[:d_out]
+            in_rows[i, : total + 1, : total + 1] = vecs[first[total] : first[total] + width]
+        angle = xi * (2 * np.arange(stop) - np.arange(start, stop)[:, None])
+        in_rows *= (np.cos(angle) + np.sin(angle))[:, None, :]
+        table[start:stop] = out_rows @ in_rows.transpose(0, 2, 1)
+    x, n, e = np.ogrid[:d_out, :d_in, :d_env]
+    return table[n + e, x, n - first[n + e]] * (-1.0) ** ((x - n) // 2) * np.sqrt(p_env)
 
 
 @lru_cache(maxsize=8)

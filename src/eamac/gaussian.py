@@ -98,11 +98,6 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return pairs.mean(axis=1)
 
 
-def is_physical(cov: np.ndarray, tol: float = PHYSICALITY_TOL) -> bool:
-    """True iff every symplectic eigenvalue is >= 1 - tol."""
-    return bool(np.min(symplectic_eigenvalues(cov)) >= 1.0 - tol)
-
-
 def entropy_from_cov(cov: np.ndarray) -> float:
     """Von Neumann entropy (nats) of the Gaussian state with this covariance.
 

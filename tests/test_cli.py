@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from eamac.cli import main
+from eamac.cli import SCHEMAS, main
 
 
 def write_config(path, **entries):
@@ -101,6 +101,7 @@ class TestRegionInputDomain:
             ("n_b", "inf"),
             ("n_s", "nan"),
             ("boundary_points", -3),
+            ("cutoff", 100000),
         ],
     )
     def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
@@ -108,6 +109,41 @@ class TestRegionInputDomain:
         assert run(["region", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
+
+
+# a valid config of each planner command
+PLANNER_BASES = {
+    "budget": PLAN_BASE,
+    "plan": PLAN_BASE,
+    "sweep": dict(PLAN_BASE, vary="s", start=0.001, stop=0.03, count=9),
+}
+
+
+class TestPlannerInputDomain:
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            (command, key, value)
+            for command in PLANNER_BASES
+            for key, (conv, _) in SCHEMAS[command].items()
+            if conv is float
+            for value in ("nan", "inf", "-inf")
+        ],
+    )
+    def test_non_finite_float_exits_2_naming_the_key(self, tmp_path, capsys, command, key, value):
+        cfg = write_config(tmp_path / "c.cfg", **{**PLANNER_BASES[command], key: value})
+        assert run([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(key) in err
+
+    @pytest.mark.parametrize("given", [("alpha",), ("alpha", "beta"), ("s",), ("beta", "s")])
+    def test_budget_with_some_of_alpha_beta_s_exits_2(self, tmp_path, capsys, given):
+        entries = dict(tau=0.5, kappa=0.5, n_b=1.0, n=10**6, delta=0.1)
+        entries.update({k: 0.1 for k in given})
+        cfg = write_config(tmp_path / "c.cfg", **entries)
+        assert run(["budget", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert all(k in err.split("missing")[1] for k in ("alpha", "beta", "s") if k not in given)
 
 
 class TestBudgetAndPlan:

@@ -210,6 +210,30 @@ def _criterion7_links(seed, count):
     return links
 
 
+def _expm_loss_amplitudes(kappa, n_env, d_in, d_out, d_env, dense=True):
+    """W[x, n, e] of fock._loss_amplitudes from exponentiated hopping blocks.
+
+    The blocks are read off beamsplitter_fock(D, D, kappa) with
+    D = d_in + d_env - 1, where every sector the table needs is unclipped.
+    With ``dense=False`` they are the same full-sector blocks taken from
+    fock._hopping_block, for sectors too large for a dense D^2 x D^2 unitary.
+    """
+    size = d_in + d_env - 1
+    unitary = fk.beamsplitter_fock(size, size, kappa) if dense else None
+    p_env = fk.photon_distribution_thermal(n_env, d_env).probs
+    amps = np.zeros((d_out, d_in, d_env))
+    for total in range(size):
+        k = np.arange(total + 1)
+        if dense:
+            idx = k * size + total - k
+            block = unitary[np.ix_(idx, idx)]
+        else:
+            block = fk._hopping_block(math.acos(math.sqrt(kappa)), total, 0, total)
+        x, n = k[k < d_out], k[(k < d_in) & (total - k < d_env)]
+        amps[x[:, None], n, total - n] = block[np.ix_(x, n)]
+    return amps * np.sqrt(p_env / p_env.sum())
+
+
 class TestPhaseAveragedSpectrum:
     """The photon-number-sector route against the dense Fock oracle."""
 
@@ -227,6 +251,21 @@ class TestPhaseAveragedSpectrum:
             s_dense, tail_dense = _dense_spectrum_entropy(eff, 14, psk_order, 1e-5)
             assert abs(fk.spectral_entropy(eigs) - s_dense) <= 1e-12
             assert abs(deficit - tail_dense) <= 1e-12
+
+    def test_loss_amplitudes_match_beamsplitter_on_seeded_grid(self):
+        # the edge links bring kappa = 0 (beamsplitter_fock's exact swap), kappa = 1 and n_env = 0
+        for eff in _criterion7_links(2024, 6) + self.EDGE_LINKS:
+            n_env = 0.0 if eff.kappa_eff >= 1.0 else eff.n_t_eff / (1.0 - eff.kappa_eff)
+            d_env = fk.required_cutoff(n_env, 1e-5)
+            amps = fk._loss_amplitudes(eff.kappa_eff, n_env, 14, 14, d_env)
+            assert np.abs(amps - _expm_loss_amplitudes(eff.kappa_eff, n_env, 14, 14, d_env)).max() <= 1e-13
+
+    def test_loss_amplitudes_match_expm_in_sectors_above_200(self):
+        # n_env = 10 needs d_env = 194, so sectors reach 206 photons
+        d_env = fk.required_cutoff(10.0, fk.DEFAULT_TAIL_TOL)
+        amps = fk._loss_amplitudes(0.37, 10.0, 14, 12, d_env)
+        ref = _expm_loss_amplitudes(0.37, 10.0, 14, 12, d_env, dense=False)
+        assert np.abs(amps - ref).max() <= 1e-13
 
     @pytest.mark.parametrize("name", ["psk_mi_unconditioned", "continuous_mi_conditioned"])
     def test_matches_dense_at_golden_points(self, name):

@@ -25,6 +25,8 @@ class TestRegionNumerics:
             ({"tail_tol": 1.0}, "tail_tol"),
             ({"tail_tol": float("nan")}, "tail_tol"),
             ({"tail_tol": float("inf")}, "tail_tol"),
+            ({"cutoff": rg.MAX_CUTOFF + 1}, "cutoff"),
+            ({"cutoff": 100000}, "cutoff"),
         ],
     )
     def test_rejects_out_of_domain(self, kwargs, key):
