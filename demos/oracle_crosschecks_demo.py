@@ -26,7 +26,7 @@ from eamac.validate import run_suite
 print("=== 1. Entropy: covariance route vs spectral route ===")
 for n_s in (0.1, 0.5):
     gauss = g_entropy(n_s)
-    spectral = entropy_fock(tmsv_fock(n_s, 40).to_density().partial_trace([1]))
+    spectral = entropy_fock(tmsv_fock(n_s, 40).partial_trace([1]))
     print(f"n_s = {n_s}: g({n_s}) = {gauss:.12f}, TMSV reduced-mode entropy = {spectral:.12f}")
 
 print("\n=== 2. Heterodyne conditioning vs generic Schur complement ===")

@@ -80,6 +80,19 @@ class FockVector:
         flat = self.amplitudes.reshape(-1)
         return FockDensity(self.cutoff, self.modes, np.outer(flat, flat.conj()))
 
+    def partial_trace(self, keep) -> "FockDensity":
+        """Reduced density on the ``keep`` modes, straight from the amplitudes.
+
+        With the kept axes first, the amplitudes form a d^k x d^(m-k)
+        matrix A and the reduced state is A A^dag, so the d^m x d^m
+        density of ``to_density`` is never built.
+        """
+        keep = sorted(keep)
+        traced = [i for i in range(self.modes) if i not in keep]
+        dim = self.cutoff ** len(keep)
+        amps = self.amplitudes.transpose(keep + traced).reshape(dim, -1)
+        return FockDensity(self.cutoff, len(keep), amps @ amps.conj().T)
+
 
 @dataclass(frozen=True)
 class FockDensity:
@@ -615,7 +628,12 @@ def _quadrature_ops(cutoff: int):
 
 
 def moments_from_fock(state) -> tuple[np.ndarray, np.ndarray]:
-    """Extract (mean, covariance) in the vacuum-equals-identity convention."""
+    """Extract (mean, covariance) in the vacuum-equals-identity convention.
+
+    For Hermitian rho and quadratures the symmetrised moment
+    tr(rho (Q_i Q_j + Q_j Q_i)) / 2 equals Re tr(R_i Q_j) with R_i = rho Q_i,
+    an elementwise sum, so each R_i is the only matrix product formed.
+    """
     rho = state.to_density() if isinstance(state, FockVector) else state
     d, m = rho.cutoff, rho.modes
     q1, p1 = _quadrature_ops(d)
@@ -626,10 +644,11 @@ def moments_from_fock(state) -> tuple[np.ndarray, np.ndarray]:
             for j in range(m):
                 full = np.kron(full, op if j == mode else np.eye(d))
             quads.append(full)
-    mean = np.array([np.trace(rho.matrix @ op).real for op in quads])
+    rho_q = [rho.matrix @ op for op in quads]
+    mean = np.array([np.trace(r).real for r in rho_q])
     cov = np.empty((2 * m, 2 * m))
     for i in range(2 * m):
         for j in range(i, 2 * m):
-            sym = 0.5 * np.trace(rho.matrix @ (quads[i] @ quads[j] + quads[j] @ quads[i])).real
+            sym = np.einsum("ab,ba->", rho_q[i], quads[j]).real
             cov[i, j] = cov[j, i] = sym - mean[i] * mean[j]
     return mean, cov

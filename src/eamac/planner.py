@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erfc, erfcinv
-from scipy.stats import binom
 
 from . import fock
 from .channel import MacParams
@@ -427,7 +426,11 @@ class McEstimate:
     samples: int
 
 
+# rows per spawned seed, which fixes the random stream
 _MC_CHUNK = 1 << 16
+# rows drawn and scored at once, which bounds the memory (about 2 MB of
+# counts per worker at the validate cutoff) and leaves the stream alone
+_MC_BLOCK = 1 << 12
 
 
 def willie_tv_mc(
@@ -445,9 +448,15 @@ def willie_tv_mc(
     Uses TV = P(A) - Q(A) on the likelihood-ratio event A = {LLR > 0}.
     Slots are i.i.d., so each n-slot sample reduces to a multinomial
     count vector over photon numbers; sampling counts is exactly
-    equivalent to sampling slots.  Chunk seeds are spawned from ``seed``
-    independently of the worker count, and aggregation is a plain sum,
-    so results are reproducible for any ``workers``.
+    equivalent to sampling slots.
+
+    Samples are split into chunks of ``_MC_CHUNK`` rows, the unit of
+    seeding: chunk seeds are spawned from ``seed`` independently of the
+    worker count, and aggregation is a plain sum.  Within a chunk, rows
+    are drawn and scored in blocks of ``_MC_BLOCK`` rows, which bounds
+    the memory per worker; consecutive block draws from one generator
+    equal a single draw of the whole chunk.  The result therefore
+    depends only on (seed, samples), not on the block size or ``workers``.
     """
     if seed is None:
         raise ConfigError("willie_tv_mc requires an explicit seed for reproducibility")
@@ -467,11 +476,19 @@ def willie_tv_mc(
     chunk_sizes = [min(_MC_CHUNK, samples - start) for start in range(0, samples, _MC_CHUNK)]
     seeds = np.random.SeedSequence(seed).spawn(len(chunk_sizes))
 
+    def count_hits(rng, q, size):
+        # multinomial consumes the stream row by row: blocks equal one draw
+        hits = 0
+        for start in range(0, size, _MC_BLOCK):
+            counts = rng.multinomial(n, q, size=min(_MC_BLOCK, size - start))
+            hits += int(np.count_nonzero(counts @ llr > 0.0))
+        return hits
+
     def run_chunk(args):
         chunk_seed, size = args
         rng = np.random.default_rng(chunk_seed)
-        hits_p = int(np.count_nonzero(rng.multinomial(n, q1, size=size) @ llr > 0.0))
-        hits_q = int(np.count_nonzero(rng.multinomial(n, q0, size=size) @ llr > 0.0))
+        hits_p = count_hits(rng, q1, size)
+        hits_q = count_hits(rng, q0, size)
         return hits_p, hits_q
 
     jobs = list(zip(seeds, chunk_sizes))
@@ -497,6 +514,10 @@ def chernoff_truncation(n: int, alpha: float, beta: float, mu_bar: float) -> flo
 
 def binomial_tail_exact(n: int, prob: float, mu_bar: float) -> float:
     """Exact lower binomial tail P(Bin(n, prob) < (1 - mu_bar) n prob)."""
+    # imported here: scipy.stats costs about half a second at import and
+    # has no other user in the package
+    from scipy.stats import binom
+
     threshold = (1.0 - mu_bar) * n * prob
     return float(binom.cdf(math.ceil(threshold) - 1, n, prob))
 

@@ -32,7 +32,7 @@ def check_gaussian_fock_entropy() -> CheckResult:
     for n_s in (0.1, 0.5):
         gauss = entropy_from_cov(thermal_cov(n_s))
         direct = fock.entropy_fock(fock.thermal_fock(n_s, 40))
-        reduced = fock.entropy_fock(fock.tmsv_fock(n_s, 40).to_density().partial_trace([1]))
+        reduced = fock.entropy_fock(fock.tmsv_fock(n_s, 40).partial_trace([1]))
         worst = max(worst, abs(gauss - direct), abs(gauss - reduced))
     return CheckResult(
         name="gaussian_fock_entropy",

@@ -1,9 +1,14 @@
 """Command-line interface: configs, formats, exit codes, determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eamac
 from eamac.cli import SCHEMAS, main
 
 
@@ -233,3 +238,11 @@ class TestValidate:
         assert blobs[0] == blobs[1]
         assert b"overall = pass" in blobs[0]
         assert blobs[0].count(b"= pass") == 5
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src_dir = str(Path(eamac.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, eamac.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 """Truncated Fock-space oracle: states, channels, entropies, ensembles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +33,31 @@ class TestTmsvFock:
         # independent route: diagonalize the traced-out density matrix
         reduced = fk.tmsv_fock(0.5, 40).to_density().partial_trace([0])
         assert fk.entropy_fock(reduced) == pytest.approx(g.g_entropy(0.5), abs=1e-9)
+
+
+class TestVectorPartialTrace:
+    """FockVector.partial_trace against the dense route through to_density."""
+
+    @staticmethod
+    def assert_matches_dense(psi, keep):
+        fast = psi.partial_trace(keep)
+        dense = psi.to_density().partial_trace(keep)
+        assert (fast.cutoff, fast.modes) == (dense.cutoff, dense.modes)
+        assert np.max(np.abs(fast.matrix - dense.matrix)) <= 1e-15
+
+    @pytest.mark.parametrize("keep", [[0], [1]])
+    @pytest.mark.parametrize("cutoff", [10, 40])
+    def test_tmsv(self, cutoff, keep):
+        for n_s in (0.1, 0.5):
+            self.assert_matches_dense(fk.tmsv_fock(n_s, cutoff, tail_tol=1e-3), keep)
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3])
+    def test_random_three_mode_state(self, size):
+        rng = np.random.default_rng(77)
+        amps = rng.normal(size=(5, 5, 5)) + 1j * rng.normal(size=(5, 5, 5))
+        psi = fk.FockVector(5, 3, amps / np.linalg.norm(amps))
+        for keep in itertools.combinations(range(3), size):
+            self.assert_matches_dense(psi, list(keep))
 
 
 class TestPhaseRotate:
@@ -351,6 +377,25 @@ class TestMacJointFock:
         _, cov = fk.moments_from_fock(self.rho)
         ref = ch.bob_joint_cov(self.p, ch.ModulationConfig(n_s=self.n_s))
         np.testing.assert_allclose(cov, ref, atol=5e-5)
+
+    def test_moments_match_anticommutator_formula(self):
+        # reference: every symmetrised moment from dense operator products
+        rng = np.random.default_rng(5)
+        g_mat = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+        rho = g_mat @ g_mat.conj().T
+        state = fk.FockDensity(4, 3, rho / np.trace(rho).real)
+        q1, p1 = fk._quadrature_ops(4)
+        eye = np.eye(4)
+        quads = [
+            np.kron(np.kron(op if mode == 0 else eye, op if mode == 1 else eye), op if mode == 2 else eye)
+            for mode in range(3)
+            for op in (q1, p1)
+        ]
+        mean = np.array([np.trace(state.matrix @ op).real for op in quads])
+        sym = np.array([[0.5 * np.trace(state.matrix @ (a @ b + b @ a)).real for b in quads] for a in quads])
+        got_mean, got_cov = fk.moments_from_fock(state)
+        np.testing.assert_allclose(got_mean, mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_cov, sym - np.outer(mean, mean), rtol=0, atol=1e-12)
 
     def test_signal_rotation_equals_idler_rotation(self):
         rotated = fk.mac_joint_fock(self.p, self.n_s, self.d, theta=0.37, phi=1.1, tail_tol=1e-6)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from eamac import fock
 from eamac import planner as pl
 from eamac.channel import MacParams
 from eamac.errors import ConfigError, DomainError, InfeasibleError
@@ -195,6 +196,37 @@ class TestWillieTv:
         serial = pl.willie_tv_mc(1000, 0.05, 0.05, 0.05, P_CANON, workers=1, **kwargs)
         threaded = pl.willie_tv_mc(1000, 0.05, 0.05, 0.05, P_CANON, workers=4, **kwargs)
         assert serial == threaded
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("samples", [1, 4095, 4097, 65537, 70000])
+    def test_mc_stream_matches_whole_chunk_draws(self, samples, workers):
+        # blocks must not change the stream: one draw per chunk is the reference
+        args = (1000, 0.05, 0.05, 0.05, P_CANON)
+        expected = _whole_chunk_tv_mc(*args, samples=samples, seed=2718)
+        assert pl.willie_tv_mc(*args, samples=samples, seed=2718, workers=workers) == expected
+
+
+def _whole_chunk_tv_mc(n, alpha, beta, s, p, samples, seed):
+    """willie_tv_mc drawing each 2^16-row seed chunk in one multinomial call."""
+    max_mean = p.kappa * p.n_b + (1.0 - p.kappa) * s
+    cutoff = max(fock.required_cutoff(max_mean, 1e-18) + 16, 32)
+    entries = fock.layer1_mode_distributions(p, alpha, beta, s, "willie", cutoff=cutoff)
+    q1 = sum(w * dist.probs for _, w, dist in entries)
+    q0 = fock.photon_distribution_thermal(p.kappa * p.n_b, cutoff).probs
+    q1 = q1 / q1.sum()
+    q0 = q0 / q0.sum()
+    llr = np.log(q1) - np.log(q0)
+    chunk = 1 << 16
+    sizes = [min(chunk, samples - start) for start in range(0, samples, chunk)]
+    hits_p = hits_q = 0
+    for chunk_seed, size in zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes):
+        rng = np.random.default_rng(chunk_seed)
+        hits_p += int(np.count_nonzero(rng.multinomial(n, q1, size=size) @ llr > 0.0))
+        hits_q += int(np.count_nonzero(rng.multinomial(n, q0, size=size) @ llr > 0.0))
+    p_hat = hits_p / samples
+    q_hat = hits_q / samples
+    stderr = math.sqrt(p_hat * (1.0 - p_hat) / samples + q_hat * (1.0 - q_hat) / samples)
+    return pl.McEstimate(value=p_hat - q_hat, stderr=stderr, samples=samples)
 
 
 class TestChernoff:
