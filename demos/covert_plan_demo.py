@@ -16,7 +16,6 @@ from eamac.planner import (
     chernoff_truncation,
     scaling_limits,
     scaling_plan,
-    q_inv,
     relent_exact,
     relent_leading,
     second_order_rate,
@@ -24,6 +23,7 @@ from eamac.planner import (
     willie_tv_leading,
     willie_tv_mc,
 )
+from eamac.validate import tv_experiment_params
 
 p = MacParams(tau=0.5, kappa=0.5, n_b=1.0)
 n, delta = 10**6, 0.1
@@ -53,8 +53,8 @@ print("\n=== The warden's view ===")
 tv = willie_tv_leading(n, alpha, beta, s, p)
 print(f"leading detection advantage: {tv:.4e} (well inside delta = {delta})")
 small_n = 10**4
-s_loud = q_inv(0.35) * 2.0 * math.sqrt(0.75) / (math.sqrt(small_n) * 0.05 * 0.5)
-est = willie_tv_mc(small_n, 0.05, 0.05, s_loud, p, samples=200000, seed=7)
+p_loud, alpha_loud, beta_loud, s_loud = tv_experiment_params(0.30, small_n)
+est = willie_tv_mc(small_n, alpha_loud, beta_loud, s_loud, p_loud, samples=200000, seed=7)
 print(
     f"at a deliberately loud point (n = {small_n}, tv_leading = 0.30): "
     f"Monte Carlo gives {est.value:.4f} +- {est.stderr:.4f}"

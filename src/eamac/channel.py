@@ -60,20 +60,26 @@ class MacParams:
     def n_t(self) -> float:
         return (1.0 - self.kappa) * self.n_b
 
+    def receiver(self, name: str) -> tuple[float, float]:
+        """(kappa_r, background): the signal coupling and thermal background at
+        receiver "bob" (kappa, n_t) or at the warden "willie" (1 - kappa, kappa n_b)."""
+        if name == "bob":
+            return self.kappa, self.n_t
+        if name == "willie":
+            return 1.0 - self.kappa, self.kappa * self.n_b
+        raise DomainError(f"receiver must be 'bob' or 'willie', got {name!r}")
+
 
 @dataclass(frozen=True)
 class ModulationConfig:
-    """Signal mean photon number and PSK constellation size."""
+    """Signal mean photon number per TMSV mode."""
 
     n_s: float
-    psk_order: int = 64
 
     def __post_init__(self):
         _require_finite(self, "n_s")
         if self.n_s < 0.0:
             raise DomainError(f"n_s must be >= 0, got {self.n_s}")
-        if self.psk_order < 1:
-            raise DomainError(f"psk_order must be >= 1, got {self.psk_order}")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ worker count.  Exit codes: 0 success, 2 config error, 3 infeasible plan,
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__, planner, region as rg, validate as val
@@ -236,7 +235,7 @@ def cmd_region(config, args) -> str:
     if config["boundary_points"] < 0:
         raise ConfigError(f"boundary_points must be >= 0, got {config['boundary_points']}")
     p = MacParams(tau=config["tau"], kappa=config["kappa"], n_b=config["n_b"])
-    m = ModulationConfig(n_s=config["n_s"], psk_order=config["psk_order"])
+    m = ModulationConfig(n_s=config["n_s"])
     numerics = rg.RegionNumerics(
         cutoff=config["cutoff"], psk_order=config["psk_order"], tail_tol=config["tail_tol"]
     )
@@ -263,16 +262,17 @@ def cmd_covert_rect(config, args) -> str:
 
 def cmd_budget(config, args) -> str:
     p = MacParams(tau=config["tau"], kappa=config["kappa"], n_b=config["n_b"])
-    budget = planner.covert_budget(config["n"], config["delta"], p)
     lines = _header("budget", config, args)
-    lines.append(f"budget = {_fmt(budget)}")
     missing = [k for k in ("alpha", "beta", "s") if config[k] is None]
-    if 0 < len(missing) < 3:
-        raise ConfigError(f"budget needs all of alpha, beta, s or none; missing {', '.join(missing)}")
-    if not missing:
-        power = planner.weighted_power(config["alpha"], config["beta"], config["s"], p)
-        lines.append(f"power = {_fmt(power)}")
-        lines.append(f"feasible = {_fmt(power <= budget)}")
+    if missing:
+        lines.append(f"budget = {_fmt(planner.covert_budget(config['n'], config['delta'], p))}")
+        if len(missing) < 3:
+            raise ConfigError(f"budget needs all of alpha, beta, s or none; missing {', '.join(missing)}")
+    else:
+        power, budget, feasible = planner.covert_feasibility(
+            config["n"], config["alpha"], config["beta"], config["s"], p, config["delta"]
+        )
+        lines += [f"budget = {_fmt(budget)}", f"power = {_fmt(power)}", f"feasible = {_fmt(feasible)}"]
     return "\n".join(lines) + "\n"
 
 
@@ -333,9 +333,9 @@ def _sweep_row(config, args, value) -> str:
     local = dict(config)
     local[config["vary"]] = value
     p = MacParams(tau=local["tau"], kappa=local["kappa"], n_b=local["n_b"])
-    budget = planner.covert_budget(local["n"], local["delta"], p)
-    power = planner.weighted_power(local["alpha"], local["beta"], local["s"], p)
-    feasible = power <= budget * (1.0 + 1e-12)
+    power, budget, feasible = planner.covert_feasibility(
+        local["n"], local["alpha"], local["beta"], local["s"], p, local["delta"]
+    )
     cells = [repr(float(value)), repr(budget), repr(power), "true" if feasible else "false"]
     if feasible:
         plan = planner.build_plan(
@@ -358,11 +358,7 @@ def cmd_sweep(config, args) -> str:
     count = config["count"]
     step = (config["stop"] - config["start"]) / (count - 1) if count > 1 else 0.0
     grid = [config["start"] + i * step for i in range(count)]
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(lambda v: _sweep_row(config, args, v), grid))
-    else:
-        rows = [_sweep_row(config, args, v) for v in grid]
+    rows = [_sweep_row(config, args, v) for v in grid]
     header = [line if line.startswith("#") else f"# {line}" for line in _header("sweep", config, args)]
     columns = ",".join([config["vary"]] + SWEEP_COLUMNS)
     return "\n".join(header + [columns] + rows) + "\n"

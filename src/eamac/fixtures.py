@@ -58,7 +58,7 @@ def regenerate(path=None) -> dict:
     eff_unc = EffectiveChannel(0.25, 0.525, 0.1)
     eff_cond = EffectiveChannel(0.25, 0.5, 0.1)
     p = MacParams(tau=0.5, kappa=0.5, n_b=1.0)
-    m = ModulationConfig(n_s=0.1, psk_order=64)
+    m = ModulationConfig(n_s=0.1)
 
     produced = 48
     tight = 1e-12

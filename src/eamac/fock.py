@@ -485,6 +485,20 @@ def conditional_output_density(
     return thermal_loss_fock(psi.to_density(), eff.kappa_eff, n_env, d_env=d_env, mode=0, tail_tol=tail_tol)
 
 
+def _check_output_cutoff(eff: EffectiveChannel, cutoff: int, tail_tol: float) -> None:
+    """Reject, before any Fock work, a cutoff too small for the B output.
+
+    The B marginal is thermal with mean m = kappa_eff n_s + n_t_eff (n_s
+    without loss), so by data processing the output trace deficit is at
+    least (m / (m + 1))^cutoff - tail_tol: beyond 5 tail_tol the 4 tail_tol
+    deficit check would fail after the full build."""
+    m = eff.n_s if eff.kappa_eff >= 1.0 else eff.kappa_eff * eff.n_s + eff.n_t_eff
+    if m > 0.0 and (m / (m + 1.0)) ** cutoff > 5.0 * tail_tol:
+        need = required_cutoff(m, tail_tol)
+        msg = f"cutoff {cutoff} keeps the output tail (mean {m:.6g}) above {tail_tol:g}; need d >= {need}"
+        raise TruncationError(msg, required_cutoff=need)
+
+
 def phase_averaged_spectrum(
     eff: EffectiveChannel,
     cutoff: int,
@@ -505,6 +519,7 @@ def phase_averaged_spectrum(
     ``psk_order=None`` or L >= 2 cutoff every block is 1 x 1.  The trace
     deficit is 1 minus the summed block traces.
     """
+    _check_output_cutoff(eff, cutoff, tail_tol)
     pair = np.diagonal(tmsv_fock(eff.n_s, cutoff, tail_tol).amplitudes).real
     # kappa_eff = 1 has no environment: the identity law on d_env = 1
     n_env = 0.0 if eff.kappa_eff >= 1.0 else eff.n_t_eff / (1.0 - eff.kappa_eff)
@@ -540,6 +555,7 @@ def psk_ensemble_mi(
     """
     if psk_order < 1:
         raise DomainError(f"psk_order must be >= 1, got {psk_order}")
+    _check_output_cutoff(eff, cutoff, tail_tol)
     rho0 = conditional_output_density(eff, cutoff, d_env=d_env, tail_tol=tail_tol)
     deficit = rho0.tail()
     if deficit > 4.0 * tail_tol:
@@ -587,21 +603,15 @@ def layer1_mode_distributions(p: MacParams, alpha: float, beta: float, s: float,
     """Per-slot photon distributions of the sparse layer, as (weight, law) pairs.
 
     The four on/off input combinations map to thermal outputs with mean
-    kappa_recv (tau s 1{x} + (1-tau) s 1{y}) + background, where the
-    receiver side fixes (kappa_recv, background) = (kappa, n_t) for Bob
-    and (1-kappa, kappa n_b) for Willie.
+    kappa_recv (tau s 1{x} + (1-tau) s 1{y}) + background, where
+    (kappa_recv, background) = p.receiver(receiver).
     """
     for name, value in (("alpha", alpha), ("beta", beta)):
         if not 0.0 <= value <= 1.0:
             raise DomainError(f"{name} must lie in [0, 1], got {value}")
     if s < 0.0:
         raise DomainError(f"s must be >= 0, got {s}")
-    if receiver == "bob":
-        kappa_recv, background = p.kappa, p.n_t
-    elif receiver == "willie":
-        kappa_recv, background = 1.0 - p.kappa, p.kappa * p.n_b
-    else:
-        raise DomainError(f"receiver must be 'bob' or 'willie', got {receiver!r}")
+    kappa_recv, background = p.receiver(receiver)
     weights = {
         (0, 0): (1.0 - alpha) * (1.0 - beta),
         (0, 1): (1.0 - alpha) * beta,

@@ -2,9 +2,11 @@
 
 All quantities are leading-order evaluations of the covert coding
 scheme's guarantees; the little-o corrections are attached as order
-strings rather than silently estimated.  The exact classical evaluators
-(relent_exact, willie_tv_mc) exploit the fact that every per-slot state
-of the sparse layer is diagonal in the photon-number basis.
+strings rather than silently estimated.  ``covert_feasibility`` is the
+one feasibility rule, used by ``build_plan`` and the CLI.  The exact
+classical evaluators (relent_exact, willie_tv_mc) exploit the fact that
+every per-slot state of the sparse layer is diagonal in the photon-number
+basis.
 """
 
 import math
@@ -24,6 +26,8 @@ __all__ = [
     "q_func",
     "q_inv",
     "covert_budget",
+    "weighted_power",
+    "covert_feasibility",
     "Layer1Rates",
     "Layer2Rates",
     "CovertPlan",
@@ -79,8 +83,19 @@ def covert_budget(n: int, delta: float, p: MacParams) -> float:
         raise DomainError(f"delta must lie in [0, 1), got {delta}")
     if delta == 0.0:
         return 0.0
-    coeff = 2.0 * math.sqrt(p.kappa * p.n_b * (1.0 + p.kappa * p.n_b)) / (1.0 - p.kappa)
-    return coeff * q_inv((1.0 - delta) / 2.0) / math.sqrt(n)
+    return _willie_coeff(p) * q_inv((1.0 - delta) / 2.0) / math.sqrt(n)
+
+
+def _willie_coeff(p: MacParams) -> float:
+    """Weighted power per unit Q^{-1} at n = 1: 2 sqrt(b (1+b)) / kappa_r at Willie."""
+    kappa_r, b = p.receiver("willie")
+    return 2.0 * math.sqrt(b * (1.0 + b)) / kappa_r
+
+
+def _chi2_den(p: MacParams, receiver: str) -> float:
+    """Leading chi-square denominator 2 b (1+b) of the receiver's thermal law."""
+    _, b = p.receiver(receiver)
+    return 2.0 * b * (1.0 + b)
 
 
 def weighted_power(alpha: float, beta: float, s: float, p: MacParams) -> float:
@@ -88,16 +103,12 @@ def weighted_power(alpha: float, beta: float, s: float, p: MacParams) -> float:
     return (alpha * p.tau + beta * (1.0 - p.tau)) * s
 
 
-def _check_budget(n, alpha, beta, s, p, delta):
+def covert_feasibility(n: int, alpha: float, beta: float, s: float, p: MacParams, delta: float):
+    """(power, budget, feasible): the weighted power, the covert budget at (n, delta),
+    and whether power <= budget up to a relative 1e-12 slack for the budget's rounding."""
     power = weighted_power(alpha, beta, s, p)
     budget = covert_budget(n, delta, p)
-    if power > budget * (1.0 + 1e-12):
-        raise InfeasibleError(
-            f"covert power budget violated: (alpha*tau + beta*(1-tau))*s = {power:.6g} "
-            f"> budget {budget:.6g} at n={n}, delta={delta}",
-            binding="covert-budget",
-        )
-    return power, budget
+    return power, budget, power <= budget * (1.0 + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -140,16 +151,15 @@ class Layer2Rates:
     }
 
 
-def layer1_throughput(n: int, alpha: float, beta: float, s: float, p: MacParams, delta: float) -> Layer1Rates:
+def layer1_throughput(n: int, alpha: float, beta: float, s: float, p: MacParams) -> Layer1Rates:
     """Sparse-layer message and key budgets at leading order.
 
     Message rates carry the receiver-side coefficient
     kappa^2 s^2 / (2 (1-kappa) n_b (1 + (1-kappa) n_b)); the key-stuffed
-    ceilings swap kappa <-> 1-kappa.
+    ceilings swap kappa <-> 1-kappa.  ``build_plan`` checks the budget.
     """
-    _check_budget(n, alpha, beta, s, p, delta)
-    bob_den = 2.0 * (1.0 - p.kappa) * p.n_b * (1.0 + (1.0 - p.kappa) * p.n_b)
-    willie_den = 2.0 * p.kappa * p.n_b * (1.0 + p.kappa * p.n_b)
+    bob_den = _chi2_den(p, "bob")
+    willie_den = _chi2_den(p, "willie")
     x_weight = n * alpha * p.tau**2 * s**2
     y_weight = n * beta * (1.0 - p.tau) ** 2 * s**2
     return Layer1Rates(
@@ -162,13 +172,10 @@ def layer1_throughput(n: int, alpha: float, beta: float, s: float, p: MacParams,
     )
 
 
-def layer2_throughput(
-    n: int, alpha: float, beta: float, s: float, p: MacParams, mu_bar: float, delta: float
-) -> Layer2Rates:
+def layer2_throughput(n: int, alpha: float, beta: float, s: float, p: MacParams, mu_bar: float) -> Layer2Rates:
     """Modulation-layer rates (1-mu_bar) scaled, plus TMSV pair counts."""
     if not 0.0 < mu_bar < 1.0:
         raise DomainError(f"mu_bar must lie in (0, 1), got {mu_bar}")
-    _check_budget(n, alpha, beta, s, p, delta)
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1) for the -s log s expansion, got {s}")
     scale = (1.0 - mu_bar) * n * p.kappa * (-s * math.log(s)) / (1.0 + p.n_t)
@@ -234,7 +241,13 @@ def build_plan(
             raise DomainError(f"{name} must lie in (0, 1), got {value}")
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    power, budget = _check_budget(n, alpha, beta, s, p, delta)
+    power, budget, feasible = covert_feasibility(n, alpha, beta, s, p, delta)
+    if not feasible:
+        raise InfeasibleError(
+            f"covert power budget violated: (alpha*tau + beta*(1-tau))*s = {power:.6g} "
+            f"> budget {budget:.6g} at n={n}, delta={delta}",
+            binding="covert-budget",
+        )
     return CovertPlan(
         n=n,
         alpha=alpha,
@@ -245,8 +258,8 @@ def build_plan(
         epsilon=epsilon,
         power=power,
         budget=budget,
-        layer1=layer1_throughput(n, alpha, beta, s, p, delta),
-        layer2=layer2_throughput(n, alpha, beta, s, p, mu_bar, delta),
+        layer1=layer1_throughput(n, alpha, beta, s, p),
+        layer2=layer2_throughput(n, alpha, beta, s, p, mu_bar),
     )
 
 
@@ -296,9 +309,8 @@ def scaling_limits(
     if not 0.0 < gamma < 0.5:
         raise DomainError(f"gamma must lie in (0, 1/2), got {gamma}")
     power = weighted_power(alpha, beta, s, p)
-    coeff = 2.0 * math.sqrt(p.kappa * p.n_b * (1.0 + p.kappa * p.n_b)) / (1.0 - p.kappa)
     if delta is not None:
-        target = coeff * q_inv((1.0 - delta) / 2.0)
+        target = covert_budget(1, delta, p)
         if not math.isclose(power, target, rel_tol=1e-9, abs_tol=0.0):
             raise InfeasibleError(
                 f"(alpha*tau + beta*(1-tau))*s = {power:.9g} does not match the budget "
@@ -307,12 +319,12 @@ def scaling_limits(
             )
         implied = delta
     else:
-        implied = 1.0 - 2.0 * q_func(power / coeff)
+        implied = willie_tv_leading(1, alpha, beta, s, p)
         if not 0.0 < implied < 1.0:
             raise InfeasibleError(
                 f"power {power:.6g} implies no detection budget in (0, 1)", binding="budget-constant"
             )
-    bob_den = 2.0 * (1.0 - p.kappa) * p.n_b * (1.0 + (1.0 - p.kappa) * p.n_b)
+    bob_den = _chi2_den(p, "bob")
     return ScalingLimits(
         layer1_x=alpha * p.tau**2 * p.kappa**2 * s**2 / bob_den,
         layer1_y=beta * (1.0 - p.tau) ** 2 * p.kappa**2 * s**2 / bob_den,
@@ -344,14 +356,8 @@ def relent_leading(p: MacParams, alpha: float, beta: float, s: float, receiver: 
     """
     if marginal not in _MARGINALS:
         raise DomainError(f"marginal must be one of {_MARGINALS}, got {marginal!r}")
-    if receiver == "bob":
-        den = 2.0 * (1.0 - p.kappa) * p.n_b * (1.0 + (1.0 - p.kappa) * p.n_b)
-        coupling = p.kappa**2
-    elif receiver == "willie":
-        den = 2.0 * p.kappa * p.n_b * (1.0 + p.kappa * p.n_b)
-        coupling = (1.0 - p.kappa) ** 2
-    else:
-        raise DomainError(f"receiver must be 'bob' or 'willie', got {receiver!r}")
+    coupling = p.receiver(receiver)[0] ** 2
+    den = _chi2_den(p, receiver)
     if marginal == "joint":
         weight, order = alpha * p.tau**2 + beta * (1.0 - p.tau) ** 2, "O((alpha+beta)*s^4)"
     elif marginal == "x":
@@ -388,18 +394,9 @@ def relent_exact(
         by_x = {x: p_y[0] * laws[x, 0] + p_y[1] * laws[x, 1] for x in (0, 1)}
         ref = {(x, y): by_x[x] for (x, y) in weights}
 
-    d = 0.0
-    for key, w in weights.items():
-        if w == 0.0:
-            continue
-        llr = np.log(laws[key]) - np.log(ref[key])
-        d += w * float(np.sum(laws[key] * llr))
-    v = 0.0
-    for key, w in weights.items():
-        if w == 0.0:
-            continue
-        llr = np.log(laws[key]) - np.log(ref[key])
-        v += w * float(np.sum(laws[key] * (llr - d) ** 2))
+    llrs = {key: np.log(laws[key]) - np.log(ref[key]) for key, w in weights.items() if w != 0.0}
+    d = sum((weights[key] * float(np.sum(laws[key] * llr)) for key, llr in llrs.items()), 0.0)
+    v = sum((weights[key] * float(np.sum(laws[key] * (llr - d) ** 2)) for key, llr in llrs.items()), 0.0)
     return RelEntStats(d=d, v=v, r_order="exact")
 
 
@@ -407,14 +404,7 @@ def willie_tv_leading(n: int, alpha: float, beta: float, s: float, p: MacParams)
     """Leading term of the warden's detection advantage (trace distance)."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    arg = (
-        math.sqrt(n)
-        * (alpha * p.tau + beta * (1.0 - p.tau))
-        * (1.0 - p.kappa)
-        * s
-        / (2.0 * math.sqrt(p.kappa * p.n_b * (1.0 + p.kappa * p.n_b)))
-    )
-    return 1.0 - 2.0 * q_func(arg)
+    return 1.0 - 2.0 * q_func(math.sqrt(n) * weighted_power(alpha, beta, s, p) / _willie_coeff(p))
 
 
 @dataclass(frozen=True)

@@ -102,14 +102,8 @@ def tv_experiment_params(target: float = 0.30, n: int = 10**4):
     """Parameters with willie_tv_leading == target at block length n."""
     p = MacParams(tau=0.5, kappa=0.5, n_b=1.0)
     alpha = beta = 0.05
-    z_target = planner.q_inv((1.0 - target) / 2.0)
-    weighted = alpha * p.tau + beta * (1.0 - p.tau)
-    s = (
-        z_target
-        * 2.0
-        * math.sqrt(p.kappa * p.n_b * (1.0 + p.kappa * p.n_b))
-        / (math.sqrt(n) * weighted * (1.0 - p.kappa))
-    )
+    # the leading TV equals delta exactly when the power meets the budget
+    s = planner.covert_budget(n, target, p) / planner.weighted_power(alpha, beta, 1.0, p)
     return p, alpha, beta, s
 
 

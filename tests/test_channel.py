@@ -65,8 +65,18 @@ class TestParamValidation:
     def test_modulation_domains(self):
         with pytest.raises(DomainError):
             ch.ModulationConfig(n_s=-0.1)
+        # the constellation size lives in region.RegionNumerics only
+        assert not hasattr(ch.ModulationConfig(n_s=0.1), "psk_order")
+
+    def test_receiver_table(self):
+        p = ch.MacParams(tau=0.5, kappa=0.25, n_b=2.0)
+        assert p.receiver("bob") == (0.25, p.n_t)
+        assert p.receiver("willie") == (0.75, 0.25 * 2.0)
+
+    @pytest.mark.parametrize("name", ["eve", "Bob", ""])
+    def test_receiver_rejects_unknown_name(self, name):
         with pytest.raises(DomainError):
-            ch.ModulationConfig(n_s=0.1, psk_order=0)
+            ch.MacParams(tau=0.5, kappa=0.5, n_b=1.0).receiver(name)
 
     def test_effective_channel_domains(self):
         with pytest.raises(DomainError):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import eamac
+from eamac import fock
 from eamac.cli import SCHEMAS, main
 
 
@@ -96,6 +97,18 @@ class TestRegionCommand:
         assert outs[0] == outs[1]
 
 
+def test_region_rejects_small_output_cutoff_before_fock_work(tmp_path, monkeypatch, capsys):
+    # n_b = 100 puts about 0.62 of the B output above cutoff 24; the check
+    # needs no sector basis, so a raising stub shows no Fock work ran
+    def no_fock_work(total):
+        raise AssertionError("sector basis built before the cutoff check")
+
+    monkeypatch.setattr(fock, "_sector_basis", no_fock_work)
+    cfg = write_config(tmp_path / "c.cfg", tau=0.5, kappa=0.5, n_b=100.0, n_s=0.1)
+    assert run(["region", "--config", cfg]) == 4
+    assert "need d >=" in capsys.readouterr().err
+
+
 class TestRegionInputDomain:
     @pytest.mark.parametrize(
         "key, value",
@@ -167,6 +180,18 @@ class TestBudgetAndPlan:
         assert run(["budget", "--config", cfg, "--out", str(out)]) == 0
         text = out.read_text()
         assert "power = 0.0001" in text and "feasible = true" in text
+
+    def test_budget_and_plan_agree_inside_the_slack(self, tmp_path):
+        # power = budget (1 + 5e-13): rounding-level excess, feasible for both
+        cfg = write_config(tmp_path / "c.cfg", **{**PLAN_BASE, "s": 0.04353036746012655})
+        budget_out, plan_out = tmp_path / "b.txt", tmp_path / "p.txt"
+        assert run(["budget", "--config", cfg, "--out", str(budget_out)]) == 0
+        assert run(["plan", "--config", cfg, "--out", str(plan_out)]) == 0
+        budget_text, plan_text = budget_out.read_text(), plan_out.read_text()
+        assert "feasible = true" in budget_text and "feasible = true" in plan_text
+        for key in ("power", "budget"):
+            line = next(l for l in budget_text.splitlines() if l.startswith(f"{key} = "))
+            assert line in plan_text.splitlines()
 
     def test_plan_matches_library_rates(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", **PLAN_BASE)

@@ -318,6 +318,7 @@ class TestPhaseAveragedSpectrum:
         [
             (ch.EffectiveChannel(0.5, 2.0, 0.5), 10, 1e-10),  # TMSV tail check
             (ch.EffectiveChannel(0.5, 2.0, 0.05), 10, 1e-8),  # output trace deficit
+            (ch.EffectiveChannel(0.1, 0.0, 0.5), 10, 1e-10),  # TMSV tail only: the output fits
         ],
     )
     def test_both_routes_reject_the_same_small_cutoff(self, eff, cutoff, tail_tol):
@@ -366,11 +367,16 @@ class TestLayer1Distributions:
 class TestMacJointFock:
     """Full end-to-end channel state, checked against the Gaussian layer."""
 
-    def setup_method(self):
-        self.p = ch.MacParams(tau=0.6, kappa=0.6, n_b=0.5)
-        self.n_s = 0.12
-        self.d = 10
-        self.rho = fk.mac_joint_fock(self.p, self.n_s, self.d, tail_tol=1e-6)
+    p = ch.MacParams(tau=0.6, kappa=0.6, n_b=0.5)
+    n_s = 0.12
+    d = 10
+
+    @pytest.fixture(scope="class", autouse=True)
+    def joint_state(self, request):
+        # one build (about half a second) shared by every test of the class
+        request.cls.rho = fk.mac_joint_fock(self.p, self.n_s, self.d, tail_tol=1e-6)
+        yield
+        del request.cls.rho
 
     def test_moments_match_joint_covariance(self):
         # accuracy is tail-limited at this cutoff (output weight above d=10)
@@ -405,7 +411,7 @@ class TestMacJointFock:
     def test_chain_rule_lower_bound(self):
         # joint decoding beats the heterodyne-decoupled sum, up to numerics
         order = 8
-        m = ch.ModulationConfig(n_s=self.n_s, psk_order=order)
+        m = ch.ModulationConfig(n_s=self.n_s)
         masked = fk.phase_average_fock(
             fk.phase_average_fock(self.rho, order, mode=1), order, mode=2
         )
@@ -421,7 +427,7 @@ class TestMacJointFock:
     def test_marginal_matches_effective_channel(self):
         # tracing the other idler reproduces the unconditioned reduction
         order = 8
-        m = ch.ModulationConfig(n_s=self.n_s, psk_order=order)
+        m = ch.ModulationConfig(n_s=self.n_s)
         marginal = self.rho.partial_trace([0, 1])
         direct = fk.entropy_fock(fk.phase_average_fock(marginal, order, mode=1)) - fk.entropy_fock(marginal)
         via_eff = fk.psk_ensemble_mi(

@@ -53,11 +53,11 @@ class TestCovertBudget:
 
 class TestLayer1Throughput:
     def test_silent_sender(self):
-        rates = pl.layer1_throughput(10**6, 0.0, 1e-2, 1e-2, P_CANON, 0.1)
+        rates = pl.layer1_throughput(10**6, 0.0, 1e-2, 1e-2, P_CANON)
         assert rates.log_m_x1 == 0.0
 
     def test_worked_value(self):
-        rates = pl.layer1_throughput(10**6, 1e-2, 1e-2, 1e-2, P_CANON, 0.1)
+        rates = pl.layer1_throughput(10**6, 1e-2, 1e-2, 1e-2, P_CANON)
         assert rates.log_m_x1 == pytest.approx(4.1667e-2, rel=1e-4)
         assert rates.log_m_xy1 == pytest.approx(rates.log_m_x1 + rates.log_m_y1, rel=1e-12)
 
@@ -65,24 +65,20 @@ class TestLayer1Throughput:
         # which side wins follows the printed coefficients, evaluated directly
         for kappa in (0.3, 0.5, 0.7):
             p = MacParams(tau=0.5, kappa=kappa, n_b=1.0)
-            rates = pl.layer1_throughput(10**5, 1e-3, 1e-3, 1e-3, p, 0.3)
+            rates = pl.layer1_throughput(10**5, 1e-3, 1e-3, 1e-3, p)
             msg_coeff = kappa**2 / ((1 - kappa) * p.n_b * (1 + (1 - kappa) * p.n_b))
             key_coeff = (1 - kappa) ** 2 / (kappa * p.n_b * (1 + kappa * p.n_b))
             assert (rates.log_m_x1 <= rates.log_m_x1_keys) == (msg_coeff <= key_coeff)
 
-    def test_budget_violation_names_constraint(self):
-        with pytest.raises(InfeasibleError) as err:
-            pl.layer1_throughput(100, 0.5, 0.5, 0.5, P_CANON, 0.01)
-        assert err.value.binding == "covert-budget"
 
 
 class TestLayer2Throughput:
     def test_vanishing_share_kills_rates(self):
-        rates = pl.layer2_throughput(10**6, 1e-2, 1e-2, 1e-2, P_CANON, 1.0 - 1e-12, 0.1)
+        rates = pl.layer2_throughput(10**6, 1e-2, 1e-2, 1e-2, P_CANON, 1.0 - 1e-12)
         assert rates.log_m_x2 == pytest.approx(0.0, abs=1e-9)
 
     def test_worked_value(self):
-        rates = pl.layer2_throughput(10**6, 1e-2, 1e-2, 1e-2, P_CANON, 0.1, 0.1)
+        rates = pl.layer2_throughput(10**6, 1e-2, 1e-2, 1e-2, P_CANON, 0.1)
         expected = 0.9 * 10**6 * 0.5 * 0.5 * 1e-2 * 1e-2 * math.log(100.0) / 1.5
         assert rates.log_m_x2 == pytest.approx(expected, rel=1e-12)
         assert rates.l_x == math.ceil(10**6 * 1e-2 * 0.9)
@@ -90,9 +86,42 @@ class TestLayer2Throughput:
     def test_entanglement_matches_rate_asymptotically(self):
         # l g(s) and -l s ln s agree as s -> 0
         for s, tol in ((1e-2, 0.3), (1e-4, 0.12)):
-            rates = pl.layer2_throughput(10**8, 1e-3, 1e-3, s, P_CANON, 0.1, 0.2)
+            rates = pl.layer2_throughput(10**8, 1e-3, 1e-3, s, P_CANON, 0.1)
             ratio = rates.ent_nats_x / (-rates.l_x * s * math.log(s))
             assert ratio == pytest.approx(1.0, abs=tol)
+
+
+class TestBuildPlan:
+    def test_budget_violation_names_constraint(self):
+        with pytest.raises(InfeasibleError) as err:
+            pl.build_plan(100, 0.5, 0.5, 0.5, P_CANON, delta=0.01)
+        assert err.value.binding == "covert-budget"
+
+    def test_evaluates_covert_budget_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return budget(*args)
+
+        budget = pl.covert_budget
+        monkeypatch.setattr(pl, "covert_budget", counted)
+        pl.build_plan(10**6, 1e-2, 1e-2, 1e-2, P_CANON, delta=0.1)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("excess, feasible", [(0.0, True), (5e-13, True), (2e-12, False)])
+    def test_feasibility_slack_is_shared(self, excess, feasible):
+        # power a relative `excess` above the budget, through the weighted power's s
+        budget = pl.covert_budget(10**6, 0.1, P_CANON)
+        s = budget * (1.0 + excess) / pl.weighted_power(1e-2, 1e-2, 1.0, P_CANON)
+        power, got_budget, got = pl.covert_feasibility(10**6, 1e-2, 1e-2, s, P_CANON, 0.1)
+        assert (got_budget, got) == (budget, feasible)
+        assert power == pytest.approx(budget * (1.0 + excess), rel=1e-15)
+        if feasible:
+            assert pl.build_plan(10**6, 1e-2, 1e-2, s, P_CANON, delta=0.1).budget == budget
+        else:
+            with pytest.raises(InfeasibleError):
+                pl.build_plan(10**6, 1e-2, 1e-2, s, P_CANON, delta=0.1)
 
 
 class TestScalingLimits:
