@@ -3,16 +3,13 @@
 Everything here exists to validate the Gaussian closed forms against an
 independent route: states are explicit density matrices on a cutoff-d
 photon-number basis, entropies come straight from eigenvalues, and the
-thermal-loss channel is built per total photon number from a spectral
-basis of the two-mode hopping generator.  That generator is, up to a
-diagonal phase, 2 J_x on each sector, with eigenvalues N - 2m and
-eigenvectors independent of the transmissivity; one cached basis per
-sector gives every loss channel without a matrix exponential.  Only
-``beamsplitter_fock`` exponentiates the generator, blockwise; it is the
-oracle for those channel amplitudes.
+thermal-loss channel is a beamsplitter with a truncated thermal
+environment, exponentiated per total photon number (``_hopping_block``).
 The one exception is ``phase_averaged_spectrum``, which the region
-uses: it takes the same per-total-photon blocks but never forms a dense
-state, and the dense route is its oracle.
+uses: it writes thermal loss as pure loss followed by a quantum-limited
+amplifier, whose closed-form Kraus amplitudes need no environment and no
+matrix exponential, and it never forms a dense state.  The dense route
+is its oracle.
 
 Truncation bookkeeping: each constructor takes a tail budget
 ``tail_tol`` and raises TruncationError (naming the required cutoff)
@@ -25,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
+from scipy.special import gammaln, xlogy
 
 from .channel import EffectiveChannel, MacParams
 from .errors import DomainError, PhysicalityError, ShapeError, SupportError, TruncationError
@@ -46,7 +43,6 @@ __all__ = [
     "mac_joint_fock",
     "entropy_fock",
     "spectral_entropy",
-    "trace_distance_fock",
     "rel_entropy_fock",
     "phase_average_fock",
     "conditional_output_density",
@@ -107,7 +103,8 @@ class FockDensity:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (dim, dim):
             raise ShapeError(f"density matrix shape {mat.shape}, expected {(dim, dim)}")
-        if not np.allclose(mat, mat.conj().T, atol=1e-10, rtol=0.0):
+        # one pass over |rho - rho^dag|; NaN entries fail it too
+        if not np.abs(mat - mat.conj().T).max() <= 1e-10:
             raise PhysicalityError("density matrix is not Hermitian to 1e-10")
         object.__setattr__(self, "matrix", mat)
 
@@ -254,72 +251,13 @@ def _hopping_block(xi: float, total: int, lo: int, hi: int) -> np.ndarray:
     |k, total - k>.  A clipped range exponentiates the clipped generator,
     which keeps the block orthogonal.
     """
+    # imported here: only the dense oracle exponentiates, and scipy.linalg
+    # stays off the import path of the CLI
+    from scipy.linalg import expm
+
     k = np.arange(lo, hi)
     val = np.sqrt((k + 1) * (total - k))
     return expm(xi * (np.diag(val, -1) - np.diag(val, 1)))
-
-
-# sectors of fewer photons keep their basis between calls (at most
-# CACHED_SECTORS^3 / 3 doubles, 5.6 MB); larger ones, which only a hot
-# environment reaches, are rebuilt per call so the cache stays bounded
-CACHED_SECTORS = 128
-# sectors handled per batched product, which bounds its scratch memory
-SECTOR_CHUNK = 64
-
-
-@lru_cache(maxsize=None)
-def _sector_basis(total: int) -> np.ndarray:
-    """Eigenvectors V of the hopping matrix S on the sector of ``total`` photons.
-
-    S is real symmetric tridiagonal with off-diagonal sqrt((k+1)(total-k)),
-    i.e. 2 J_x of spin total/2, so its eigenvalues are exactly 2m - total,
-    m = 0..total, in the order of the columns of V.  S does not depend on
-    the transmissivity, so one basis serves every channel.
-    """
-    k = np.arange(total)
-    vecs = eigh_tridiagonal(np.zeros(total + 1), np.sqrt((k + 1) * (total - k)))[1]
-    vecs.flags.writeable = False
-    return vecs
-
-
-def _loss_amplitudes(kappa: float, n_env: float, d_in: int, d_out: int, d_env: int) -> np.ndarray:
-    """Weighted hopping amplitudes W[x, n, e] = <x, n + e - x|U|n, e> sqrt(p_e).
-
-    U is the beamsplitter of transmissivity kappa and p the thermal(n_env)
-    law of the environment input, truncated at d_env and renormalized.
-    Each amplitude comes from the whole sector of n + e photons, so the
-    environment output absorbs every signal photon and only the levels
-    x >= d_out are cut off.  Zero where x > n + e.
-
-    On a sector the generator is xi (a^dag b - a b^dag) = -i xi D S D^dag
-    with D = diag(i^k) and S = V diag(lam) V^T (see _sector_basis), so the
-    block is i^(x-n) (V cos(xi lam) V^T - i V sin(xi lam) V^T)[x, n].  S anticommutes
-    with diag((-1)^k), so the cosine part vanishes for odd x - n and the
-    sine part for even x - n: the block is V (cos + sin)(xi lam) V^T with
-    the sign (-1)^floor((x - n) / 2).
-    """
-    xi = math.acos(min(1.0, math.sqrt(kappa)))
-    p_env = photon_distribution_thermal(n_env, d_env).probs
-    p_env = p_env / p_env.sum()
-    sectors = d_in + d_env - 1
-    # sector t holds the inputs (n, t - n) with n from first(t) to first(t) + width - 1
-    width = min(d_in, d_env)
-    first = np.maximum(0, np.arange(sectors) - d_env + 1)
-    table = np.empty((sectors, d_out, width))
-    for start in range(0, sectors, SECTOR_CHUNK):
-        stop = min(start + SECTOR_CHUNK, sectors)
-        # basis rows of the outputs and of the inputs, zero-padded to the chunk's largest sector
-        out_rows = np.zeros((stop - start, d_out, stop))
-        in_rows = np.zeros((stop - start, width, stop))
-        for i, total in enumerate(range(start, stop)):
-            vecs = _sector_basis(total) if total < CACHED_SECTORS else _sector_basis.__wrapped__(total)
-            out_rows[i, : total + 1, : total + 1] = vecs[:d_out]
-            in_rows[i, : total + 1, : total + 1] = vecs[first[total] : first[total] + width]
-        angle = xi * (2 * np.arange(stop) - np.arange(start, stop)[:, None])
-        in_rows *= (np.cos(angle) + np.sin(angle))[:, None, :]
-        table[start:stop] = out_rows @ in_rows.transpose(0, 2, 1)
-    x, n, e = np.ogrid[:d_out, :d_in, :d_env]
-    return table[n + e, x, n - first[n + e]] * (-1.0) ** ((x - n) // 2) * np.sqrt(p_env)
 
 
 @lru_cache(maxsize=8)
@@ -328,18 +266,21 @@ def _thermal_loss_superop(kappa: float, n_env: float, d_in: int, d_out: int, d_e
 
     K[(x, y), (n, m)] = sum_{e', e} p_e <x, e'|U|n, e> <m, e|U^dag|y, e'>
     with U the beamsplitter of transmissivity kappa and p the thermal law
-    of the environment, truncated at d_env and renormalized.  The unitary
-    blocks are built exactly per total photon number with the environment
-    output sized to absorb every signal photon, so the only truncation
+    of the environment, truncated at d_env and renormalized.  Each sector
+    of n + e photons is exponentiated whole (``_hopping_block``), so the
+    environment output absorbs every signal photon and the only truncation
     losses are the environment input tail and signal levels spilling past
     d_out; both show up in the output trace.  Real because U is real.
     """
-    amps = _loss_amplitudes(kappa, n_env, d_in, d_out, d_env)
-    # b[x, e_out, n, e_in] over the index ranges that can carry weight
-    x, n, e = np.indices(amps.shape)
-    live = x <= n + e
+    xi = math.acos(min(1.0, math.sqrt(kappa)))
+    p_env = photon_distribution_thermal(n_env, d_env).probs
+    weight = np.sqrt(p_env / p_env.sum())
+    # b[x, e_out, n, e_in] = <x, e_out|U|n, e_in> sqrt(p_e_in)
     b = np.zeros((d_out, d_in + d_env - 1, d_in, d_env))
-    b[x[live], (n + e - x)[live], n[live], e[live]] = amps[live]
+    for total in range(d_in + d_env - 1):
+        x = np.arange(min(total + 1, d_out))[:, None]
+        n = np.arange(max(0, total - d_env + 1), min(total + 1, d_in))
+        b[x, total - x, n, total - n] = _hopping_block(xi, total, 0, total)[x, n] * weight[total - n]
     b = b.transpose(0, 2, 1, 3).reshape(d_out * d_in, -1)
     gram = b @ b.T
     k4 = gram.reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
@@ -383,7 +324,7 @@ def thermal_loss_fock(
     ket, bra = mode, rho.modes + mode
     rest = [ax for ax in range(2 * rho.modes) if ax not in (ket, bra)]
     perm = [ket, bra] + rest
-    moved = tensor.transpose(perm).reshape(d * d, -1)
+    moved = _real_if_real(tensor.transpose(perm).reshape(d * d, -1))
     out = (superop @ moved).reshape([d, d] + [d] * len(rest))
     inv = np.argsort(perm)
     dim = d**rho.modes
@@ -403,9 +344,19 @@ def mac_mix_fock(rho_x: FockDensity, rho_y: FockDensity, tau: float) -> FockDens
     return FockDensity(d, 2, mixed).partial_trace([0])
 
 
+def _real_if_real(mat: np.ndarray) -> np.ndarray:
+    """``mat`` as a real array when its imaginary part is exactly zero.
+
+    Every state built from real amplitudes (TMSV, thermal loss, pinching)
+    stays real, and real products and spectra cost a fraction of complex
+    ones, with the same result.
+    """
+    return mat.real if not mat.imag.any() else mat
+
+
 def entropy_fock(rho: FockDensity) -> float:
     """Von Neumann entropy in nats from the eigenvalue spectrum."""
-    return spectral_entropy(np.linalg.eigvalsh(rho.matrix))
+    return spectral_entropy(np.linalg.eigvalsh(_real_if_real(rho.matrix)))
 
 
 def spectral_entropy(eigs: np.ndarray) -> float:
@@ -414,13 +365,6 @@ def spectral_entropy(eigs: np.ndarray) -> float:
         raise PhysicalityError(f"density matrix has eigenvalue {np.min(eigs):.3e} < -1e-10")
     eigs = eigs[eigs > 0.0]
     return float(-np.sum(eigs * np.log(eigs)))
-
-
-def trace_distance_fock(rho: FockDensity, sigma: FockDensity) -> float:
-    """(1/2) ||rho - sigma||_1 via the eigenvalues of the difference."""
-    if rho.matrix.shape != sigma.matrix.shape:
-        raise ShapeError("trace distance requires equal-shape densities")
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix))))
 
 
 def rel_entropy_fock(rho: FockDensity, sigma: FockDensity, support_tol: float = 1e-10) -> float:
@@ -476,10 +420,14 @@ def conditional_output_density(
     """(B, idler) state of the point-to-point link for the zero-phase symbol.
 
     TMSV(n_s) with its signal sent through thermal loss of transmissivity
-    kappa_eff and environment mean n_t_eff / (1 - kappa_eff).
+    kappa_eff and environment mean n_t_eff / (1 - kappa_eff).  Noise at
+    kappa_eff = 1 has no finite thermal environment, so the dense route
+    rejects it.
     """
     psi = tmsv_fock(eff.n_s, cutoff, tail_tol)
     if eff.kappa_eff >= 1.0:
+        if eff.n_t_eff > 0.0:
+            raise DomainError(f"kappa_eff = 1 with n_t_eff = {eff.n_t_eff} has no thermal environment")
         return psi.to_density()
     n_env = eff.n_t_eff / (1.0 - eff.kappa_eff)
     return thermal_loss_fock(psi.to_density(), eff.kappa_eff, n_env, d_env=d_env, mode=0, tail_tol=tail_tol)
@@ -488,15 +436,46 @@ def conditional_output_density(
 def _check_output_cutoff(eff: EffectiveChannel, cutoff: int, tail_tol: float) -> None:
     """Reject, before any Fock work, a cutoff too small for the B output.
 
-    The B marginal is thermal with mean m = kappa_eff n_s + n_t_eff (n_s
-    without loss), so by data processing the output trace deficit is at
-    least (m / (m + 1))^cutoff - tail_tol: beyond 5 tail_tol the 4 tail_tol
+    The B marginal is thermal with mean m = kappa_eff n_s + n_t_eff, so by
+    data processing the output trace deficit is at least
+    (m / (m + 1))^cutoff - tail_tol: beyond 5 tail_tol the 4 tail_tol
     deficit check would fail after the full build."""
-    m = eff.n_s if eff.kappa_eff >= 1.0 else eff.kappa_eff * eff.n_s + eff.n_t_eff
+    m = eff.kappa_eff * eff.n_s + eff.n_t_eff
     if m > 0.0 and (m / (m + 1.0)) ** cutoff > 5.0 * tail_tol:
         need = required_cutoff(m, tail_tol)
         msg = f"cutoff {cutoff} keeps the output tail (mean {m:.6g}) above {tail_tol:g}; need d >= {need}"
         raise TruncationError(msg, required_cutoff=need)
+
+
+# block-row entries built per batch of equal-size blocks; this bounds the
+# scratch memory of a large cutoff with a small PSK period
+BLOCK_BATCH = 1 << 20
+
+
+def _kraus_laws(kappa: float, n_t: float, d_in: int, d_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Photon-number laws of thermal loss as pure loss, then an amplifier.
+
+    Thermal loss of transmissivity kappa and added noise n_t is pure loss
+    eta = kappa / G followed by the quantum-limited amplifier of gain
+    G = 1 + n_t (Caruso, Giovannetti & Holevo, NJP 8, 310 (2006)), for
+    every kappa in [0, 1].  Returns ``loss[k, m]``, the binomial law
+    C(k, m) eta^m (1 - eta)^(k - m) of the m < d_in photons that survive k,
+    and ``amp[m, x]`` = C(x, m) G^-(m+1) (1 - 1/G)^(x - m), the amplifier's
+    law of x < d_out photons out of m.  These are the squared Kraus
+    amplitudes <m|A_j|k> (j = k - m photons lost) and <x|B_i|m>
+    (i = x - m photons added) of Ivan, Sabapathy & Simon, PRA 84, 042311
+    (2011), all nonnegative, built in log space from one log-factorial table.
+    """
+    gain = 1.0 + n_t
+    log_fact = gammaln(np.arange(max(d_in, d_out)) + 1.0)
+    k, m = np.ogrid[:d_in, :d_in]
+    lost = np.maximum(k - m, 0)
+    log_loss = log_fact[k] - log_fact[m] - log_fact[lost] + xlogy(m, kappa / gain) + xlogy(lost, (gain - kappa) / gain)
+    loss = np.where(m <= k, np.exp(log_loss), 0.0)
+    m, x = np.ogrid[:d_in, :d_out]
+    added = np.maximum(x - m, 0)
+    log_amp = log_fact[x] - log_fact[m] - log_fact[added] - (m + 1) * math.log1p(n_t) + xlogy(added, n_t / gain)
+    return loss, np.where(m <= x, np.exp(log_amp), 0.0)
 
 
 def phase_averaged_spectrum(
@@ -508,25 +487,36 @@ def phase_averaged_spectrum(
     """Spectrum and trace deficit of the PSK phase-averaged (B, idler) state.
 
     The state is phase_average_fock(conditional_output_density(eff, cutoff),
-    psk_order), never built densely.  The channel conserves total photon
-    number, so |k, k> (signal, idler) reaches only |x, k> with the photon
-    difference x - k carried by the environment; entries of the output
-    couple (x, k) and (y, l) only when x - k = y - l.  The phase average
-    keeps them only when 2 (x - y) = 0 (mod L), i.e. x = y modulo
-    L / gcd(2, L).  The state is therefore a direct sum of Gram blocks
-    V_B V_B^T, one per (x - k, x mod L / gcd(2, L)), with
-    V[(x, k), e] = sqrt(p_k) <x, k + e - x|U|k, e> sqrt(p_e).  For
-    ``psk_order=None`` or L >= 2 cutoff every block is 1 x 1.  The trace
-    deficit is 1 minus the summed block traces.
+    psk_order), never built densely, and with no environment cutoff: the
+    channel is pure loss then an amplifier (``_kraus_laws``), whose Kraus
+    operators A_j remove and B_i add photons.  So |k, k> (signal, idler)
+    reaches |x, k> through the pairs (i, j) with i - j = x - k, and entries
+    of the output couple (x, k) and (y, l) only when x - k = y - l.  The
+    phase average keeps them only when 2 (x - y) = 0 (mod L), i.e. x = y
+    modulo L / gcd(2, L).  The state is therefore a direct sum of Gram
+    blocks V_B V_B^T, one per (x - k, x mod L / gcd(2, L)), with the row
+    V[(x, k), j] = sqrt(p_k) <x|B_i A_j|k>, i = x - k + j, indexed by the
+    j <= k < cutoff photons lost.  For ``psk_order=None`` or
+    L / gcd(2, L) >= cutoff every block is 1 x 1 and the spectrum is
+    p_k P(x|k) with P = loss @ amp.  The trace deficit is 1 minus the summed
+    block traces: the TMSV tail and the output levels x >= cutoff.
     """
     _check_output_cutoff(eff, cutoff, tail_tol)
-    pair = np.diagonal(tmsv_fock(eff.n_s, cutoff, tail_tol).amplitudes).real
-    # kappa_eff = 1 has no environment: the identity law on d_env = 1
-    n_env = 0.0 if eff.kappa_eff >= 1.0 else eff.n_t_eff / (1.0 - eff.kappa_eff)
-    d_env = _env_cutoff_for(n_env, tail_tol, None)
-    rows = _loss_amplitudes(eff.kappa_eff, n_env, cutoff, cutoff, d_env) * pair[None, :, None]
-    rows = rows.reshape(cutoff**2, d_env)
+    p_k = np.diagonal(tmsv_fock(eff.n_s, cutoff, tail_tol).amplitudes).real ** 2
+    loss, amp = _kraus_laws(eff.kappa_eff, eff.n_t_eff, cutoff, cutoff)
+    # law[k, x] is the squared norm of row (x, k)
+    law = p_k[:, None] * (loss @ amp)
+    deficit = 1.0 - float(law.sum())
     period = cutoff if psk_order is None else min(psk_order // math.gcd(2, psk_order), cutoff)
+    if period == cutoff:
+        return law.ravel(), deficit
+    # row (x, k) is scale[k, j] sqrt(amp[k - j, x]) over the photons lost j <= k
+    k, j = np.ogrid[:cutoff, :cutoff]
+    scale = np.sqrt(p_k[:, None] * np.where(j <= k, loss[k, np.maximum(k - j, 0)], 0.0))
+    # window[x, cutoff - 1 - k, j] = sqrt(amp[k - j, x]), zero for j > k
+    padded = np.zeros((cutoff, 2 * cutoff - 1))
+    padded[:, :cutoff] = np.sqrt(amp[::-1].T)
+    window = np.lib.stride_tricks.sliding_window_view(padded, cutoff, axis=1)
     x, k = np.divmod(np.arange(cutoff**2), cutoff)
     key = (x - k + cutoff - 1) * period + x % period
     order = np.argsort(key, kind="stable")
@@ -534,9 +524,13 @@ def phase_averaged_spectrum(
     sizes = np.diff(np.append(starts, order.size))
     eigs = []
     for size in np.unique(sizes):
-        blocks = rows[order[starts[sizes == size][:, None] + np.arange(size)]]
-        eigs.append(np.linalg.eigvalsh(blocks @ blocks.transpose(0, 2, 1)).ravel())
-    return np.concatenate(eigs), 1.0 - float(np.einsum("ij,ij->", rows, rows))
+        heads = starts[sizes == size]
+        step = max(1, BLOCK_BATCH // (size * cutoff))
+        for first in range(0, heads.size, step):
+            x, k = np.divmod(order[heads[first : first + step, None] + np.arange(size)], cutoff)
+            blocks = scale[k] * window[x, cutoff - 1 - k]
+            eigs.append(np.linalg.eigvalsh(blocks @ blocks.transpose(0, 2, 1)).ravel())
+    return np.concatenate(eigs), deficit
 
 
 def psk_ensemble_mi(

@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import erfc, erfcinv
 
 from . import fock
@@ -57,21 +56,21 @@ def q_func(z: float) -> float:
 def q_inv(p: float) -> float:
     """Inverse of the Q function, to |Q(q_inv(p)) - p| <= 1e-12.
 
-    Bracketed root finding on Q(z) - p around an erfcinv seed, so the
-    round trip is pinned by the erfc evaluation itself.
+    An erfcinv seed polished by two Halley steps on Q(z) - p, with
+    Q' = -phi and Q'' = z phi, so the round trip is pinned by the erfc
+    evaluation itself.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"q_inv requires p in (0, 1), got {p}")
-    seed = math.sqrt(2.0) * erfcinv(2.0 * p)
-    lo, hi = seed - 0.5, seed + 0.5
-    f_lo, f_hi = q_func(lo) - p, q_func(hi) - p
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo < 0.0 or f_hi > 0.0:  # seed off target; widen conservatively
-        lo, hi = -40.0, 40.0
-    return float(brentq(lambda z: q_func(z) - p, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    z = math.sqrt(2.0) * float(erfcinv(2.0 * p))
+    for _ in range(2):
+        miss = float(q_func(z)) - p
+        density = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        # an exact seed, or a density below the smallest double, ends the polish
+        if miss == 0.0 or density == 0.0:
+            break
+        z += 2.0 * miss / (2.0 * density - z * miss)
+    return z
 
 
 def covert_budget(n: int, delta: float, p: MacParams) -> float:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -99,14 +100,23 @@ class TestRegionCommand:
 
 def test_region_rejects_small_output_cutoff_before_fock_work(tmp_path, monkeypatch, capsys):
     # n_b = 100 puts about 0.62 of the B output above cutoff 24; the check
-    # needs no sector basis, so a raising stub shows no Fock work ran
-    def no_fock_work(total):
-        raise AssertionError("sector basis built before the cutoff check")
+    # needs no Kraus laws, so a raising stub shows no Fock work ran
+    def no_fock_work(*args):
+        raise AssertionError("Kraus laws built before the cutoff check")
 
-    monkeypatch.setattr(fock, "_sector_basis", no_fock_work)
+    monkeypatch.setattr(fock, "_kraus_laws", no_fock_work)
     cfg = write_config(tmp_path / "c.cfg", tau=0.5, kappa=0.5, n_b=100.0, n_s=0.1)
     assert run(["region", "--config", cfg]) == 4
     assert "need d >=" in capsys.readouterr().err
+
+
+def test_region_over_hot_environment_finishes(tmp_path):
+    # a cold output (mean 1.1) over n_b = 100: the early check passes and the
+    # region needs no environment cutoff
+    cfg = write_config(tmp_path / "c.cfg", tau=1.0, kappa=0.99, n_b=100.0, n_s=0.1, cutoff=29)
+    start = time.perf_counter()
+    assert run(["region", "--config", cfg, "--out", str(tmp_path / "r.txt")]) == 0
+    assert time.perf_counter() - start < 10.0
 
 
 class TestRegionInputDomain:
@@ -266,8 +276,10 @@ class TestValidate:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.optimize and scipy.linalg stay unloaded too: q_inv needs no root
+    # finder, and only the dense oracle exponentiates
     src_dir = str(Path(eamac.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, eamac.cli; print('scipy.stats' in sys.modules)"
+    probe = "import sys, eamac.cli; print([m in sys.modules for m in ('scipy.stats', 'scipy.optimize', 'scipy.linalg')])"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False, False]"

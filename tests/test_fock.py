@@ -9,7 +9,7 @@ import pytest
 from eamac import channel as ch
 from eamac import fock as fk
 from eamac import gaussian as g
-from eamac.errors import SupportError, TruncationError
+from eamac.errors import DomainError, SupportError, TruncationError
 
 
 class TestTmsvFock:
@@ -158,10 +158,6 @@ class TestInformationFunctionals:
         psi = fk.tmsv_fock(0.5, 24)
         assert fk.entropy_fock(psi.to_density()) == pytest.approx(0.0, abs=1e-10)
 
-    def test_trace_distance_self(self):
-        rho = fk.thermal_fock(0.4, 12)
-        assert fk.trace_distance_fock(rho, rho) == 0.0
-
     def test_rel_entropy_matches_geometric_kl(self):
         rho = fk.thermal_fock(0.1, 60)
         sigma = fk.thermal_fock(0.2, 60)
@@ -219,8 +215,17 @@ class TestPskEnsembleMi:
         assert value == pytest.approx(rec["value"], abs=rec["tolerance"])
 
 
+def _env_cutoff(eff, env_tail=1e-15):
+    """Environment cutoff of the dense oracle with its thermal tail at ``env_tail``.
+
+    The Kraus route has no environment to truncate; a tail this small keeps
+    the oracle's own truncation far inside the 1e-12 comparisons.
+    """
+    return fk.required_cutoff(eff.n_t_eff / (1.0 - eff.kappa_eff) if eff.kappa_eff < 1.0 else 0.0, env_tail)
+
+
 def _dense_spectrum_entropy(eff, cutoff, psk_order, tail_tol):
-    rho0 = fk.conditional_output_density(eff, cutoff, tail_tol=tail_tol)
+    rho0 = fk.conditional_output_density(eff, cutoff, d_env=_env_cutoff(eff), tail_tol=tail_tol)
     return fk.entropy_fock(fk.phase_average_fock(rho0, psk_order, mode=0)), rho0.tail()
 
 
@@ -236,28 +241,17 @@ def _criterion7_links(seed, count):
     return links
 
 
-def _expm_loss_amplitudes(kappa, n_env, d_in, d_out, d_env, dense=True):
-    """W[x, n, e] of fock._loss_amplitudes from exponentiated hopping blocks.
+def _kraus_superop(kappa, n_t, d):
+    """K = sum_ij (B_i A_j) (x) (B_i A_j) on cutoff d from fock._kraus_laws.
 
-    The blocks are read off beamsplitter_fock(D, D, kappa) with
-    D = d_in + d_env - 1, where every sector the table needs is unclipped.
-    With ``dense=False`` they are the same full-sector blocks taken from
-    fock._hopping_block, for sectors too large for a dense D^2 x D^2 unitary.
+    A_j removes j photons and B_i adds i; their amplitudes are the square
+    roots of the loss and amplifier laws.  Row-major vec, as in
+    fock._thermal_loss_superop.
     """
-    size = d_in + d_env - 1
-    unitary = fk.beamsplitter_fock(size, size, kappa) if dense else None
-    p_env = fk.photon_distribution_thermal(n_env, d_env).probs
-    amps = np.zeros((d_out, d_in, d_env))
-    for total in range(size):
-        k = np.arange(total + 1)
-        if dense:
-            idx = k * size + total - k
-            block = unitary[np.ix_(idx, idx)]
-        else:
-            block = fk._hopping_block(math.acos(math.sqrt(kappa)), total, 0, total)
-        x, n = k[k < d_out], k[(k < d_in) & (total - k < d_env)]
-        amps[x[:, None], n, total - n] = block[np.ix_(x, n)]
-    return amps * np.sqrt(p_env / p_env.sum())
+    loss, amp = fk._kraus_laws(kappa, n_t, d, d)
+    lose = [np.diag(np.sqrt(np.diagonal(loss, -j)), j) for j in range(d)]
+    add = [np.diag(np.sqrt(np.diagonal(amp, i)), -i) for i in range(d)]
+    return sum(np.kron(b @ a, b @ a) for b in add for a in lose)
 
 
 class TestPhaseAveragedSpectrum:
@@ -278,20 +272,19 @@ class TestPhaseAveragedSpectrum:
             assert abs(fk.spectral_entropy(eigs) - s_dense) <= 1e-12
             assert abs(deficit - tail_dense) <= 1e-12
 
-    def test_loss_amplitudes_match_beamsplitter_on_seeded_grid(self):
-        # the edge links bring kappa = 0 (beamsplitter_fock's exact swap), kappa = 1 and n_env = 0
-        for eff in _criterion7_links(2024, 6) + self.EDGE_LINKS:
-            n_env = 0.0 if eff.kappa_eff >= 1.0 else eff.n_t_eff / (1.0 - eff.kappa_eff)
-            d_env = fk.required_cutoff(n_env, 1e-5)
-            amps = fk._loss_amplitudes(eff.kappa_eff, n_env, 14, 14, d_env)
-            assert np.abs(amps - _expm_loss_amplitudes(eff.kappa_eff, n_env, 14, 14, d_env)).max() <= 1e-13
+    @staticmethod
+    def assert_kraus_superop_matches_expm(links):
+        for eff in links:
+            n_env = eff.n_t_eff / (1.0 - eff.kappa_eff) if eff.kappa_eff < 1.0 else 0.0
+            dense = fk._thermal_loss_superop(eff.kappa_eff, n_env, 12, 12, _env_cutoff(eff))
+            assert np.abs(_kraus_superop(eff.kappa_eff, eff.n_t_eff, 12) - dense).max() <= 1e-12
 
-    def test_loss_amplitudes_match_expm_in_sectors_above_200(self):
-        # n_env = 10 needs d_env = 194, so sectors reach 206 photons
-        d_env = fk.required_cutoff(10.0, fk.DEFAULT_TAIL_TOL)
-        amps = fk._loss_amplitudes(0.37, 10.0, 14, 12, d_env)
-        ref = _expm_loss_amplitudes(0.37, 10.0, 14, 12, d_env, dense=False)
-        assert np.abs(amps - ref).max() <= 1e-13
+    def test_kraus_superop_matches_expm_on_seeded_grid(self):
+        self.assert_kraus_superop_matches_expm(_criterion7_links(2024, 6))
+
+    def test_kraus_superop_matches_expm_at_edges(self):
+        # kappa = 0 (the oracle's full swap), kappa = 1 and n_env = 0
+        self.assert_kraus_superop_matches_expm(self.EDGE_LINKS)
 
     @pytest.mark.parametrize("name", ["psk_mi_unconditioned", "continuous_mi_conditioned"])
     def test_matches_dense_at_golden_points(self, name):
@@ -330,6 +323,39 @@ class TestPhaseAveragedSpectrum:
         with pytest.raises(TruncationError) as dense:
             fk.psk_ensemble_mi(eff, 64, cutoff, tail_tol=tail_tol)
         assert sector.value.required_cutoff == dense.value.required_cutoff
+
+
+class TestKrausLaws:
+    """The loss-then-amplifier laws against closed forms, hot environments included."""
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("n_t", [0.0, 0.3, 5.0, 100.0])
+    def test_output_marginal_is_thermal(self, kappa, n_t):
+        # a thermal(n_s) input leaves thermal(kappa n_s + n_t); the input tail is below 1e-16
+        n_s, d_in, d_out = 0.5, 34, 60
+        loss, amp = fk._kraus_laws(kappa, n_t, d_in, d_out)
+        p_in = fk.photon_distribution_thermal(n_s, d_in).probs
+        expected = fk.photon_distribution_thermal(kappa * n_s + n_t, d_out).probs
+        assert np.abs(p_in @ loss @ amp - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("n_t", [0.0, 0.3, 5.0, 100.0])
+    def test_output_mean_is_kappa_k_plus_noise(self, kappa, n_t):
+        # 6000 output levels hold the law of k < 8 to below 1e-16 at n_t = 100
+        law = np.matmul(*fk._kraus_laws(kappa, n_t, 8, 6000))
+        k = np.arange(8)
+        assert np.abs(law.sum(axis=1) - 1.0).max() <= 1e-14
+        assert np.abs(law @ np.arange(6000) - (kappa * k + n_t)).max() <= 1e-12 * (1.0 + n_t)
+
+    def test_kappa_one_keeps_the_noise(self):
+        # the noise at kappa_eff = 1 is an amplifier after no loss, continuous with kappa_eff < 1
+        from eamac import region as rg
+
+        at_one = rg.continuous_phase_mi(ch.EffectiveChannel(1.0, 0.3, 0.2))
+        near_one = rg.continuous_phase_mi(ch.EffectiveChannel(0.999999, 0.3, 0.2))
+        assert math.isfinite(near_one) and abs(at_one - near_one) <= 1e-6
+        with pytest.raises(DomainError, match="no thermal environment"):
+            fk.conditional_output_density(ch.EffectiveChannel(1.0, 0.3, 0.2), 24)
 
 
 class TestLayer1Distributions:

@@ -64,15 +64,6 @@ class TestConditionalEntropyTerm:
         # zero noise with nonzero signal violates the stated floor
         assert not rg.noise_condition_ok(EffectiveChannel(0.9, 0.0, 1.0))
 
-    def test_partial_expansion_diagnostic(self):
-        # diagnostic log terms: defined only above the n_t_eff > kappa_eff line
-        value = rg.partial_rate_expansion(EffectiveChannel(0.25, 0.5, 0.1))
-        assert math.isfinite(value) and value > 0.0
-        with pytest.raises(DomainError):
-            rg.partial_rate_expansion(EffectiveChannel(0.6, 0.5, 0.1))
-        with pytest.raises(DomainError):
-            rg.partial_rate_expansion(EffectiveChannel(0.25, 0.5, 0.0))
-
 
 class TestContinuousPhaseMi:
     def test_no_signal_zero(self):
