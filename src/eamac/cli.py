@@ -333,15 +333,11 @@ def _sweep_row(config, args, value) -> str:
     local = dict(config)
     local[config["vary"]] = value
     p = MacParams(tau=local["tau"], kappa=local["kappa"], n_b=local["n_b"])
-    power, budget, feasible = planner.covert_feasibility(
-        local["n"], local["alpha"], local["beta"], local["s"], p, local["delta"]
-    )
+    point = (local["n"], local["alpha"], local["beta"], local["s"], p, local["delta"])
+    power, budget, feasible = feasibility = planner.covert_feasibility(*point)
     cells = [repr(float(value)), repr(budget), repr(power), "true" if feasible else "false"]
     if feasible:
-        plan = planner.build_plan(
-            local["n"], local["alpha"], local["beta"], local["s"], p,
-            delta=local["delta"], epsilon=local["epsilon"], mu_bar=local["mu_bar"],
-        )
+        plan = planner._resolve_plan(*point, local["epsilon"], local["mu_bar"], feasibility)
         cells += [repr(_rate(v, args)) for _, v in plan.rates()]
     else:
         cells += [""] * 9

@@ -5,11 +5,13 @@ independent route: states are explicit density matrices on a cutoff-d
 photon-number basis, entropies come straight from eigenvalues, and the
 thermal-loss channel is a beamsplitter with a truncated thermal
 environment, exponentiated per total photon number (``_hopping_block``).
-The one exception is ``phase_averaged_spectrum``, which the region
-uses: it writes thermal loss as pure loss followed by a quantum-limited
-amplifier, whose closed-form Kraus amplitudes need no environment and no
-matrix exponential, and it never forms a dense state.  The dense route
-is its oracle.
+Real states stay real; only phase rotations make them complex.
+The one exception is ``phase_averaged_spectra``, which the region uses:
+it writes thermal loss as pure loss followed by a quantum-limited
+amplifier, whose closed-form Kraus laws need no environment and no
+matrix exponential, and it never forms a dense state.  A batch of links
+shares one log-factorial table, one ``loss @ amp`` product and one
+entropy row sum.  The dense route is its oracle.
 
 Truncation bookkeeping: each constructor takes a tail budget
 ``tail_tol`` and raises TruncationError (naming the required cutoff)
@@ -46,6 +48,7 @@ __all__ = [
     "rel_entropy_fock",
     "phase_average_fock",
     "conditional_output_density",
+    "phase_averaged_spectra",
     "phase_averaged_spectrum",
     "psk_ensemble_mi",
     "photon_distribution_thermal",
@@ -63,8 +66,9 @@ class FockVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape((self.cutoff,) * self.modes)
-        object.__setattr__(self, "amplitudes", amps)
+        # real amplitudes stay real: real products and spectra cost less
+        amps = np.asarray(self.amplitudes, dtype=complex if np.iscomplexobj(self.amplitudes) else float)
+        object.__setattr__(self, "amplitudes", amps.reshape((self.cutoff,) * self.modes))
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
@@ -100,7 +104,7 @@ class FockDensity:
 
     def __post_init__(self):
         dim = self.cutoff**self.modes
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.asarray(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         if mat.shape != (dim, dim):
             raise ShapeError(f"density matrix shape {mat.shape}, expected {(dim, dim)}")
         # one pass over |rho - rho^dag|; NaN entries fail it too
@@ -154,10 +158,8 @@ def required_cutoff(n_mean: float, tail_tol: float) -> int:
     return max(1, math.ceil(math.log(tail_tol) / math.log(q)))
 
 
-def tmsv_fock(n_s: float, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> FockVector:
-    """Two-mode squeezed vacuum, amplitudes sqrt(n_s^k / (n_s+1)^(k+1)) on |k,k>."""
-    if n_s < 0.0:
-        raise DomainError(f"n_s must be >= 0, got {n_s}")
+def _check_tmsv_cutoff(n_s: float, cutoff: int, tail_tol: float) -> None:
+    """Reject a cutoff below 1, or one that leaves the TMSV tail (n_s / (n_s + 1))^cutoff above ``tail_tol``."""
     if cutoff < 1:
         raise DomainError(f"cutoff must be >= 1, got {cutoff}")
     need = required_cutoff(n_s, tail_tol)
@@ -166,53 +168,53 @@ def tmsv_fock(n_s: float, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> Fo
             f"cutoff {cutoff} keeps TMSV tail above {tail_tol:g}; need d >= {need}",
             required_cutoff=need,
         )
-    k = np.arange(cutoff)
-    amps = np.exp(0.5 * (k * np.log(n_s) - (k + 1) * np.log(n_s + 1.0))) if n_s > 0 else np.eye(cutoff)[0]
-    tensor = np.zeros((cutoff, cutoff), dtype=complex)
-    tensor[k, k] = amps
-    return FockVector(cutoff, 2, tensor)
+
+
+def tmsv_fock(n_s: float, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> FockVector:
+    """Two-mode squeezed vacuum, amplitudes sqrt(n_s^k / (n_s+1)^(k+1)) on |k,k>."""
+    if n_s < 0.0:
+        raise DomainError(f"n_s must be >= 0, got {n_s}")
+    _check_tmsv_cutoff(n_s, cutoff, tail_tol)
+    return FockVector(cutoff, 2, np.diag(np.sqrt(_geometric_law(n_s, cutoff))))
 
 
 def thermal_fock(n_mean: float, cutoff: int) -> FockDensity:
     """Single-mode thermal state, diagonal geometric distribution."""
-    return FockDensity(cutoff, 1, np.diag(photon_distribution_thermal(n_mean, cutoff).probs).astype(complex))
+    return FockDensity(cutoff, 1, np.diag(photon_distribution_thermal(n_mean, cutoff).probs))
 
 
 def photon_distribution_thermal(n_mean: float, cutoff: int) -> PhotonDistribution:
     """Geometric photon-number law n^k / (n+1)^(k+1), truncated at ``cutoff``."""
     if n_mean < 0.0:
         raise DomainError(f"mean photon number must be >= 0, got {n_mean}")
-    if n_mean == 0.0:
-        probs = np.zeros(cutoff)
-        probs[0] = 1.0
-        return PhotonDistribution(probs)
+    return PhotonDistribution(_geometric_law(n_mean, cutoff))
+
+
+def _geometric_law(n_mean, cutoff: int) -> np.ndarray:
+    """n^k / (n+1)^(k+1) for k < cutoff, one row per mean of an array of means >= 0;
+    a zero mean gives the vacuum row [1, 0, ...] without taking log 0."""
+    n = np.asarray(n_mean, dtype=float)[..., None]
+    q = n / (n + 1.0)
     k = np.arange(cutoff)
-    q = n_mean / (n_mean + 1.0)
-    return PhotonDistribution(np.exp(k * np.log(q)) / (n_mean + 1.0))
+    return np.where(q > 0.0, np.exp(k * np.log(np.where(q > 0.0, q, 1.0))) / (n + 1.0), k == 0)
 
 
 def phase_rotate_fock(state, theta: float, mode: int = 0):
     """Apply exp(i 2 theta n_hat) on one mode of a vector or density."""
+    if not isinstance(state, (FockVector, FockDensity)):
+        raise ShapeError(f"expected FockVector or FockDensity, got {type(state).__name__}")
+    if not 0 <= mode < state.modes:
+        raise ShapeError(f"mode {mode} out of range for {state.modes} modes")
+    if not theta:  # the identity; a real state stays real
+        return state
+    phases = np.exp(2j * theta * np.arange(state.cutoff))
+    shape = [1] * state.modes
+    shape[mode] = state.cutoff
     if isinstance(state, FockVector):
-        if not 0 <= mode < state.modes:
-            raise ShapeError(f"mode {mode} out of range for {state.modes} modes")
-        phases = np.exp(2j * theta * np.arange(state.cutoff))
-        shape = [1] * state.modes
-        shape[mode] = state.cutoff
         return FockVector(state.cutoff, state.modes, state.amplitudes * phases.reshape(shape))
-    if isinstance(state, FockDensity):
-        if not 0 <= mode < state.modes:
-            raise ShapeError(f"mode {mode} out of range for {state.modes} modes")
-        phases = np.exp(2j * theta * np.arange(state.cutoff))
-        tensor = state.as_tensor()
-        ket_shape = [1] * (2 * state.modes)
-        ket_shape[mode] = state.cutoff
-        bra_shape = [1] * (2 * state.modes)
-        bra_shape[state.modes + mode] = state.cutoff
-        tensor = tensor * phases.reshape(ket_shape) * phases.conj().reshape(bra_shape)
-        dim = state.cutoff**state.modes
-        return FockDensity(state.cutoff, state.modes, tensor.reshape(dim, dim))
-    raise ShapeError(f"expected FockVector or FockDensity, got {type(state).__name__}")
+    ket, bra = phases.reshape(shape + [1] * state.modes), phases.conj().reshape([1] * state.modes + shape)
+    dim = state.cutoff**state.modes
+    return FockDensity(state.cutoff, state.modes, (state.as_tensor() * ket * bra).reshape(dim, dim))
 
 
 @lru_cache(maxsize=8)
@@ -320,15 +322,11 @@ def thermal_loss_fock(
     d_env = _env_cutoff_for(n_b, tail_tol, d_env)
     superop = _thermal_loss_superop(float(kappa), float(n_b), d, d, d_env)
 
-    tensor = rho.as_tensor()
-    ket, bra = mode, rho.modes + mode
-    rest = [ax for ax in range(2 * rho.modes) if ax not in (ket, bra)]
-    perm = [ket, bra] + rest
-    moved = _real_if_real(tensor.transpose(perm).reshape(d * d, -1))
-    out = (superop @ moved).reshape([d, d] + [d] * len(rest))
-    inv = np.argsort(perm)
+    # the superoperator acts on the mode's (ket, bra) axes, moved to the front
+    moved = np.moveaxis(rho.as_tensor(), (mode, rho.modes + mode), (0, 1))
+    out = (superop @ moved.reshape(d * d, -1)).reshape(moved.shape)
     dim = d**rho.modes
-    return FockDensity(d, rho.modes, out.transpose(inv).reshape(dim, dim))
+    return FockDensity(d, rho.modes, np.moveaxis(out, (0, 1), (mode, rho.modes + mode)).reshape(dim, dim))
 
 
 def mac_mix_fock(rho_x: FockDensity, rho_y: FockDensity, tau: float) -> FockDensity:
@@ -344,27 +342,18 @@ def mac_mix_fock(rho_x: FockDensity, rho_y: FockDensity, tau: float) -> FockDens
     return FockDensity(d, 2, mixed).partial_trace([0])
 
 
-def _real_if_real(mat: np.ndarray) -> np.ndarray:
-    """``mat`` as a real array when its imaginary part is exactly zero.
-
-    Every state built from real amplitudes (TMSV, thermal loss, pinching)
-    stays real, and real products and spectra cost a fraction of complex
-    ones, with the same result.
-    """
-    return mat.real if not mat.imag.any() else mat
-
-
 def entropy_fock(rho: FockDensity) -> float:
     """Von Neumann entropy in nats from the eigenvalue spectrum."""
-    return spectral_entropy(np.linalg.eigvalsh(_real_if_real(rho.matrix)))
+    return spectral_entropy(np.linalg.eigvalsh(rho.matrix))
 
 
-def spectral_entropy(eigs: np.ndarray) -> float:
-    """Entropy -sum lambda ln lambda in nats of a density-matrix spectrum."""
+def spectral_entropy(eigs: np.ndarray) -> float | np.ndarray:
+    """Entropy -sum lambda ln lambda in nats of a density-matrix spectrum, or of each row of a stack."""
     if np.min(eigs) < -1e-10:
         raise PhysicalityError(f"density matrix has eigenvalue {np.min(eigs):.3e} < -1e-10")
-    eigs = eigs[eigs > 0.0]
-    return float(-np.sum(eigs * np.log(eigs)))
+    eigs = np.maximum(eigs, 0.0)
+    entropy = -xlogy(eigs, eigs).sum(axis=-1)
+    return float(entropy) if entropy.ndim == 0 else entropy
 
 
 def rel_entropy_fock(rho: FockDensity, sigma: FockDensity, support_tol: float = 1e-10) -> float:
@@ -452,7 +441,7 @@ def _check_output_cutoff(eff: EffectiveChannel, cutoff: int, tail_tol: float) ->
 BLOCK_BATCH = 1 << 20
 
 
-def _kraus_laws(kappa: float, n_t: float, d_in: int, d_out: int) -> tuple[np.ndarray, np.ndarray]:
+def _kraus_laws(kappa, n_t, d_in: int, d_out: int) -> tuple[np.ndarray, np.ndarray]:
     """Photon-number laws of thermal loss as pure loss, then an amplifier.
 
     Thermal loss of transmissivity kappa and added noise n_t is pure loss
@@ -464,73 +453,90 @@ def _kraus_laws(kappa: float, n_t: float, d_in: int, d_out: int) -> tuple[np.nda
     law of x < d_out photons out of m.  These are the squared Kraus
     amplitudes <m|A_j|k> (j = k - m photons lost) and <x|B_i|m>
     (i = x - m photons added) of Ivan, Sabapathy & Simon, PRA 84, 042311
-    (2011), all nonnegative, built in log space from one log-factorial table.
+    (2011), all nonnegative.  Both are C(r, m) a_m b^(r - m) over r >= m,
+    (a_m, b) = (eta^m, 1 - eta) and (G^-(m+1), 1 - 1/G), so one log-space
+    pass over a stack of the two builds them, the amplifier as its
+    transpose.  Arrays of B kappas and n_ts give laws stacked in front, (B, d, d).
     """
+    kappa, n_t = (np.asarray(v, dtype=float)[..., None] for v in (kappa, n_t))
     gain = 1.0 + n_t
-    log_fact = gammaln(np.arange(max(d_in, d_out)) + 1.0)
-    k, m = np.ogrid[:d_in, :d_in]
-    lost = np.maximum(k - m, 0)
-    log_loss = log_fact[k] - log_fact[m] - log_fact[lost] + xlogy(m, kappa / gain) + xlogy(lost, (gain - kappa) / gain)
-    loss = np.where(m <= k, np.exp(log_loss), 0.0)
-    m, x = np.ogrid[:d_in, :d_out]
-    added = np.maximum(x - m, 0)
-    log_amp = log_fact[x] - log_fact[m] - log_fact[added] - (m + 1) * math.log1p(n_t) + xlogy(added, n_t / gain)
-    return loss, np.where(m <= x, np.exp(log_amp), 0.0)
+    count = np.arange(max(d_in, d_out))
+    log_fact = gammaln(count + 1.0)
+    r, m = count[:, None], count[None, :d_in]
+    gap = np.maximum(r - m, 0)
+    log_a = np.array([xlogy(count[:d_in], kappa / gain), -(count[:d_in] + 1) * np.log1p(n_t)])
+    log_b = np.array([xlogy(count, (gain - kappa) / gain), xlogy(count, n_t / gain)])
+    # log C(r, m) + log a_m + (r - m) log b, the last gathered by the gap r - m
+    log_law = log_fact[r] - log_fact[m] - log_fact[gap] + log_a[..., None, :] + np.take(log_b, gap, axis=-1)
+    law = np.where(m <= r, np.exp(log_law), 0.0)
+    return law[0, ..., :d_in, :], law[1, ..., :d_out, :].swapaxes(-1, -2)
 
 
-def phase_averaged_spectrum(
-    eff: EffectiveChannel,
-    cutoff: int,
-    psk_order,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> tuple[np.ndarray, float]:
-    """Spectrum and trace deficit of the PSK phase-averaged (B, idler) state.
+def phase_averaged_spectra(effs, cutoff: int, psk_order, tail_tol=DEFAULT_TAIL_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra and trace deficits of the PSK phase-averaged (B, idler) states of links.
 
-    The state is phase_average_fock(conditional_output_density(eff, cutoff),
-    psk_order), never built densely, and with no environment cutoff: the
-    channel is pure loss then an amplifier (``_kraus_laws``), whose Kraus
-    operators A_j remove and B_i add photons.  So |k, k> (signal, idler)
-    reaches |x, k> through the pairs (i, j) with i - j = x - k, and entries
-    of the output couple (x, k) and (y, l) only when x - k = y - l.  The
-    phase average keeps them only when 2 (x - y) = 0 (mod L), i.e. x = y
-    modulo L / gcd(2, L).  The state is therefore a direct sum of Gram
-    blocks V_B V_B^T, one per (x - k, x mod L / gcd(2, L)), with the row
+    Row i of the ``(len(effs), cutoff**2)`` spectra and entry i of the
+    deficits belong to ``effs[i]``, whose output-cutoff and TMSV-tail checks
+    run in link order before any Fock work.  Each state is
+    phase_average_fock(conditional_output_density(eff, cutoff), psk_order),
+    never built densely, and with no environment cutoff: the channel is
+    pure loss then an amplifier (``_kraus_laws``), whose Kraus operators
+    A_j remove and B_i add photons.  So |k, k> (signal, idler) reaches
+    |x, k> through the pairs (i, j) with i - j = x - k, and entries of the
+    output couple (x, k) and (y, l) only when x - k = y - l.  The phase
+    average keeps them only when 2 (x - y) = 0 (mod L), i.e. x = y modulo
+    L / gcd(2, L).  The state is therefore a direct sum of Gram blocks
+    V_B V_B^T, one per (x - k, x mod L / gcd(2, L)), with the row
     V[(x, k), j] = sqrt(p_k) <x|B_i A_j|k>, i = x - k + j, indexed by the
     j <= k < cutoff photons lost.  For ``psk_order=None`` or
     L / gcd(2, L) >= cutoff every block is 1 x 1 and the spectrum is
-    p_k P(x|k) with P = loss @ amp.  The trace deficit is 1 minus the summed
-    block traces: the TMSV tail and the output levels x >= cutoff.
+    p_k P(x|k) with P = loss @ amp, one batched product for all links.
+    The trace deficit is 1 minus the summed block traces: the TMSV tail and
+    the output levels x >= cutoff.
     """
-    _check_output_cutoff(eff, cutoff, tail_tol)
-    p_k = np.diagonal(tmsv_fock(eff.n_s, cutoff, tail_tol).amplitudes).real ** 2
-    loss, amp = _kraus_laws(eff.kappa_eff, eff.n_t_eff, cutoff, cutoff)
-    # law[k, x] is the squared norm of row (x, k)
-    law = p_k[:, None] * (loss @ amp)
-    deficit = 1.0 - float(law.sum())
+    for eff in effs:
+        _check_output_cutoff(eff, cutoff, tail_tol)
+        _check_tmsv_cutoff(eff.n_s, cutoff, tail_tol)
+    kappa, n_t, n_s = np.array([(eff.kappa_eff, eff.n_t_eff, eff.n_s) for eff in effs]).T
+    p_k = _geometric_law(n_s, cutoff)
+    loss, amp = _kraus_laws(kappa, n_t, cutoff, cutoff)
+    # law[i, k, x] is the squared norm of row (x, k) of link i
+    law = p_k[:, :, None] * (loss @ amp)
+    deficits = 1.0 - law.sum(axis=(1, 2))
     period = cutoff if psk_order is None else min(psk_order // math.gcd(2, psk_order), cutoff)
     if period == cutoff:
-        return law.ravel(), deficit
-    # row (x, k) is scale[k, j] sqrt(amp[k - j, x]) over the photons lost j <= k
-    k, j = np.ogrid[:cutoff, :cutoff]
-    scale = np.sqrt(p_k[:, None] * np.where(j <= k, loss[k, np.maximum(k - j, 0)], 0.0))
-    # window[x, cutoff - 1 - k, j] = sqrt(amp[k - j, x]), zero for j > k
-    padded = np.zeros((cutoff, 2 * cutoff - 1))
-    padded[:, :cutoff] = np.sqrt(amp[::-1].T)
-    window = np.lib.stride_tricks.sliding_window_view(padded, cutoff, axis=1)
+        return law.reshape(len(effs), -1), deficits
     x, k = np.divmod(np.arange(cutoff**2), cutoff)
     key = (x - k + cutoff - 1) * period + x % period
     order = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
     sizes = np.diff(np.append(starts, order.size))
-    eigs = []
-    for size in np.unique(sizes):
-        heads = starts[sizes == size]
-        step = max(1, BLOCK_BATCH // (size * cutoff))
-        for first in range(0, heads.size, step):
-            x, k = np.divmod(order[heads[first : first + step, None] + np.arange(size)], cutoff)
-            blocks = scale[k] * window[x, cutoff - 1 - k]
-            eigs.append(np.linalg.eigvalsh(blocks @ blocks.transpose(0, 2, 1)).ravel())
-    return np.concatenate(eigs), deficit
+    k, j = np.ogrid[:cutoff, :cutoff]
+    spectra = []
+    for p_link, loss_link, amp_link in zip(p_k, loss, amp):
+        # row (x, k) is scale[k, j] sqrt(amp[k - j, x]) over the photons lost j <= k
+        scale = np.sqrt(p_link[:, None] * np.where(j <= k, loss_link[k, np.maximum(k - j, 0)], 0.0))
+        # window[x, cutoff - 1 - k, j] = sqrt(amp[k - j, x]), zero for j > k
+        padded = np.pad(np.sqrt(amp_link[::-1].T), ((0, 0), (0, cutoff - 1)))
+        window = np.lib.stride_tricks.sliding_window_view(padded, cutoff, axis=1)
+        eigs = []
+        for size in np.unique(sizes):
+            heads = starts[sizes == size]
+            step = max(1, BLOCK_BATCH // (size * cutoff))
+            for first in range(0, heads.size, step):
+                rows, cols = np.divmod(order[heads[first : first + step, None] + np.arange(size)], cutoff)
+                blocks = scale[cols] * window[rows, cutoff - 1 - cols]
+                eigs.append(np.linalg.eigvalsh(blocks @ blocks.transpose(0, 2, 1)).ravel())
+        spectra.append(np.concatenate(eigs))
+    return np.array(spectra), deficits
+
+
+def phase_averaged_spectrum(
+    eff: EffectiveChannel, cutoff: int, psk_order, tail_tol: float = DEFAULT_TAIL_TOL
+) -> tuple[np.ndarray, float]:
+    """Spectrum and trace deficit of one link: the one-link view of ``phase_averaged_spectra``."""
+    spectra, deficits = phase_averaged_spectra([eff], cutoff, psk_order, tail_tol)
+    return spectra[0], float(deficits[0])
 
 
 def psk_ensemble_mi(
@@ -579,10 +585,8 @@ def mac_joint_fock(
     and the combined mode crosses the thermal-loss channel.
     """
     d = cutoff
-    psi_x = tmsv_fock(n_s, d, tail_tol)
-    psi_y = tmsv_fock(n_s, d, tail_tol)
-    psi_x = phase_rotate_fock(psi_x, theta, mode=0)
-    psi_y = phase_rotate_fock(psi_y, phi, mode=0)
+    psi = tmsv_fock(n_s, d, tail_tol)
+    psi_x, psi_y = phase_rotate_fock(psi, theta, mode=0), phase_rotate_fock(psi, phi, mode=0)
     # joint pure state, axes (A_X, I_X, A_Y, I_Y) -> (A_X, A_Y, I_X, I_Y)
     joint = np.tensordot(psi_x.amplitudes, psi_y.amplitudes, axes=0).transpose(0, 2, 1, 3)
     u = beamsplitter_fock(d, d, p.tau)
@@ -634,25 +638,23 @@ def _quadrature_ops(cutoff: int):
 def moments_from_fock(state) -> tuple[np.ndarray, np.ndarray]:
     """Extract (mean, covariance) in the vacuum-equals-identity convention.
 
-    For Hermitian rho and quadratures the symmetrised moment
-    tr(rho (Q_i Q_j + Q_j Q_i)) / 2 equals Re tr(R_i Q_j) with R_i = rho Q_i,
-    an elementwise sum, so each R_i is the only matrix product formed.
+    The symmetrised moment tr(rho (Q_i Q_j + Q_j Q_i)) / 2 is
+    Re tr(rho Q_i Q_j), a contraction of the one- or two-mode reduced state
+    with the single-mode q and p; no multimode operator is formed.
     """
-    rho = state.to_density() if isinstance(state, FockVector) else state
-    d, m = rho.cutoff, rho.modes
-    q1, p1 = _quadrature_ops(d)
-    quads = []
-    for mode in range(m):
-        for op in (q1, p1):
-            full = np.eye(1)
-            for j in range(m):
-                full = np.kron(full, op if j == mode else np.eye(d))
-            quads.append(full)
-    rho_q = [rho.matrix @ op for op in quads]
-    mean = np.array([np.trace(r).real for r in rho_q])
+    m = state.modes
+    quads = list(_quadrature_ops(state.cutoff)) * m
+    singles = [state.partial_trace([a]).matrix for a in range(m)]
+    pairs = {(a, b): state.partial_trace([a, b]).as_tensor() for a in range(m) for b in range(a + 1, m)}
+    mean = np.array([np.einsum("xu,ux->", singles[i // 2], op).real for i, op in enumerate(quads)])
     cov = np.empty((2 * m, 2 * m))
     for i in range(2 * m):
         for j in range(i, 2 * m):
-            sym = np.einsum("ab,ba->", rho_q[i], quads[j]).real
+            a, b = i // 2, j // 2
+            if a == b:
+                sym = np.einsum("xu,uv,vx->", singles[a], quads[i], quads[j]).real
+            else:
+                # tr(rho_ab (Q_i (x) Q_j)), kets (x, y) and bras (u, v) of modes a, b
+                sym = np.einsum("xyuv,ux,vy->", pairs[a, b], quads[i], quads[j]).real
             cov[i, j] = cov[j, i] = sym - mean[i] * mean[j]
     return mean, cov

@@ -235,12 +235,17 @@ def build_plan(
     mu_bar: float = 0.1,
 ) -> CovertPlan:
     """Resolve a full plan; raises InfeasibleError when the budget fails."""
+    return _resolve_plan(n, alpha, beta, s, p, delta, epsilon, mu_bar)
+
+
+def _resolve_plan(n, alpha, beta, s, p, delta, epsilon, mu_bar, feasibility=None) -> CovertPlan:
+    """``build_plan``, reusing the (power, budget, feasible) of ``covert_feasibility`` when given."""
     for name, value in (("alpha", alpha), ("beta", beta), ("s", s), ("mu_bar", mu_bar)):
         if not 0.0 < value < 1.0:
             raise DomainError(f"{name} must lie in (0, 1), got {value}")
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    power, budget, feasible = covert_feasibility(n, alpha, beta, s, p, delta)
+    power, budget, feasible = feasibility or covert_feasibility(n, alpha, beta, s, p, delta)
     if not feasible:
         raise InfeasibleError(
             f"covert power budget violated: (alpha*tau + beta*(1-tau))*s = {power:.6g} "

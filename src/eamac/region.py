@@ -5,12 +5,12 @@ from the heterodyne-conditioned point-to-point links and a sum bound
 that is the better of the two decoding orders.  Each mutual information
 is the entropy of the phase-averaged (B, idler) state minus the
 closed-form conditional entropy.  That entropy comes from the
-photon-number spectrum of fock.phase_averaged_spectrum: the link's
+photon-number spectrum of fock.phase_averaged_spectra: the link's
 thermal loss is pure loss followed by an amplifier, so no environment is
 truncated, and the averaged state splits into small blocks by photon
-difference and phase class, so no dense Fock matrix is built.  The
-dense Fock route (fock.psk_ensemble_mi) is the oracle the tests compare
-against.
+difference and phase class, so no dense Fock matrix is built.  A
+region's four links are one batch (``link_mis``).  The dense Fock route
+(fock.psk_ensemble_mi) is the oracle the tests compare against.
 """
 
 import math
@@ -28,6 +28,7 @@ __all__ = [
     "RateRegion",
     "conditional_entropy_term",
     "noise_condition_ok",
+    "link_mis",
     "continuous_phase_mi",
     "achievable_region",
     "covert_rectangle",
@@ -84,21 +85,19 @@ class RateRegion:
         ]
 
 
-def _symplectic_pair(eff: EffectiveChannel):
-    """The two symplectic eigenvalues (as mu = nu/2) of the conditional state."""
-    nt, ns, kap = eff.n_t_eff, eff.n_s, eff.kappa_eff
+def _conditional_entropies(kap, nt, ns) -> np.ndarray:
+    """Entropy g(mu+ - 1/2) + g(mu- - 1/2) of each link's conditional Gaussian state,
+    mu = nu/2 its symplectic eigenvalues, from columns of kappa_eff, n_t_eff and n_s."""
     disc = (nt + (1.0 + kap) * ns + 1.0) ** 2 - 4.0 * kap * ns * (ns + 1.0)
-    root = np.sqrt(max(disc, 0.0))
+    root = np.sqrt(np.maximum(disc, 0.0))
     shift = nt + (kap - 1.0) * ns
-    return 0.5 * (root + shift), 0.5 * (root - shift)
+    # floating-point dips below the pure-state floor are clamped
+    return g_entropy(np.maximum(0.5 * (root + np.array([shift, -shift])) - 0.5, 0.0)).sum(axis=0)
 
 
 def conditional_entropy_term(eff: EffectiveChannel) -> float:
     """Entropy g(mu+ - 1/2) + g(mu- - 1/2) of the conditional Gaussian state."""
-    mu_plus, mu_minus = _symplectic_pair(eff)
-    # floating-point dips below the pure-state floor are clamped
-    lo = max(mu_minus - 0.5, 0.0)
-    return float(g_entropy(mu_plus - 0.5) + g_entropy(lo))
+    return float(_conditional_entropies(eff.kappa_eff, eff.n_t_eff, eff.n_s))
 
 
 def noise_condition_ok(eff: EffectiveChannel) -> bool:
@@ -108,29 +107,38 @@ def noise_condition_ok(eff: EffectiveChannel) -> bool:
     return bool(eff.n_t_eff > lower)
 
 
-def continuous_phase_mi(eff: EffectiveChannel, numerics: RegionNumerics = RegionNumerics()) -> float:
-    """Mutual information of the uniformly phase-modulated link, in nats.
+def link_mis(effs, numerics: RegionNumerics = RegionNumerics()) -> list:
+    """Mutual informations of phase-modulated links, in nats, in one batched pass.
 
-    Entropy of the phase-averaged joint state, from its photon-number
-    spectrum at the numerics' cutoff, minus the closed-form conditional
-    entropy.  Equals the dense Fock route (entropy of
-    phase_average_fock(conditional_output_density(...))) to rounding once
-    that route's environment tail is negligible; kappa_eff = 1 with noise,
-    which has no thermal environment, is computed here only.
-    Nonnegative up to numerical noise; values above -1e-9 are clamped to
-    zero.
+    Entropy of each phase-averaged joint state, from its photon-number
+    spectrum, minus the closed-form conditional entropy; equal to the dense
+    Fock route to rounding once its environment tail is negligible.  Links
+    with n_s = 0 or kappa_eff = 0 are 0.0 without any check; the others are
+    checked in link order, the cutoff rules before the batch and the
+    4 tail_tol deficit and the -1e-9 floor (above which values clamp to 0)
+    after it.
     """
-    if eff.n_s == 0.0 or eff.kappa_eff == 0.0:
-        return 0.0
-    eigs, deficit = fock.phase_averaged_spectrum(eff, numerics.cutoff, numerics.psk_order, numerics.tail_tol)
-    if deficit > 4.0 * numerics.tail_tol:
-        raise fock.TruncationError(
-            f"output trace deficit {deficit:.3e} exceeds budget; raise the cutoff"
-        )
-    value = fock.spectral_entropy(eigs) - conditional_entropy_term(eff)
-    if value < -1e-9:
-        raise fock.TruncationError(f"mutual information {value:.3e} below -1e-9; numerics inconsistent")
-    return max(value, 0.0)
+    live = [i for i, eff in enumerate(effs) if eff.n_s > 0.0 and eff.kappa_eff > 0.0]
+    values = [0.0] * len(effs)
+    if not live:
+        return values
+    links = [effs[i] for i in live]
+    spectra, deficits = fock.phase_averaged_spectra(links, numerics.cutoff, numerics.psk_order, numerics.tail_tol)
+    columns = np.array([(eff.kappa_eff, eff.n_t_eff, eff.n_s) for eff in links]).T
+    mis = fock.spectral_entropy(spectra) - _conditional_entropies(*columns)
+    for i, deficit, value in zip(live, deficits.tolist(), mis.tolist()):
+        if deficit > 4.0 * numerics.tail_tol:
+            raise fock.TruncationError(f"output trace deficit {deficit:.3e} exceeds budget; raise the cutoff")
+        if value < -1e-9:
+            raise fock.TruncationError(f"mutual information {value:.3e} below -1e-9; numerics inconsistent")
+        values[i] = max(value, 0.0)
+    return values
+
+
+def continuous_phase_mi(eff: EffectiveChannel, numerics: RegionNumerics = RegionNumerics()) -> float:
+    """Mutual information of the uniformly phase-modulated link, in nats:
+    the one-link view of ``link_mis``."""
+    return link_mis([eff], numerics)[0]
 
 
 def achievable_region(p: MacParams, m: ModulationConfig, numerics: RegionNumerics = RegionNumerics()) -> RateRegion:
@@ -140,15 +148,8 @@ def achievable_region(p: MacParams, m: ModulationConfig, numerics: RegionNumeric
     links; the sum bound takes the better decoding order, pairing one
     unconditioned link with the other conditioned one.
     """
-    eff_x_cond = effective_params(p, m, "x", conditioned=True)
-    eff_y_cond = effective_params(p, m, "y", conditioned=True)
-    eff_x_unc = effective_params(p, m, "x", conditioned=False)
-    eff_y_unc = effective_params(p, m, "y", conditioned=False)
-
-    mi_x_cond = continuous_phase_mi(eff_x_cond, numerics)
-    mi_y_cond = continuous_phase_mi(eff_y_cond, numerics)
-    mi_x_unc = continuous_phase_mi(eff_x_unc, numerics)
-    mi_y_unc = continuous_phase_mi(eff_y_unc, numerics)
+    effs = [effective_params(p, m, sender, conditioned) for conditioned in (True, False) for sender in "xy"]
+    mi_x_cond, mi_y_cond, mi_x_unc, mi_y_unc = link_mis(effs, numerics)
 
     order_x_first = mi_x_unc + mi_y_cond
     order_y_first = mi_y_unc + mi_x_cond
@@ -161,12 +162,8 @@ def achievable_region(p: MacParams, m: ModulationConfig, numerics: RegionNumeric
         raise NumericalError(f"sum bound {sum_bound!r} below a decoding order {(order_x_first, order_y_first)}")
 
     vertices = _assemble_vertices(mi_x_cond, mi_y_cond, sum_bound)
-    validity = {
-        "x_conditioned": noise_condition_ok(eff_x_cond),
-        "y_conditioned": noise_condition_ok(eff_y_cond),
-        "x_unconditioned": noise_condition_ok(eff_x_unc),
-        "y_unconditioned": noise_condition_ok(eff_y_unc),
-    }
+    names = ("x_conditioned", "y_conditioned", "x_unconditioned", "y_unconditioned")
+    validity = {name: noise_condition_ok(eff) for name, eff in zip(names, effs)}
     return RateRegion(
         x_bound=mi_x_cond,
         y_bound=mi_y_cond,

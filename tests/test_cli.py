@@ -249,6 +249,25 @@ class TestSweep:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
+    @pytest.mark.parametrize("vary, start, stop", [("s", 0.001, 0.03), ("alpha", 0.001, 0.9), ("delta", 0.02, 0.5)])
+    def test_one_budget_evaluation_per_row(self, tmp_path, monkeypatch, vary, start, stop):
+        # a feasible row's plan reuses the row's budget instead of solving Q^-1 again
+        from eamac import planner
+
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return q_inv(p)
+
+        q_inv = planner.q_inv
+        monkeypatch.setattr(planner, "q_inv", counted)
+        cfg = self._config(tmp_path, vary=vary, start=start, stop=stop, count=25)
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_text().count(",true,") > 0
+        assert len(calls) == 25
+
     def test_grid_cap(self, tmp_path):
         cfg = self._config(tmp_path, count=200001)
         assert run(["sweep", "--config", cfg]) == 2

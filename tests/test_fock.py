@@ -193,7 +193,8 @@ class TestPskEnsembleMi:
         d, order = 8, 4
         rho0 = fk.conditional_output_density(eff, d, tail_tol=1e-4)
         masked = fk.phase_average_fock(rho0, order, mode=0)
-        acc = np.zeros_like(rho0.matrix)
+        # rho0 is real; the rotated copies are complex
+        acc = np.zeros_like(rho0.matrix, dtype=complex)
         n_env = eff.n_t_eff / (1.0 - eff.kappa_eff)
         for k in range(order):
             rotated = fk.phase_rotate_fock(fk.tmsv_fock(eff.n_s, d), 2 * math.pi * k / order, mode=0)
@@ -271,6 +272,27 @@ class TestPhaseAveragedSpectrum:
             s_dense, tail_dense = _dense_spectrum_entropy(eff, 14, psk_order, 1e-5)
             assert abs(fk.spectral_entropy(eigs) - s_dense) <= 1e-12
             assert abs(deficit - tail_dense) <= 1e-12
+
+    @pytest.mark.parametrize("psk_order", [4, 6, 8, 64])
+    def test_batch_matches_dense_psk_ensemble_mi(self, psk_order):
+        # cutoff 14: L in {4, 6, 8} gives Gram blocks (L < 2d), L = 64 the 1 x 1 branch
+        links = _criterion7_links(7, 5) + [ch.EffectiveChannel(0.4, 0.3, 0.0), ch.EffectiveChannel(0.3, 0.0, 0.2)]
+        spectra, deficits = fk.phase_averaged_spectra(links, 14, psk_order, tail_tol=1e-5)
+        entropies = fk.spectral_entropy(spectra)
+        for eff, entropy, deficit in zip(links, entropies, deficits):
+            rho0 = fk.conditional_output_density(eff, 14, d_env=_env_cutoff(eff, 1e-14), tail_tol=1e-5)
+            dense_mi = fk.psk_ensemble_mi(eff, psk_order, 14, d_env=_env_cutoff(eff, 1e-14), tail_tol=1e-5)
+            assert abs(entropy - fk.entropy_fock(rho0) - dense_mi) <= 1e-12
+            assert abs(deficit - rho0.tail()) <= 1e-12
+
+    @pytest.mark.parametrize("psk_order", [6, None])
+    def test_batch_rows_equal_one_link_views(self, psk_order):
+        links = _criterion7_links(11, 4) + self.EDGE_LINKS
+        spectra, deficits = fk.phase_averaged_spectra(links, 12, psk_order, tail_tol=1e-5)
+        for eff, row, deficit in zip(links, spectra, deficits):
+            one, one_deficit = fk.phase_averaged_spectrum(eff, 12, psk_order, tail_tol=1e-5)
+            np.testing.assert_array_equal(row, one)
+            assert deficit == one_deficit
 
     @staticmethod
     def assert_kraus_superop_matches_expm(links):

@@ -1,6 +1,7 @@
 """Rate-region assembly, conditional entropy formula, covert rectangle."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from eamac import fixtures
 from eamac import gaussian as g
 from eamac import region as rg
 from eamac.channel import EffectiveChannel, MacParams, ModulationConfig, effective_cov, effective_params
-from eamac.errors import DomainError, EamacError, NumericalError
+from eamac.errors import DomainError, EamacError, NumericalError, TruncationError
 
 # unit-test numerics: small cutoff, budget matched to its tail size
 FAST = rg.RegionNumerics(cutoff=16, psk_order=64, tail_tol=1e-7)
@@ -39,6 +40,96 @@ class TestRegionNumerics:
         assert rg.continuous_phase_mi(eff, numerics) == pytest.approx(rg.continuous_phase_mi(eff, FAST), abs=1e-15)
 
 
+def _region_links(p, n_s):
+    """The four links of a region, in achievable_region's order."""
+    m = ModulationConfig(n_s=n_s)
+    return [effective_params(p, m, sender, conditioned) for conditioned in (True, False) for sender in "xy"]
+
+
+class TestLinkMis:
+    """The batched pass over a region's links against its one-link view."""
+
+    @staticmethod
+    def seeded_regions(seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            p = MacParams(tau=rng.uniform(0.05, 0.95), kappa=rng.uniform(0.1, 0.9), n_b=rng.uniform(0.2, 1.2))
+            yield _region_links(p, rng.uniform(0.02, 0.3))
+
+    @pytest.mark.parametrize("psk_order", [64, 8])
+    def test_batch_equals_one_link_bit_for_bit(self, psk_order):
+        numerics = rg.RegionNumerics(cutoff=16, psk_order=psk_order, tail_tol=1e-5)
+        for effs in self.seeded_regions(31, 12):
+            assert rg.link_mis(effs, numerics) == [rg.continuous_phase_mi(eff, numerics) for eff in effs]
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_decoupled_sender_links_are_exact_zeros(self, tau):
+        # tau in {0, 1} silences one sender: kappa_eff = 0 on its links
+        effs = _region_links(MacParams(tau=tau, kappa=0.5, n_b=1.0), 0.1)
+        values = rg.link_mis(effs, FAST)
+        assert values == [rg.continuous_phase_mi(eff, FAST) for eff in effs]
+        assert [v == 0.0 for v in values] == [eff.kappa_eff == 0.0 for eff in effs]
+        assert all(v > 0.0 for v, eff in zip(values, effs) if eff.kappa_eff > 0.0)
+
+    def test_dead_links_skip_every_check(self):
+        # no signal, or no transmission, is 0.0 even where the cutoff could not hold the output
+        hot = EffectiveChannel(0.0, 100.0, 0.2)
+        silent = EffectiveChannel(0.5, 100.0, 0.0)
+        live = EffectiveChannel(0.25, 0.525, 0.1)
+        values = rg.link_mis([hot, live, silent], FAST)
+        assert values == [0.0, rg.continuous_phase_mi(live, FAST), 0.0]
+        assert rg.link_mis([hot, silent], FAST) == [0.0, 0.0]
+
+    def test_noise_at_unit_transmissivity_in_a_batch(self):
+        effs = [EffectiveChannel(1.0, 0.3, 0.2), EffectiveChannel(0.25, 0.525, 0.1), EffectiveChannel(1.0, 0.0, 0.2)]
+        values = rg.link_mis(effs, FAST)
+        assert values == [rg.continuous_phase_mi(eff, FAST) for eff in effs]
+        assert all(math.isfinite(v) and v > 0.0 for v in values)
+
+    def test_hot_environment_region(self):
+        start = time.perf_counter()
+        reg = rg.achievable_region(
+            MacParams(tau=1.0, kappa=0.99, n_b=100.0), ModulationConfig(n_s=0.1), rg.RegionNumerics(cutoff=29)
+        )
+        assert time.perf_counter() - start < 1.0
+        assert reg.y_bound == 0.0 and 0.0 < reg.x_bound < math.inf
+        assert reg.sum_bound == pytest.approx(reg.x_bound, abs=1e-15)
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            EffectiveChannel(0.5, 2.0, 0.05),  # output tail above the budget
+            EffectiveChannel(0.1, 0.0, 0.5),  # TMSV tail only: the output fits
+        ],
+    )
+    def test_required_cutoff_of_a_failing_link_in_any_position(self, position, bad):
+        numerics = rg.RegionNumerics(cutoff=10, psk_order=64, tail_tol=1e-10)
+        good = EffectiveChannel(0.25, 0.0, 0.01)
+        with pytest.raises(TruncationError) as alone:
+            rg.continuous_phase_mi(bad, numerics)
+        effs = [good] * 4
+        effs[position] = bad
+        with pytest.raises(TruncationError) as batch:
+            rg.link_mis(effs, numerics)
+        assert batch.value.required_cutoff == alone.value.required_cutoff is not None
+        assert str(batch.value) == str(alone.value)
+
+    def test_first_failing_link_in_link_order_is_reported(self):
+        numerics = rg.RegionNumerics(cutoff=10, psk_order=64, tail_tol=1e-10)
+        good, tmsv_only, output = (
+            EffectiveChannel(0.25, 0.0, 0.01),
+            EffectiveChannel(0.1, 0.0, 0.5),
+            EffectiveChannel(0.5, 2.0, 0.05),
+        )
+        for effs, first in (([good, tmsv_only, good, output], tmsv_only), ([output, good, tmsv_only, good], output)):
+            with pytest.raises(TruncationError) as alone:
+                rg.continuous_phase_mi(first, numerics)
+            with pytest.raises(TruncationError) as batch:
+                rg.link_mis(effs, numerics)
+            assert str(batch.value) == str(alone.value)
+
+
 class TestConditionalEntropyTerm:
     def test_no_signal_reduces_to_background(self):
         eff = EffectiveChannel(0.25, 0.525, 0.0)
@@ -47,6 +138,15 @@ class TestConditionalEntropyTerm:
     def test_pure_conditional_state(self):
         eff = EffectiveChannel(1.0, 0.0, 0.6)
         assert rg.conditional_entropy_term(eff) == pytest.approx(0.0, abs=1e-12)
+
+    def test_pure_loss_has_one_pure_mode(self):
+        # n_t_eff = 0: one symplectic eigenvalue sits at the pure-state floor,
+        # where rounding may land just below it; the rest is g((1 - kappa) n_s)
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            kappa, n_s = rng.uniform(0.0, 1.0), rng.uniform(0.0, 3.0)
+            term = rg.conditional_entropy_term(EffectiveChannel(kappa, 0.0, n_s))
+            assert term == pytest.approx(g.g_entropy((1.0 - kappa) * n_s), abs=1e-12)
 
     def test_matches_symplectic_spectrum_route(self):
         rng = np.random.default_rng(13)
@@ -135,7 +235,7 @@ class TestAchievableRegion:
 
     def test_nan_link_raises_numerical_error(self, monkeypatch):
         # the decoding-order check is explicit, so it also holds under python -O
-        monkeypatch.setattr(rg, "continuous_phase_mi", lambda eff, numerics: float("nan"))
+        monkeypatch.setattr(rg, "link_mis", lambda effs, numerics: [float("nan")] * len(effs))
         with pytest.raises(NumericalError) as err:
             rg.achievable_region(MacParams(tau=0.5, kappa=0.5, n_b=1.0), ModulationConfig(n_s=0.1), FAST)
         assert isinstance(err.value, EamacError)
