@@ -7,6 +7,13 @@ mode crosses a thermal-loss channel of transmissivity ``kappa`` with
 environment mean photon number ``n_b``.  This module builds every
 covariance matrix of that chain plus the point-to-point reductions used
 by the rate computations.
+
+A receiver enters only through its pair (kappa_r, background) from
+``MacParams.receiver``: (kappa, n_t) for the receiver Bob and
+(1 - kappa, kappa n_b) for the warden Willie on the reflected port.  One
+function, ``_joint_cov``, gives both joint covariances from that pair,
+and the conditioned (B, idler) covariance is the rebuilt covariance of
+the conditioned effective link, ``effective_cov(effective_params(...))``.
 """
 
 import math
@@ -114,83 +121,62 @@ def rotation_block(theta: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]])
 
 
+def _output_idler_cov(out_var: float, idler_var: float, crosses) -> np.ndarray:
+    """Covariance of one output mode against mutually independent idlers: output
+    block out_var I, idler blocks idler_var I, output-idler blocks ``crosses``."""
+    cov = idler_var * np.eye(2 + 2 * len(crosses))
+    cov[:2, :2] = out_var * np.eye(2)
+    cov[:2, 2:] = np.hstack(crosses)
+    cov[2:, :2] = cov[:2, 2:].T
+    return cov
+
+
 def tmsv_cov(n_s: float) -> np.ndarray:
     """4x4 covariance of a two-mode squeezed vacuum with ``n_s`` photons/mode."""
     if n_s < 0.0:
         raise DomainError(f"n_s must be >= 0, got {n_s}")
-    s = _s_param(n_s) * np.eye(2)
-    c = _c_q(n_s) * rotation_block(0.0)
-    return np.block([[s, c], [c, s]])
+    return _output_idler_cov(_s_param(n_s), _s_param(n_s), [_c_q(n_s) * rotation_block(0.0)])
+
+
+def _joint_cov(p: MacParams, m: ModulationConfig, receiver: str, sign: float, theta: float, phi: float) -> np.ndarray:
+    """6x6 covariance on (R, I_X, I_Y) of a receiver with (kappa_r, background).
+
+    The R variance is 2 (kappa_r n_s + background) + 1; the R-idler
+    correlations are sign C_q sqrt(kappa_r tau) R(theta) and
+    sign C_q sqrt(kappa_r (1 - tau)) R(phi).
+    """
+    kappa_r, background = p.receiver(receiver)
+    cq = sign * _c_q(m.n_s)
+    crosses = (
+        cq * np.sqrt(kappa_r * p.tau) * rotation_block(theta),
+        cq * np.sqrt(kappa_r * (1.0 - p.tau)) * rotation_block(phi),
+    )
+    return _output_idler_cov(2.0 * (kappa_r * m.n_s + background) + 1.0, _s_param(m.n_s), crosses)
 
 
 def bob_joint_cov(p: MacParams, m: ModulationConfig, theta: float = 0.0, phi: float = 0.0) -> np.ndarray:
-    """6x6 covariance of the receiver's joint state on modes (B, I_X, I_Y).
-
-    The B block is (S kappa + N (1 - kappa)) I with S = 2 n_s + 1 and
-    N = 2 n_t / (1 - kappa) + 1; the B-idler correlations carry the
-    beamsplitter weights sqrt(kappa tau) and sqrt(kappa (1 - tau)) and
-    the phase rotations of the two senders.
-    """
-    s = _s_param(m.n_s)
-    cq = _c_q(m.n_s)
-    n = 2.0 * p.n_t / (1.0 - p.kappa) + 1.0
-    b_var = s * p.kappa + n * (1.0 - p.kappa)
-    bx = cq * np.sqrt(p.kappa * p.tau) * rotation_block(theta)
-    by = cq * np.sqrt(p.kappa * (1.0 - p.tau)) * rotation_block(phi)
-    i2 = np.eye(2)
-    z2 = np.zeros((2, 2))
-    return np.block(
-        [
-            [b_var * i2, bx, by],
-            [bx, s * i2, z2],
-            [by, z2, s * i2],
-        ]
-    )
+    """6x6 covariance of the receiver's joint state on modes (B, I_X, I_Y):
+    ``_joint_cov`` at p.receiver("bob") = (kappa, n_t), sign +1."""
+    return _joint_cov(p, m, "bob", 1.0, theta, phi)
 
 
 def willie_joint_cov(p: MacParams, m: ModulationConfig, theta: float = 0.0, phi: float = 0.0) -> np.ndarray:
-    """6x6 covariance of the eavesdropper's joint state on modes (W, I_X, I_Y).
-
-    Same structure as the receiver's with kappa <-> 1 - kappa and the
-    correlation sign flipped by the reflected port convention.
-    """
-    s = _s_param(m.n_s)
-    cq = _c_q(m.n_s)
-    w_var = s * (1.0 - p.kappa) + p.kappa * (2.0 * p.n_b + 1.0)
-    wx = -cq * np.sqrt((1.0 - p.kappa) * p.tau) * rotation_block(theta)
-    wy = -cq * np.sqrt((1.0 - p.kappa) * (1.0 - p.tau)) * rotation_block(phi)
-    i2 = np.eye(2)
-    z2 = np.zeros((2, 2))
-    return np.block(
-        [
-            [w_var * i2, wx, wy],
-            [wx, s * i2, z2],
-            [wy, z2, s * i2],
-        ]
-    )
+    """6x6 covariance of the eavesdropper's joint state on modes (W, I_X, I_Y):
+    ``_joint_cov`` at p.receiver("willie") = (1 - kappa, kappa n_b), sign -1,
+    because the reflected port flips the correlations."""
+    return _joint_cov(p, m, "willie", -1.0, theta, phi)
 
 
 def conditioned_cov(p: MacParams, m: ModulationConfig, sender: str, theta: float = 0.0) -> np.ndarray:
     """4x4 covariance of (B, idler) after heterodyning the other idler.
 
-    For sender "x" the interfering idler I_Y is measured, subtracting
-    C_q^2 kappa (1 - tau) / (S + 1) from the B variance; sender "y" is
-    the mirror image with tau <-> 1 - tau.  Equals the generic Schur
-    complement of the joint 6x6 covariance exactly.
+    Heterodyning the interfering idler subtracts C_q^2 kappa (1 - tau) / (S + 1)
+    = 2 kappa n_s (1 - tau) (sender "x"; tau <-> 1 - tau for "y") from the B
+    variance, which cancels the other sender's signal exactly, so this is
+    the rebuilt covariance of the conditioned effective link.
+    ``conditioned_cov_oracle`` is the generic Schur complement it is checked against.
     """
-    s = _s_param(m.n_s)
-    cq = _c_q(m.n_s)
-    n = 2.0 * p.n_t / (1.0 - p.kappa) + 1.0
-    if sender == "x":
-        own, other = p.tau, 1.0 - p.tau
-    elif sender == "y":
-        own, other = 1.0 - p.tau, p.tau
-    else:
-        raise DomainError(f"sender must be 'x' or 'y', got {sender!r}")
-    b_var = s * p.kappa + n * (1.0 - p.kappa) - cq**2 * p.kappa * other / (s + 1.0)
-    cross = cq * np.sqrt(p.kappa * own) * rotation_block(theta)
-    i2 = np.eye(2)
-    return np.block([[b_var * i2, cross], [cross, s * i2]])
+    return effective_cov(effective_params(p, m, sender, True), theta)
 
 
 def unconditioned_cov(p: MacParams, m: ModulationConfig, sender: str, theta: float = 0.0) -> np.ndarray:
@@ -236,9 +222,6 @@ def effective_params(p: MacParams, m: ModulationConfig, sender: str, conditioned
 
 def effective_cov(eff: EffectiveChannel, theta: float = 0.0) -> np.ndarray:
     """Rebuild the 4x4 (B, idler) covariance from effective parameters."""
-    s = _s_param(eff.n_s)
-    cq = _c_q(eff.n_s)
     b_var = 2.0 * eff.kappa_eff * eff.n_s + 2.0 * eff.n_t_eff + 1.0
-    cross = cq * np.sqrt(eff.kappa_eff) * rotation_block(theta)
-    i2 = np.eye(2)
-    return np.block([[b_var * i2, cross], [cross, s * i2]])
+    cross = _c_q(eff.n_s) * np.sqrt(eff.kappa_eff) * rotation_block(theta)
+    return _output_idler_cov(b_var, _s_param(eff.n_s), [cross])

@@ -27,58 +27,47 @@ from .errors import (
 
 LN2 = math.log(2.0)
 REQUIRED = object()
+# the nine plan rates in output order, with their remainder orders
+_RATE_ORDERS = {**planner.Layer1Rates.ORDERS, **planner.Layer2Rates.ORDERS}
 
-# per-command schema: key -> (converter, default or REQUIRED)
+# per-command schema: key -> (converter, default or REQUIRED); the key
+# order is the order of the missing-key check
+_CHANNEL = {
+    "tau": (float, REQUIRED),
+    "kappa": (float, REQUIRED),
+    "n_b": (float, REQUIRED),
+}
+_PLAN = {
+    **_CHANNEL,
+    "n": (int, REQUIRED),
+    "delta": (float, REQUIRED),
+    "alpha": (float, REQUIRED),
+    "beta": (float, REQUIRED),
+    "s": (float, REQUIRED),
+    "mu_bar": (float, 0.1),
+    "epsilon": (float, 0.05),
+}
 SCHEMAS = {
     "region": {
-        "tau": (float, REQUIRED),
-        "kappa": (float, REQUIRED),
-        "n_b": (float, REQUIRED),
+        **_CHANNEL,
         "n_s": (float, REQUIRED),
         "cutoff": (int, 24),
         "psk_order": (int, 64),
         "tail_tol": (float, 1e-8),
         "boundary_points": (int, 0),
     },
-    "covert-rect": {
-        "tau": (float, REQUIRED),
-        "kappa": (float, REQUIRED),
-        "n_b": (float, REQUIRED),
-        "s": (float, REQUIRED),
-    },
+    "covert-rect": {**_CHANNEL, "s": (float, REQUIRED)},
     "budget": {
-        "tau": (float, REQUIRED),
-        "kappa": (float, REQUIRED),
-        "n_b": (float, REQUIRED),
+        **_CHANNEL,
         "n": (int, REQUIRED),
         "delta": (float, REQUIRED),
         "alpha": (float, None),
         "beta": (float, None),
         "s": (float, None),
     },
-    "plan": {
-        "tau": (float, REQUIRED),
-        "kappa": (float, REQUIRED),
-        "n_b": (float, REQUIRED),
-        "n": (int, REQUIRED),
-        "delta": (float, REQUIRED),
-        "alpha": (float, REQUIRED),
-        "beta": (float, REQUIRED),
-        "s": (float, REQUIRED),
-        "mu_bar": (float, 0.1),
-        "epsilon": (float, 0.05),
-    },
+    "plan": _PLAN,
     "sweep": {
-        "tau": (float, REQUIRED),
-        "kappa": (float, REQUIRED),
-        "n_b": (float, REQUIRED),
-        "n": (int, REQUIRED),
-        "delta": (float, REQUIRED),
-        "alpha": (float, REQUIRED),
-        "beta": (float, REQUIRED),
-        "s": (float, REQUIRED),
-        "mu_bar": (float, 0.1),
-        "epsilon": (float, 0.05),
+        **_PLAN,
         "vary": (str, REQUIRED),
         "start": (float, REQUIRED),
         "stop": (float, REQUIRED),
@@ -231,10 +220,14 @@ def _region_svg(reg, config, args) -> str:
     )
 
 
+def _mac_params(config) -> MacParams:
+    return MacParams(tau=config["tau"], kappa=config["kappa"], n_b=config["n_b"])
+
+
 def cmd_region(config, args) -> str:
     if config["boundary_points"] < 0:
         raise ConfigError(f"boundary_points must be >= 0, got {config['boundary_points']}")
-    p = MacParams(tau=config["tau"], kappa=config["kappa"], n_b=config["n_b"])
+    p = _mac_params(config)
     m = ModulationConfig(n_s=config["n_s"])
     numerics = rg.RegionNumerics(
         cutoff=config["cutoff"], psk_order=config["psk_order"], tail_tol=config["tail_tol"]
@@ -246,7 +239,7 @@ def cmd_region(config, args) -> str:
 
 
 def cmd_covert_rect(config, args) -> str:
-    p = MacParams(tau=config["tau"], kappa=config["kappa"], n_b=config["n_b"])
+    p = _mac_params(config)
     rect = rg.covert_rectangle(p, config["s"])
     if args.format == "svg":
         return _region_svg(rect, config, args)
@@ -261,7 +254,7 @@ def cmd_covert_rect(config, args) -> str:
 
 
 def cmd_budget(config, args) -> str:
-    p = MacParams(tau=config["tau"], kappa=config["kappa"], n_b=config["n_b"])
+    p = _mac_params(config)
     lines = _header("budget", config, args)
     missing = [k for k in ("alpha", "beta", "s") if config[k] is None]
     if missing:
@@ -277,16 +270,9 @@ def cmd_budget(config, args) -> str:
 
 
 def _plan_lines(plan, args) -> list:
-    lines = []
-    lines.append(f"power = {_fmt(plan.power)}")
-    lines.append(f"budget = {_fmt(plan.budget)}")
-    lines.append("feasible = true")
-    for name, value in plan.rates():
-        lines.append(f"{name} = {_fmt(_rate(value, args))}")
-    orders = dict(plan.layer1.ORDERS)
-    orders.update(plan.layer2.ORDERS)
-    for name, _ in plan.rates():
-        lines.append(f"order.{name} = {orders[name]}")
+    lines = [f"power = {_fmt(plan.power)}", f"budget = {_fmt(plan.budget)}", "feasible = true"]
+    lines += [f"{name} = {_fmt(_rate(value, args))}" for name, value in plan.rates()]
+    lines += [f"order.{name} = {order}" for name, order in _RATE_ORDERS.items()]
     lines += [
         f"l_x = {plan.layer2.l_x}",
         f"l_y = {plan.layer2.l_y}",
@@ -297,7 +283,7 @@ def _plan_lines(plan, args) -> list:
 
 
 def cmd_plan(config, args) -> str:
-    p = MacParams(tau=config["tau"], kappa=config["kappa"], n_b=config["n_b"])
+    p = _mac_params(config)
     plan = planner.build_plan(
         config["n"],
         config["alpha"],
@@ -311,28 +297,13 @@ def cmd_plan(config, args) -> str:
     return "\n".join(_header("plan", config, args) + _plan_lines(plan, args)) + "\n"
 
 
-SWEEP_COLUMNS = [
-    "budget",
-    "power",
-    "feasible",
-    "log_m_x1",
-    "log_m_y1",
-    "log_m_xy1",
-    "log_m_x1_keys",
-    "log_m_y1_keys",
-    "log_m_keys_total",
-    "log_m_x2",
-    "log_m_y2",
-    "log_m_xy2",
-    "rect_x",
-    "rect_y",
-]
+SWEEP_COLUMNS = ["budget", "power", "feasible", *_RATE_ORDERS, "rect_x", "rect_y"]
 
 
 def _sweep_row(config, args, value) -> str:
     local = dict(config)
     local[config["vary"]] = value
-    p = MacParams(tau=local["tau"], kappa=local["kappa"], n_b=local["n_b"])
+    p = _mac_params(local)
     point = (local["n"], local["alpha"], local["beta"], local["s"], p, local["delta"])
     power, budget, feasible = feasibility = planner.covert_feasibility(*point)
     cells = [repr(float(value)), repr(budget), repr(power), "true" if feasible else "false"]
@@ -340,7 +311,7 @@ def _sweep_row(config, args, value) -> str:
         plan = planner._resolve_plan(*point, local["epsilon"], local["mu_bar"], feasibility)
         cells += [repr(_rate(v, args)) for _, v in plan.rates()]
     else:
-        cells += [""] * 9
+        cells += [""] * len(_RATE_ORDERS)
     rect = rg.covert_rectangle(p, local["s"])
     cells += [repr(_rate(rect.x_bound, args)), repr(_rate(rect.y_bound, args))]
     return ",".join(cells)

@@ -351,8 +351,8 @@ def spectral_entropy(eigs: np.ndarray) -> float | np.ndarray:
     """Entropy -sum lambda ln lambda in nats of a density-matrix spectrum, or of each row of a stack."""
     if np.min(eigs) < -1e-10:
         raise PhysicalityError(f"density matrix has eigenvalue {np.min(eigs):.3e} < -1e-10")
-    eigs = np.maximum(eigs, 0.0)
-    entropy = -xlogy(eigs, eigs).sum(axis=-1)
+    # the log of every eigenvalue at or below 0, rounding included, is taken as 0
+    entropy = -(eigs * np.log(eigs, out=np.zeros_like(eigs), where=eigs > 0.0)).sum(axis=-1)
     return float(entropy) if entropy.ndim == 0 else entropy
 
 
@@ -381,17 +381,14 @@ def phase_average_fock(rho: FockDensity, psk_order, mode: int = 0) -> FockDensit
 
     The constellation is theta_k = 2 pi k / L under exp(i 2 theta n_hat),
     so a coherence between photon numbers n and m survives iff
-    2 (n - m) = 0 (mod L).  ``psk_order=None`` performs the continuous
-    average (only n = m survives).  This is a pinching, computed exactly.
+    2 (n - m) = 0 (mod L); an L of at least twice the cutoff keeps only
+    n = m, the continuous average.  This is a pinching, computed exactly.
     """
     if not 0 <= mode < rho.modes:
         raise ShapeError(f"mode {mode} out of range for {rho.modes} modes")
     n = np.arange(rho.cutoff)
     delta = n[:, None] - n[None, :]
-    if psk_order is None:
-        keep = delta == 0
-    else:
-        keep = np.mod(2 * delta, int(psk_order)) == 0
+    keep = np.mod(2 * delta, int(psk_order)) == 0
     shape = [1] * (2 * rho.modes)
     shape[mode] = rho.cutoff
     shape[rho.modes + mode] = rho.cutoff
@@ -488,9 +485,9 @@ def phase_averaged_spectra(effs, cutoff: int, psk_order, tail_tol=DEFAULT_TAIL_T
     L / gcd(2, L).  The state is therefore a direct sum of Gram blocks
     V_B V_B^T, one per (x - k, x mod L / gcd(2, L)), with the row
     V[(x, k), j] = sqrt(p_k) <x|B_i A_j|k>, i = x - k + j, indexed by the
-    j <= k < cutoff photons lost.  For ``psk_order=None`` or
-    L / gcd(2, L) >= cutoff every block is 1 x 1 and the spectrum is
-    p_k P(x|k) with P = loss @ amp, one batched product for all links.
+    j <= k < cutoff photons lost.  For L / gcd(2, L) >= cutoff every block
+    is 1 x 1 and the spectrum is p_k P(x|k) with P = loss @ amp, one
+    batched product for all links.
     The trace deficit is 1 minus the summed block traces: the TMSV tail and
     the output levels x >= cutoff.
     """
@@ -503,7 +500,7 @@ def phase_averaged_spectra(effs, cutoff: int, psk_order, tail_tol=DEFAULT_TAIL_T
     # law[i, k, x] is the squared norm of row (x, k) of link i
     law = p_k[:, :, None] * (loss @ amp)
     deficits = 1.0 - law.sum(axis=(1, 2))
-    period = cutoff if psk_order is None else min(psk_order // math.gcd(2, psk_order), cutoff)
+    period = min(psk_order // math.gcd(2, psk_order), cutoff)
     if period == cutoff:
         return law.reshape(len(effs), -1), deficits
     x, k = np.divmod(np.arange(cutoff**2), cutoff)

@@ -10,6 +10,7 @@ thermal state with mean photon number ``nbar`` has covariance
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import xlogy
 
 from .errors import DomainError, EamacError, PhysicalityError, ShapeError, ChannelValidityError
 
@@ -73,8 +74,7 @@ def g_entropy(x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise DomainError("g_entropy requires x >= 0")
-    safe = np.where(arr > 0, arr, 1.0)
-    out = (arr + 1.0) * np.log1p(arr) - np.where(arr > 0, safe * np.log(safe), 0.0)
+    out = (arr + 1.0) * np.log1p(arr) - xlogy(arr, arr)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out

@@ -2,11 +2,15 @@
 
 All quantities are leading-order evaluations of the covert coding
 scheme's guarantees; the little-o corrections are attached as order
-strings rather than silently estimated.  ``covert_feasibility`` is the
-one feasibility rule, used by ``build_plan`` and the CLI.  The exact
-classical evaluators (relent_exact, willie_tv_mc) exploit the fact that
-every per-slot state of the sparse layer is diagonal in the photon-number
-basis.
+strings rather than silently estimated.  A receiver enters only through
+its pair (kappa_r, b) from ``MacParams.receiver``: the budget through
+the warden's, and the sparse layer's rates as n times the leading
+chi-square divergence weight kappa_r^2 / (2 b (1+b)) (``relent_leading``),
+at the receiver for messages and at the warden for keys.
+``covert_feasibility`` is the one feasibility rule, used by
+``build_plan`` and the CLI.  The exact classical evaluators
+(relent_exact, willie_tv_mc) exploit the fact that every per-slot state
+of the sparse layer is diagonal in the photon-number basis.
 """
 
 import math
@@ -91,10 +95,11 @@ def _willie_coeff(p: MacParams) -> float:
     return 2.0 * math.sqrt(b * (1.0 + b)) / kappa_r
 
 
-def _chi2_den(p: MacParams, receiver: str) -> float:
-    """Leading chi-square denominator 2 b (1+b) of the receiver's thermal law."""
-    _, b = p.receiver(receiver)
-    return 2.0 * b * (1.0 + b)
+def _chi2_rate(p: MacParams, receiver: str, weight: float) -> float:
+    """Leading chi-square divergence weight kappa_r^2 / (2 b (1+b)) at ``receiver``,
+    whose signal coupling is kappa_r and thermal background b."""
+    kappa_r, b = p.receiver(receiver)
+    return weight * kappa_r**2 / (2.0 * b * (1.0 + b))
 
 
 def weighted_power(alpha: float, beta: float, s: float, p: MacParams) -> float:
@@ -153,22 +158,16 @@ class Layer2Rates:
 def layer1_throughput(n: int, alpha: float, beta: float, s: float, p: MacParams) -> Layer1Rates:
     """Sparse-layer message and key budgets at leading order.
 
-    Message rates carry the receiver-side coefficient
-    kappa^2 s^2 / (2 (1-kappa) n_b (1 + (1-kappa) n_b)); the key-stuffed
-    ceilings swap kappa <-> 1-kappa.  ``build_plan`` checks the budget.
+    Each rate is n times the leading divergence of ``relent_leading``: the
+    message rates at the receiver (kappa, n_t) for the x, y and joint
+    marginals, the key-stuffed ceilings at the warden (1 - kappa, kappa n_b).
+    ``build_plan`` checks the budget.
     """
-    bob_den = _chi2_den(p, "bob")
-    willie_den = _chi2_den(p, "willie")
+    # this product order fixes the printed digits of plan and sweep
     x_weight = n * alpha * p.tau**2 * s**2
     y_weight = n * beta * (1.0 - p.tau) ** 2 * s**2
-    return Layer1Rates(
-        log_m_x1=x_weight * p.kappa**2 / bob_den,
-        log_m_y1=y_weight * p.kappa**2 / bob_den,
-        log_m_xy1=(x_weight + y_weight) * p.kappa**2 / bob_den,
-        log_m_x1_keys=x_weight * (1.0 - p.kappa) ** 2 / willie_den,
-        log_m_y1_keys=y_weight * (1.0 - p.kappa) ** 2 / willie_den,
-        log_m_keys_total=(x_weight + y_weight) * (1.0 - p.kappa) ** 2 / willie_den,
-    )
+    weights = (x_weight, y_weight, x_weight + y_weight)
+    return Layer1Rates(*(_chi2_rate(p, receiver, w) for receiver in ("bob", "willie") for w in weights))
 
 
 def layer2_throughput(n: int, alpha: float, beta: float, s: float, p: MacParams, mu_bar: float) -> Layer2Rates:
@@ -210,18 +209,7 @@ class CovertPlan:
 
     def rates(self):
         """The nine rate outputs as (name, value) pairs, in nats."""
-        l1, l2 = self.layer1, self.layer2
-        return [
-            ("log_m_x1", l1.log_m_x1),
-            ("log_m_y1", l1.log_m_y1),
-            ("log_m_xy1", l1.log_m_xy1),
-            ("log_m_x1_keys", l1.log_m_x1_keys),
-            ("log_m_y1_keys", l1.log_m_y1_keys),
-            ("log_m_keys_total", l1.log_m_keys_total),
-            ("log_m_x2", l2.log_m_x2),
-            ("log_m_y2", l2.log_m_y2),
-            ("log_m_xy2", l2.log_m_xy2),
-        ]
+        return [(name, getattr(layer, name)) for layer in (self.layer1, self.layer2) for name in layer.ORDERS]
 
 
 def build_plan(
@@ -328,10 +316,9 @@ def scaling_limits(
             raise InfeasibleError(
                 f"power {power:.6g} implies no detection budget in (0, 1)", binding="budget-constant"
             )
-    bob_den = _chi2_den(p, "bob")
     return ScalingLimits(
-        layer1_x=alpha * p.tau**2 * p.kappa**2 * s**2 / bob_den,
-        layer1_y=beta * (1.0 - p.tau) ** 2 * p.kappa**2 * s**2 / bob_den,
+        layer1_x=_chi2_rate(p, "bob", alpha * p.tau**2 * s**2),
+        layer1_y=_chi2_rate(p, "bob", beta * (1.0 - p.tau) ** 2 * s**2),
         layer2_x=gamma * p.kappa * p.tau * alpha * s / (1.0 + p.n_t),
         layer2_y=gamma * p.kappa * (1.0 - p.tau) * beta * s / (1.0 + p.n_t),
         ent_nats_x=gamma * alpha * s,
@@ -355,20 +342,20 @@ _MARGINALS = ("joint", "x", "y")
 def relent_leading(p: MacParams, alpha: float, beta: float, s: float, receiver: str, marginal: str) -> RelEntStats:
     """Leading-order D and V of the sparse layer's per-slot divergences.
 
-    V equals 2 D at this order.  Valid as an approximation only for
-    small alpha, beta, s.
+    D is the chi-square divergence (alpha tau^2 + beta (1-tau)^2) s^2 kappa_r^2
+    / (2 b (1+b)) at the receiver (kappa_r, b), keeping the alpha term for
+    the x marginal and the beta term for y.  V equals 2 D at this order.
+    Valid as an approximation only for small alpha, beta, s.
     """
     if marginal not in _MARGINALS:
         raise DomainError(f"marginal must be one of {_MARGINALS}, got {marginal!r}")
-    coupling = p.receiver(receiver)[0] ** 2
-    den = _chi2_den(p, receiver)
-    if marginal == "joint":
-        weight, order = alpha * p.tau**2 + beta * (1.0 - p.tau) ** 2, "O((alpha+beta)*s^4)"
-    elif marginal == "x":
-        weight, order = alpha * p.tau**2, "O(alpha*s^4)"
-    else:
-        weight, order = beta * (1.0 - p.tau) ** 2, "O(beta*s^4)"
-    d = weight * coupling * s**2 / den
+    x_weight, y_weight = alpha * p.tau**2, beta * (1.0 - p.tau) ** 2
+    weight, order = {
+        "joint": (x_weight + y_weight, "O((alpha+beta)*s^4)"),
+        "x": (x_weight, "O(alpha*s^4)"),
+        "y": (y_weight, "O(beta*s^4)"),
+    }[marginal]
+    d = _chi2_rate(p, receiver, weight * s**2)
     return RelEntStats(d=d, v=2.0 * d, r_order=order)
 
 
@@ -458,11 +445,11 @@ def willie_tv_mc(
         raise DomainError(f"samples must be >= 1, got {samples}")
     # cutoff sized so the chance of any draw beyond it over all n*samples
     # slots is negligible
-    max_mean = p.kappa * p.n_b + (1.0 - p.kappa) * s
-    cutoff = max(fock.required_cutoff(max_mean, 1e-18) + 16, 32)
+    kappa_r, background = p.receiver("willie")
+    cutoff = max(fock.required_cutoff(background + kappa_r * s, 1e-18) + 16, 32)
     entries = fock.layer1_mode_distributions(p, alpha, beta, s, "willie", cutoff=cutoff)
     q1 = sum(w * dist.probs for _, w, dist in entries)
-    q0 = fock.photon_distribution_thermal(p.kappa * p.n_b, cutoff).probs
+    q0 = fock.photon_distribution_thermal(background, cutoff).probs
     q1 = q1 / q1.sum()
     q0 = q0 / q0.sum()
     llr = np.log(q1) - np.log(q0)

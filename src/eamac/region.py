@@ -38,7 +38,8 @@ __all__ = [
 # Largest Fock cutoff a region accepts; it keeps a configured cutoff from
 # asking for more memory than the machine has.  At 512, which holds a TMSV
 # with n_s up to about 25 within the default tail budget, one link MI takes
-# about 1.2 s and 100 MB peak with psk_order 64, and 0.07 s with None.
+# about 1.2 s and 100 MB peak with psk_order 64, and 0.07 s with a
+# psk_order of at least twice the cutoff.
 MAX_CUTOFF = 512
 
 
@@ -47,19 +48,18 @@ class RegionNumerics:
     """Fock-space settings for the mutual-information evaluations.
 
     ``psk_order`` of at least twice the cutoff makes the discrete phase
-    average equal the continuous one on the truncated space; ``None`` is
-    the continuous average.
+    average equal the continuous one on the truncated space.
     """
 
     cutoff: int = 24
-    psk_order: int | None = 64
+    psk_order: int = 64
     tail_tol: float = fock.DEFAULT_TAIL_TOL
 
     def __post_init__(self):
         if not 1 <= self.cutoff <= MAX_CUTOFF:
             raise DomainError(f"cutoff must lie in [1, {MAX_CUTOFF}], got {self.cutoff}")
-        if self.psk_order is not None and self.psk_order < 1:
-            raise DomainError(f"psk_order must be >= 1 or None, got {self.psk_order}")
+        if not (isinstance(self.psk_order, (int, np.integer)) and self.psk_order >= 1):
+            raise DomainError(f"psk_order must be an integer >= 1, got {self.psk_order!r}")
         if not (math.isfinite(self.tail_tol) and 0.0 < self.tail_tol < 1.0):
             raise DomainError(f"tail_tol must be finite and lie in (0, 1), got {self.tail_tol}")
 

@@ -265,7 +265,7 @@ class TestPhaseAveragedSpectrum:
         ch.EffectiveChannel(0.0, 0.5, 0.2),  # decoupled signal
     ]
 
-    @pytest.mark.parametrize("psk_order", [2, 4, 6, 10, 64, None])
+    @pytest.mark.parametrize("psk_order", [2, 4, 6, 10, 28, 64])
     def test_matches_dense_on_seeded_grid(self, psk_order):
         for eff in _criterion7_links(2024, 6) + self.EDGE_LINKS:
             eigs, deficit = fk.phase_averaged_spectrum(eff, 14, psk_order, tail_tol=1e-5)
@@ -285,7 +285,7 @@ class TestPhaseAveragedSpectrum:
             assert abs(entropy - fk.entropy_fock(rho0) - dense_mi) <= 1e-12
             assert abs(deficit - rho0.tail()) <= 1e-12
 
-    @pytest.mark.parametrize("psk_order", [6, None])
+    @pytest.mark.parametrize("psk_order", [6, 24])
     def test_batch_rows_equal_one_link_views(self, psk_order):
         links = _criterion7_links(11, 4) + self.EDGE_LINKS
         spectra, deficits = fk.phase_averaged_spectra(links, 12, psk_order, tail_tol=1e-5)
@@ -323,7 +323,7 @@ class TestPhaseAveragedSpectrum:
         # L >= 2d leaves a diagonal state: d^2 eigenvalues, one per (x, k)
         eff = ch.EffectiveChannel(0.25, 0.525, 0.1)
         eigs, deficit = fk.phase_averaged_spectrum(eff, 12, 24, tail_tol=1e-5)
-        diag, _ = fk.phase_averaged_spectrum(eff, 12, None, tail_tol=1e-5)
+        diag, _ = fk.phase_averaged_spectrum(eff, 12, 64, tail_tol=1e-5)
         assert eigs.size == 144
         np.testing.assert_array_equal(np.sort(eigs), np.sort(diag))
         assert abs(eigs.sum() - (1.0 - deficit)) <= 1e-14

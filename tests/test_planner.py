@@ -70,6 +70,23 @@ class TestLayer1Throughput:
             key_coeff = (1 - kappa) ** 2 / (kappa * p.n_b * (1 + kappa * p.n_b))
             assert (rates.log_m_x1 <= rates.log_m_x1_keys) == (msg_coeff <= key_coeff)
 
+    def test_rates_are_n_times_leading_divergence(self):
+        # messages at the receiver, keys at the warden, one rate per marginal
+        pairs = {
+            "log_m_x1": ("bob", "x"),
+            "log_m_y1": ("bob", "y"),
+            "log_m_xy1": ("bob", "joint"),
+            "log_m_x1_keys": ("willie", "x"),
+            "log_m_y1_keys": ("willie", "y"),
+            "log_m_keys_total": ("willie", "joint"),
+        }
+        n, alpha, beta, s = 10**6, 3e-3, 2e-2, 4e-3
+        for p in (P_CANON, MacParams(tau=0.3, kappa=0.8, n_b=2.5), MacParams(tau=0.9, kappa=0.1, n_b=40.0)):
+            rates = pl.layer1_throughput(n, alpha, beta, s, p)
+            for name, (receiver, marginal) in pairs.items():
+                lead = pl.relent_leading(p, alpha, beta, s, receiver, marginal)
+                assert getattr(rates, name) == pytest.approx(n * lead.d, rel=1e-14), name
+
 
 
 class TestLayer2Throughput:

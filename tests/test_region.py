@@ -28,16 +28,12 @@ class TestRegionNumerics:
             ({"tail_tol": float("inf")}, "tail_tol"),
             ({"cutoff": rg.MAX_CUTOFF + 1}, "cutoff"),
             ({"cutoff": 100000}, "cutoff"),
+            ({"psk_order": None}, "psk_order"),
         ],
     )
     def test_rejects_out_of_domain(self, kwargs, key):
         with pytest.raises(DomainError, match=key):
             rg.RegionNumerics(**kwargs)
-
-    def test_continuous_average_allowed(self):
-        numerics = rg.RegionNumerics(cutoff=16, psk_order=None, tail_tol=1e-7)
-        eff = EffectiveChannel(0.25, 0.5, 0.1)
-        assert rg.continuous_phase_mi(eff, numerics) == pytest.approx(rg.continuous_phase_mi(eff, FAST), abs=1e-15)
 
 
 def _region_links(p, n_s):
@@ -163,6 +159,21 @@ class TestConditionalEntropyTerm:
         assert rg.noise_condition_ok(EffectiveChannel(0.25, 0.525, 0.1))
         # zero noise with nonzero signal violates the stated floor
         assert not rg.noise_condition_ok(EffectiveChannel(0.9, 0.0, 1.0))
+
+
+class TestRegenerateFixtures:
+    def test_reproduces_checked_in_records(self, tmp_path):
+        package = fixtures._data_path()
+        before = (package.read_bytes(), package.stat().st_mtime_ns)
+        written = tmp_path / "golden.txt"
+        fixtures.regenerate(written)
+        assert (package.read_bytes(), package.stat().st_mtime_ns) == before
+        fresh, golden = fixtures.load_fixtures(written), fixtures.load_fixtures()
+        assert fresh.keys() == golden.keys()
+        for name, rec in golden.items():
+            assert fresh[name].keys() == rec.keys()
+            for key, value in rec.items():
+                assert fresh[name][key] == pytest.approx(value, abs=rec["tolerance"]), (name, key)
 
 
 class TestContinuousPhaseMi:
