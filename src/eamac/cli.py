@@ -20,9 +20,7 @@ from .errors import (
     DomainError,
     EamacError,
     InfeasibleError,
-    PhysicalityError,
     ShapeError,
-    TruncationError,
 )
 
 LN2 = math.log(2.0)
@@ -412,7 +410,7 @@ def main(argv=None) -> int:
             sys.stdout.write(exc.report)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except (TruncationError, PhysicalityError, EamacError) as exc:
+    except EamacError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     if args.out:

@@ -1,17 +1,17 @@
-"""Brute-force ground truth in truncated Fock space.
+"""Brute-force ground truth in truncated Fock space, plus the region's spectrum.
 
-Everything here exists to validate the Gaussian closed forms against an
-independent route: states are explicit density matrices on a cutoff-d
-photon-number basis, entropies come straight from eigenvalues, and the
-thermal-loss channel is a beamsplitter with a truncated thermal
-environment, exponentiated per total photon number (``_hopping_block``).
-Real states stay real; only phase rotations make them complex.
-The one exception is ``phase_averaged_spectra``, which the region uses:
-it writes thermal loss as pure loss followed by a quantum-limited
-amplifier, whose closed-form Kraus laws need no environment and no
-matrix exponential, and it never forms a dense state.  A batch of links
-shares one log-factorial table, one ``loss @ amp`` product and one
-entropy row sum.  The dense route is its oracle.
+The oracle checks the Gaussian closed forms by an independent route:
+states are explicit density matrices on a cutoff-d photon-number basis,
+entropies come straight from eigenvalues, and the thermal-loss channel
+is a beamsplitter with a truncated thermal environment, exponentiated
+per total photon number (``_hopping_block``).  Real states stay real;
+only phase rotations make them complex.
+The region's spectrum, ``phase_averaged_spectra``, writes thermal loss
+as pure loss then a quantum-limited amplifier, whose closed-form Kraus
+laws need no environment and no matrix exponential, and never forms a
+dense state; a batch of links shares one ``loss @ amp`` product.  The
+dense route is its oracle.  The covert layer's per-slot laws belong to
+the planner (``planner.slot_laws``), not to this module.
 
 Truncation bookkeeping: each constructor takes a tail budget
 ``tail_tol`` and raises TruncationError (naming the required cutoff)
@@ -34,14 +34,12 @@ DEFAULT_TAIL_TOL = 1e-8
 __all__ = [
     "FockVector",
     "FockDensity",
-    "PhotonDistribution",
     "required_cutoff",
     "tmsv_fock",
     "thermal_fock",
     "phase_rotate_fock",
     "beamsplitter_fock",
     "thermal_loss_fock",
-    "mac_mix_fock",
     "mac_joint_fock",
     "entropy_fock",
     "spectral_entropy",
@@ -52,7 +50,6 @@ __all__ = [
     "phase_averaged_spectrum",
     "psk_ensemble_mi",
     "photon_distribution_thermal",
-    "layer1_mode_distributions",
     "moments_from_fock",
 ]
 
@@ -134,22 +131,6 @@ class FockDensity:
         return FockDensity(self.cutoff, len(keep), tensor.reshape(dim, dim))
 
 
-@dataclass(frozen=True)
-class PhotonDistribution:
-    """Probabilities over photon counts 0..d-1 for a Fock-diagonal state."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or np.any(probs < -1e-15):
-            raise DomainError("photon distribution must be a nonnegative vector")
-        object.__setattr__(self, "probs", np.maximum(probs, 0.0))
-
-    def tail(self) -> float:
-        return 1.0 - float(self.probs.sum())
-
-
 def required_cutoff(n_mean: float, tail_tol: float) -> int:
     """Smallest d with thermal/TMSV tail (n/(n+1))^d <= tail_tol."""
     if n_mean <= 0.0:
@@ -175,25 +156,21 @@ def tmsv_fock(n_s: float, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> Fo
     if n_s < 0.0:
         raise DomainError(f"n_s must be >= 0, got {n_s}")
     _check_tmsv_cutoff(n_s, cutoff, tail_tol)
-    return FockVector(cutoff, 2, np.diag(np.sqrt(_geometric_law(n_s, cutoff))))
+    return FockVector(cutoff, 2, np.diag(np.sqrt(photon_distribution_thermal(n_s, cutoff))))
 
 
 def thermal_fock(n_mean: float, cutoff: int) -> FockDensity:
     """Single-mode thermal state, diagonal geometric distribution."""
-    return FockDensity(cutoff, 1, np.diag(photon_distribution_thermal(n_mean, cutoff).probs))
+    return FockDensity(cutoff, 1, np.diag(photon_distribution_thermal(n_mean, cutoff)))
 
 
-def photon_distribution_thermal(n_mean: float, cutoff: int) -> PhotonDistribution:
-    """Geometric photon-number law n^k / (n+1)^(k+1), truncated at ``cutoff``."""
-    if n_mean < 0.0:
-        raise DomainError(f"mean photon number must be >= 0, got {n_mean}")
-    return PhotonDistribution(_geometric_law(n_mean, cutoff))
-
-
-def _geometric_law(n_mean, cutoff: int) -> np.ndarray:
-    """n^k / (n+1)^(k+1) for k < cutoff, one row per mean of an array of means >= 0;
-    a zero mean gives the vacuum row [1, 0, ...] without taking log 0."""
+def photon_distribution_thermal(n_mean, cutoff: int) -> np.ndarray:
+    """Geometric photon-number law n^k / (n+1)^(k+1) for k < cutoff, one row per
+    mean of an array of means; a zero mean gives the vacuum row [1, 0, ...]
+    without taking log 0."""
     n = np.asarray(n_mean, dtype=float)[..., None]
+    if np.any(n < 0.0):
+        raise DomainError(f"mean photon number must be >= 0, got {n_mean}")
     q = n / (n + 1.0)
     k = np.arange(cutoff)
     return np.where(q > 0.0, np.exp(k * np.log(np.where(q > 0.0, q, 1.0))) / (n + 1.0), k == 0)
@@ -275,7 +252,7 @@ def _thermal_loss_superop(kappa: float, n_env: float, d_in: int, d_out: int, d_e
     d_out; both show up in the output trace.  Real because U is real.
     """
     xi = math.acos(min(1.0, math.sqrt(kappa)))
-    p_env = photon_distribution_thermal(n_env, d_env).probs
+    p_env = photon_distribution_thermal(n_env, d_env)
     weight = np.sqrt(p_env / p_env.sum())
     # b[x, e_out, n, e_in] = <x, e_out|U|n, e_in> sqrt(p_e_in)
     b = np.zeros((d_out, d_in + d_env - 1, d_in, d_env))
@@ -327,19 +304,6 @@ def thermal_loss_fock(
     out = (superop @ moved.reshape(d * d, -1)).reshape(moved.shape)
     dim = d**rho.modes
     return FockDensity(d, rho.modes, np.moveaxis(out, (0, 1), (mode, rho.modes + mode)).reshape(dim, dim))
-
-
-def mac_mix_fock(rho_x: FockDensity, rho_y: FockDensity, tau: float) -> FockDensity:
-    """Combine two single-mode states on a beamsplitter(tau), keep the first port."""
-    if rho_x.modes != 1 or rho_y.modes != 1 or rho_x.cutoff != rho_y.cutoff:
-        raise ShapeError("mac_mix_fock expects two single-mode densities with equal cutoffs")
-    if not 0.0 <= tau <= 1.0:
-        raise DomainError(f"tau must lie in [0, 1], got {tau}")
-    d = rho_x.cutoff
-    u = beamsplitter_fock(d, d, tau)
-    joint = np.kron(rho_x.matrix, rho_y.matrix)
-    mixed = u @ joint @ u.T
-    return FockDensity(d, 2, mixed).partial_trace([0])
 
 
 def entropy_fock(rho: FockDensity) -> float:
@@ -495,7 +459,7 @@ def phase_averaged_spectra(effs, cutoff: int, psk_order, tail_tol=DEFAULT_TAIL_T
         _check_output_cutoff(eff, cutoff, tail_tol)
         _check_tmsv_cutoff(eff.n_s, cutoff, tail_tol)
     kappa, n_t, n_s = np.array([(eff.kappa_eff, eff.n_t_eff, eff.n_s) for eff in effs]).T
-    p_k = _geometric_law(n_s, cutoff)
+    p_k = photon_distribution_thermal(n_s, cutoff)
     loss, amp = _kraus_laws(kappa, n_t, cutoff, cutoff)
     # law[i, k, x] is the squared norm of row (x, k) of link i
     law = p_k[:, :, None] * (loss @ amp)
@@ -570,7 +534,6 @@ def mac_joint_fock(
     p: MacParams,
     n_s: float,
     cutoff: int,
-    d_env=None,
     theta: float = 0.0,
     phi: float = 0.0,
     tail_tol: float = DEFAULT_TAIL_TOL,
@@ -591,38 +554,7 @@ def mac_joint_fock(
     # trace the discarded combiner port (axis 1): modes left (a, I_X, I_Y)
     amp = mixed.transpose(0, 2, 3, 1).reshape(d**3, d)
     rho = FockDensity(d, 3, amp @ amp.conj().T)
-    return thermal_loss_fock(rho, p.kappa, p.n_b, d_env=d_env, mode=0, tail_tol=tail_tol)
-
-
-def layer1_mode_distributions(p: MacParams, alpha: float, beta: float, s: float, receiver: str, cutoff=None):
-    """Per-slot photon distributions of the sparse layer, as (weight, law) pairs.
-
-    The four on/off input combinations map to thermal outputs with mean
-    kappa_recv (tau s 1{x} + (1-tau) s 1{y}) + background, where
-    (kappa_recv, background) = p.receiver(receiver).
-    """
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not 0.0 <= value <= 1.0:
-            raise DomainError(f"{name} must lie in [0, 1], got {value}")
-    if s < 0.0:
-        raise DomainError(f"s must be >= 0, got {s}")
-    kappa_recv, background = p.receiver(receiver)
-    weights = {
-        (0, 0): (1.0 - alpha) * (1.0 - beta),
-        (0, 1): (1.0 - alpha) * beta,
-        (1, 0): alpha * (1.0 - beta),
-        (1, 1): alpha * beta,
-    }
-    means = {
-        (x, y): background + kappa_recv * (p.tau * s * x + (1.0 - p.tau) * s * y)
-        for (x, y) in weights
-    }
-    if cutoff is None:
-        cutoff = max(required_cutoff(max(means.values()), 1e-14) + 8, 32)
-    return [
-        ((x, y), weights[x, y], photon_distribution_thermal(means[x, y], cutoff))
-        for (x, y) in sorted(weights)
-    ]
+    return thermal_loss_fock(rho, p.kappa, p.n_b, mode=0, tail_tol=tail_tol)
 
 
 def _quadrature_ops(cutoff: int):

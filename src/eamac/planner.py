@@ -8,9 +8,10 @@ the warden's, and the sparse layer's rates as n times the leading
 chi-square divergence weight kappa_r^2 / (2 b (1+b)) (``relent_leading``),
 at the receiver for messages and at the warden for keys.
 ``covert_feasibility`` is the one feasibility rule, used by
-``build_plan`` and the CLI.  The exact classical evaluators
-(relent_exact, willie_tv_mc) exploit the fact that every per-slot state
-of the sparse layer is diagonal in the photon-number basis.
+``build_plan`` and the CLI.  The sparse layer is one 2 x 2 table of
+photon-number-diagonal thermal laws over the senders' on/off inputs
+(``slot_laws``), which the exact evaluators relent_exact and
+willie_tv_mc measure classically.
 """
 
 import math
@@ -24,6 +25,7 @@ from . import fock
 from .channel import MacParams
 from .errors import ConfigError, DomainError, InfeasibleError
 from .gaussian import g_entropy
+from .region import _low_photon_coefficients
 
 __all__ = [
     "q_func",
@@ -41,6 +43,7 @@ __all__ = [
     "scaling_limits",
     "scaling_plan",
     "RelEntStats",
+    "slot_laws",
     "relent_leading",
     "relent_exact",
     "willie_tv_leading",
@@ -176,14 +179,15 @@ def layer2_throughput(n: int, alpha: float, beta: float, s: float, p: MacParams,
         raise DomainError(f"mu_bar must lie in (0, 1), got {mu_bar}")
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1) for the -s log s expansion, got {s}")
-    scale = (1.0 - mu_bar) * n * p.kappa * (-s * math.log(s)) / (1.0 + p.n_t)
+    scale = (1.0 - mu_bar) * n * (-s * math.log(s))
+    coeff_x, coeff_y = _low_photon_coefficients(p)
     l_x = math.ceil(n * alpha * (1.0 - mu_bar))
     l_y = math.ceil(n * beta * (1.0 - mu_bar))
     ent_per_pair = g_entropy(s)
     return Layer2Rates(
-        log_m_x2=scale * p.tau * alpha,
-        log_m_y2=scale * (1.0 - p.tau) * beta,
-        log_m_xy2=scale * (p.tau * alpha + (1.0 - p.tau) * beta),
+        log_m_x2=scale * coeff_x * alpha,
+        log_m_y2=scale * coeff_y * beta,
+        log_m_xy2=scale * (coeff_x * alpha + coeff_y * beta),
         l_x=l_x,
         l_y=l_y,
         ent_nats_x=l_x * ent_per_pair,
@@ -316,11 +320,12 @@ def scaling_limits(
             raise InfeasibleError(
                 f"power {power:.6g} implies no detection budget in (0, 1)", binding="budget-constant"
             )
+    coeff_x, coeff_y = _low_photon_coefficients(p)
     return ScalingLimits(
         layer1_x=_chi2_rate(p, "bob", alpha * p.tau**2 * s**2),
         layer1_y=_chi2_rate(p, "bob", beta * (1.0 - p.tau) ** 2 * s**2),
-        layer2_x=gamma * p.kappa * p.tau * alpha * s / (1.0 + p.n_t),
-        layer2_y=gamma * p.kappa * (1.0 - p.tau) * beta * s / (1.0 + p.n_t),
+        layer2_x=gamma * coeff_x * alpha * s,
+        layer2_y=gamma * coeff_y * beta * s,
         ent_nats_x=gamma * alpha * s,
         ent_nats_y=gamma * beta * s,
         implied_delta=float(implied),
@@ -359,35 +364,46 @@ def relent_leading(p: MacParams, alpha: float, beta: float, s: float, receiver: 
     return RelEntStats(d=d, v=2.0 * d, r_order=order)
 
 
-def relent_exact(
-    p: MacParams, alpha: float, beta: float, s: float, receiver: str, marginal: str, cutoff=None
-) -> RelEntStats:
-    """Exact classical D and V over the per-slot photon distributions.
+def slot_laws(p: MacParams, alpha: float, beta: float, s: float, receiver: str, cutoff=None):
+    """The sparse layer's per-slot table at ``receiver``: ``weights`` (2, 2), the
+    P(x) P(y) of the on/off inputs x ~ Bern(alpha), y ~ Bern(beta), and ``laws``
+    (2, 2, cutoff), thermal of mean b + kappa_r (tau s x + (1 - tau) s y) with
+    (kappa_r, b) = p.receiver(receiver).  The default cutoff holds every law's
+    tail below 1e-14, plus 8 levels, and is at least 32."""
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not 0.0 <= value <= 1.0:
+            raise DomainError(f"{name} must lie in [0, 1], got {value}")
+    if s < 0.0:
+        raise DomainError(f"s must be >= 0, got {s}")
+    kappa_r, background = p.receiver(receiver)
+    weights = np.outer([1.0 - alpha, alpha], [1.0 - beta, beta])
+    x, y = np.ogrid[:2, :2]
+    means = background + kappa_r * (p.tau * s * x + (1.0 - p.tau) * s * y)
+    if cutoff is None:
+        cutoff = max(fock.required_cutoff(float(means.max()), 1e-14) + 8, 32)
+    return weights, fock.photon_distribution_thermal(means, cutoff)
+
+
+def relent_exact(p: MacParams, alpha: float, beta: float, s: float, receiver: str, marginal: str) -> RelEntStats:
+    """Exact classical D and V over the per-slot law table (``slot_laws``).
 
     The per-slot states are simultaneously Fock-diagonal, so the quantum
-    divergences reduce to classical ones over the four weighted thermal
-    laws.
+    divergences reduce to classical ones: each law against its reference,
+    the table mixed over the axes the marginal averages out (both for
+    joint, x for x, y for y), weighted by the table's weights.
     """
     if marginal not in _MARGINALS:
         raise DomainError(f"marginal must be one of {_MARGINALS}, got {marginal!r}")
-    entries = fock.layer1_mode_distributions(p, alpha, beta, s, receiver, cutoff=cutoff)
-    laws = {key: dist.probs for key, _, dist in entries}
-    weights = {key: w for key, w, _ in entries}
-    p_x = {0: 1.0 - alpha, 1: alpha}
-    p_y = {0: 1.0 - beta, 1: beta}
-
-    if marginal == "joint":
-        ref = {key: sum(weights[k2] * laws[k2] for k2 in weights) for key in weights}
-    elif marginal == "x":
-        by_y = {y: p_x[0] * laws[0, y] + p_x[1] * laws[1, y] for y in (0, 1)}
-        ref = {(x, y): by_y[y] for (x, y) in weights}
-    else:
-        by_x = {x: p_y[0] * laws[x, 0] + p_y[1] * laws[x, 1] for x in (0, 1)}
-        ref = {(x, y): by_x[x] for (x, y) in weights}
-
-    llrs = {key: np.log(laws[key]) - np.log(ref[key]) for key, w in weights.items() if w != 0.0}
-    d = sum((weights[key] * float(np.sum(laws[key] * llr)) for key, llr in llrs.items()), 0.0)
-    v = sum((weights[key] * float(np.sum(laws[key] * (llr - d) ** 2)) for key, llr in llrs.items()), 0.0)
+    weights, laws = slot_laws(p, alpha, beta, s, receiver)
+    # (axes the reference mixes over, axes summed out of its mixing weights)
+    mixed, summed = {"joint": ((0, 1), ()), "x": ((0,), (1,)), "y": ((1,), (0,))}[marginal]
+    share = weights.sum(axis=summed, keepdims=True)
+    ref = np.broadcast_to((share[..., None] * laws).sum(axis=mixed, keepdims=True), laws.shape)
+    live = weights != 0.0
+    law, w = laws[live], weights[live]
+    llr = np.log(law) - np.log(ref[live])
+    d = float(sum(w * np.sum(law * llr, axis=-1), 0.0))
+    v = float(sum(w * np.sum(law * (llr - d) ** 2, axis=-1), 0.0))
     return RelEntStats(d=d, v=v, r_order="exact")
 
 
@@ -447,11 +463,11 @@ def willie_tv_mc(
     # slots is negligible
     kappa_r, background = p.receiver("willie")
     cutoff = max(fock.required_cutoff(background + kappa_r * s, 1e-18) + 16, 32)
-    entries = fock.layer1_mode_distributions(p, alpha, beta, s, "willie", cutoff=cutoff)
-    q1 = sum(w * dist.probs for _, w, dist in entries)
-    q0 = fock.photon_distribution_thermal(background, cutoff).probs
+    weights, laws = slot_laws(p, alpha, beta, s, "willie", cutoff=cutoff)
+    # q1 adds the weighted laws in key order 00, 01, 10, 11, which fixes the stream's bits
+    q1 = sum((weights[..., None] * laws).reshape(4, -1))
     q1 = q1 / q1.sum()
-    q0 = q0 / q0.sum()
+    q0 = laws[0, 0] / laws[0, 0].sum()
     llr = np.log(q1) - np.log(q0)
 
     chunk_sizes = [min(_MC_CHUNK, samples - start) for start in range(0, samples, _MC_CHUNK)]

@@ -15,6 +15,7 @@ region's four links are one batch (``link_mis``).  The dense Fock route
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -56,12 +57,12 @@ class RegionNumerics:
     tail_tol: float = fock.DEFAULT_TAIL_TOL
 
     def __post_init__(self):
-        if not 1 <= self.cutoff <= MAX_CUTOFF:
-            raise DomainError(f"cutoff must lie in [1, {MAX_CUTOFF}], got {self.cutoff}")
+        if not (isinstance(self.cutoff, (int, np.integer)) and 1 <= self.cutoff <= MAX_CUTOFF):
+            raise DomainError(f"cutoff must be an integer in [1, {MAX_CUTOFF}], got {self.cutoff!r}")
         if not (isinstance(self.psk_order, (int, np.integer)) and self.psk_order >= 1):
             raise DomainError(f"psk_order must be an integer >= 1, got {self.psk_order!r}")
-        if not (math.isfinite(self.tail_tol) and 0.0 < self.tail_tol < 1.0):
-            raise DomainError(f"tail_tol must be finite and lie in (0, 1), got {self.tail_tol}")
+        if not (isinstance(self.tail_tol, Real) and math.isfinite(self.tail_tol) and 0.0 < self.tail_tol < 1.0):
+            raise DomainError(f"tail_tol must be a finite real in (0, 1), got {self.tail_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -201,6 +202,12 @@ def _assemble_vertices(x_bound: float, y_bound: float, sum_bound: float) -> list
     return vertices
 
 
+def _low_photon_coefficients(p: MacParams) -> tuple[float, float]:
+    """Each sender's rate per unit s ln(1/s) in the low-photon limit:
+    kappa tau / (1 + n_t) for x and kappa (1 - tau) / (1 + n_t) for y."""
+    return p.kappa * p.tau / (1.0 + p.n_t), p.kappa * (1.0 - p.tau) / (1.0 + p.n_t)
+
+
 def covert_rectangle(p: MacParams, s: float) -> RateRegion:
     """Low-photon limit of the region: a rectangle with -s ln s scaling.
 
@@ -209,9 +216,10 @@ def covert_rectangle(p: MacParams, s: float) -> RateRegion:
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"signal photon number must lie in (0, 1), got {s}")
-    scale = -s * np.log(s) / (1.0 + p.n_t)
-    x_bound = float(p.kappa * p.tau * scale)
-    y_bound = float(p.kappa * (1.0 - p.tau) * scale)
+    gain = -s * np.log(s)
+    coeff_x, coeff_y = _low_photon_coefficients(p)
+    x_bound = float(coeff_x * gain)
+    y_bound = float(coeff_y * gain)
     return RateRegion(
         x_bound=x_bound,
         y_bound=y_bound,

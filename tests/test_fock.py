@@ -138,19 +138,18 @@ class TestThermalLoss:
             fk.thermal_loss_fock(th, 0.5, 2.0, d_env=3)
 
 
-class TestMacMix:
-    def test_pass_through_ports(self):
-        # a truncated input is subnormalized; the pass-through port carries
-        # the partner's trace as an overall factor
-        a = fk.thermal_fock(0.3, 15)
-        b = fk.thermal_fock(0.7, 15)
-        np.testing.assert_allclose(fk.mac_mix_fock(a, b, 1.0).matrix, a.matrix * b.trace(), atol=1e-12)
-        np.testing.assert_allclose(fk.mac_mix_fock(a, b, 0.0).matrix, b.matrix * a.trace(), atol=1e-12)
+class TestThermalLaw:
+    def test_array_means_give_each_scalar_law_bit_for_bit(self):
+        means = np.array([[0.0, 0.3], [1.2, 5.0]])
+        laws = fk.photon_distribution_thermal(means, 40)
+        assert laws.shape == (2, 2, 40)
+        for idx in np.ndindex(2, 2):
+            assert np.array_equal(laws[idx], fk.photon_distribution_thermal(float(means[idx]), 40))
 
-    def test_vacuum_stays_vacuum(self):
-        vac = fk.thermal_fock(0.0, 6)
-        out = fk.mac_mix_fock(vac, vac, 0.42)
-        np.testing.assert_allclose(np.diag(out.matrix).real, [1.0, 0, 0, 0, 0, 0], atol=1e-13)
+    @pytest.mark.parametrize("n_mean", [-0.1, [0.2, -1e-9]])
+    def test_negative_mean_rejected(self, n_mean):
+        with pytest.raises(DomainError, match="mean photon number"):
+            fk.photon_distribution_thermal(n_mean, 8)
 
 
 class TestInformationFunctionals:
@@ -161,8 +160,8 @@ class TestInformationFunctionals:
     def test_rel_entropy_matches_geometric_kl(self):
         rho = fk.thermal_fock(0.1, 60)
         sigma = fk.thermal_fock(0.2, 60)
-        p1 = fk.photon_distribution_thermal(0.1, 60).probs
-        p2 = fk.photon_distribution_thermal(0.2, 60).probs
+        p1 = fk.photon_distribution_thermal(0.1, 60)
+        p2 = fk.photon_distribution_thermal(0.2, 60)
         kl = float(np.sum(p1 * (np.log(p1) - np.log(p2))))
         assert fk.rel_entropy_fock(rho, sigma) == pytest.approx(kl, abs=1e-10)
 
@@ -356,8 +355,8 @@ class TestKrausLaws:
         # a thermal(n_s) input leaves thermal(kappa n_s + n_t); the input tail is below 1e-16
         n_s, d_in, d_out = 0.5, 34, 60
         loss, amp = fk._kraus_laws(kappa, n_t, d_in, d_out)
-        p_in = fk.photon_distribution_thermal(n_s, d_in).probs
-        expected = fk.photon_distribution_thermal(kappa * n_s + n_t, d_out).probs
+        p_in = fk.photon_distribution_thermal(n_s, d_in)
+        expected = fk.photon_distribution_thermal(kappa * n_s + n_t, d_out)
         assert np.abs(p_in @ loss @ amp - expected).max() <= 1e-14
 
     @pytest.mark.parametrize("kappa", [0.0, 0.4, 1.0])
@@ -378,38 +377,6 @@ class TestKrausLaws:
         assert math.isfinite(near_one) and abs(at_one - near_one) <= 1e-6
         with pytest.raises(DomainError, match="no thermal environment"):
             fk.conditional_output_density(ch.EffectiveChannel(1.0, 0.3, 0.2), 24)
-
-
-class TestLayer1Distributions:
-    def test_silent_senders_single_background(self):
-        p = ch.MacParams(tau=0.5, kappa=0.5, n_b=1.0)
-        entries = fk.layer1_mode_distributions(p, 0.0, 0.0, 0.01, "bob")
-        weights = [w for _, w, _ in entries]
-        assert weights == [1.0, 0.0, 0.0, 0.0]
-        background = fk.photon_distribution_thermal(p.n_t, entries[0][2].probs.size)
-        np.testing.assert_allclose(entries[0][2].probs, background.probs)
-
-    def test_distributions_normalized(self):
-        p = ch.MacParams(tau=0.4, kappa=0.6, n_b=1.3)
-        for _, _, dist in fk.layer1_mode_distributions(p, 0.1, 0.2, 0.05, "willie"):
-            assert dist.tail() <= 1e-12
-
-    def test_willie_active_x_mean(self):
-        p = ch.MacParams(tau=0.5, kappa=0.5, n_b=1.0)
-        entries = fk.layer1_mode_distributions(p, 0.1, 0.1, 0.01, "willie", cutoff=64)
-        by_key = {key: dist for key, _, dist in entries}
-        mean = float(np.sum(np.arange(64) * by_key[1, 0].probs))
-        assert mean == pytest.approx(0.5 * 1.0 + 0.5 * 0.5 * 0.01, abs=1e-10)
-
-    def test_quantum_equals_classical_for_diagonal_states(self):
-        p = ch.MacParams(tau=0.5, kappa=0.5, n_b=0.8)
-        entries = fk.layer1_mode_distributions(p, 0.2, 0.1, 0.05, "bob", cutoff=48)
-        mix = sum(w * dist.probs for _, w, dist in entries)
-        rho = fk.FockDensity(48, 1, np.diag(entries[3][2].probs).astype(complex))
-        sigma = fk.FockDensity(48, 1, np.diag(mix).astype(complex))
-        quantum = fk.rel_entropy_fock(rho, sigma)
-        classical = float(np.sum(entries[3][2].probs * (np.log(entries[3][2].probs) - np.log(mix))))
-        assert quantum == pytest.approx(classical, abs=1e-10)
 
 
 class TestMacJointFock:

@@ -198,11 +198,65 @@ class TestRelEnt:
         exact_h = pl.relent_exact(P_CANON, 5e-4, 5e-4, 5e-3, "bob", "joint")
         assert abs(exact_h.d - lead_h.d) / exact_h.d < abs(exact.d - lead.d) / exact.d
 
+    @pytest.mark.parametrize("receiver", ["bob", "willie"])
+    def test_exact_marginals_match_per_key_reference(self, receiver):
+        # tau != 1/2 and alpha != beta, so swapped x and y axes fail
+        p, alpha, beta, s, cutoff = MacParams(tau=0.3, kappa=0.5, n_b=1.0), 0.2, 0.05, 0.5, 64
+        coupling, background = p.receiver(receiver)
+        p_x, p_y = {0: 1.0 - alpha, 1: alpha}, {0: 1.0 - beta, 1: beta}
+        law = {
+            (x, y): fock.photon_distribution_thermal(background + coupling * s * (p.tau * x + (1.0 - p.tau) * y), cutoff)
+            for x in (0, 1)
+            for y in (0, 1)
+        }
+        refs = {
+            "x": {(x, y): p_x[0] * law[0, y] + p_x[1] * law[1, y] for (x, y) in law},
+            "y": {(x, y): p_y[0] * law[x, 0] + p_y[1] * law[x, 1] for (x, y) in law},
+        }
+        for marginal, ref in refs.items():
+            llr = {key: np.log(law[key] / ref[key]) for key in law}
+            d = sum(p_x[x] * p_y[y] * np.sum(law[x, y] * llr[x, y]) for (x, y) in law)
+            v = sum(p_x[x] * p_y[y] * np.sum(law[x, y] * (llr[x, y] - d) ** 2) for (x, y) in law)
+            exact = pl.relent_exact(p, alpha, beta, s, receiver, marginal)
+            assert exact.d == pytest.approx(d, rel=1e-12)
+            assert exact.v == pytest.approx(v, rel=1e-12)
+
     def test_v_over_d_approaches_two(self):
         big = pl.relent_exact(P_CANON, 1e-2, 1e-2, 5e-2, "bob", "joint")
         small = pl.relent_exact(P_CANON, 1e-3, 1e-3, 5e-3, "bob", "joint")
         assert abs(small.v / small.d - 2.0) < abs(big.v / big.d - 2.0)
         assert small.v / small.d == pytest.approx(2.0, abs=0.05)
+
+
+class TestSlotLaws:
+    def test_silent_senders_single_background(self):
+        p = MacParams(tau=0.5, kappa=0.5, n_b=1.0)
+        weights, laws = pl.slot_laws(p, 0.0, 0.0, 0.01, "bob")
+        assert weights.ravel().tolist() == [1.0, 0.0, 0.0, 0.0]
+        background = fock.photon_distribution_thermal(p.n_t, laws.shape[-1])
+        np.testing.assert_allclose(laws[0, 0], background)
+
+    def test_distributions_normalized(self):
+        p = MacParams(tau=0.4, kappa=0.6, n_b=1.3)
+        _, laws = pl.slot_laws(p, 0.1, 0.2, 0.05, "willie")
+        assert laws.shape[:2] == (2, 2)
+        assert np.all(1.0 - laws.sum(axis=-1) <= 1e-12)
+
+    def test_willie_active_x_mean(self):
+        p = MacParams(tau=0.5, kappa=0.5, n_b=1.0)
+        _, laws = pl.slot_laws(p, 0.1, 0.1, 0.01, "willie", cutoff=64)
+        mean = float(np.sum(np.arange(64) * laws[1, 0]))
+        assert mean == pytest.approx(0.5 * 1.0 + 0.5 * 0.5 * 0.01, abs=1e-10)
+
+    def test_quantum_equals_classical_for_diagonal_states(self):
+        p = MacParams(tau=0.5, kappa=0.5, n_b=0.8)
+        weights, laws = pl.slot_laws(p, 0.2, 0.1, 0.05, "bob", cutoff=48)
+        mix = np.sum(weights[..., None] * laws, axis=(0, 1))
+        rho = fock.FockDensity(48, 1, np.diag(laws[1, 1]).astype(complex))
+        sigma = fock.FockDensity(48, 1, np.diag(mix).astype(complex))
+        quantum = fock.rel_entropy_fock(rho, sigma)
+        classical = float(np.sum(laws[1, 1] * (np.log(laws[1, 1]) - np.log(mix))))
+        assert quantum == pytest.approx(classical, abs=1e-10)
 
 
 class TestWillieTv:
@@ -253,12 +307,18 @@ class TestWillieTv:
 
 
 def _whole_chunk_tv_mc(n, alpha, beta, s, p, samples, seed):
-    """willie_tv_mc drawing each 2^16-row seed chunk in one multinomial call."""
-    max_mean = p.kappa * p.n_b + (1.0 - p.kappa) * s
-    cutoff = max(fock.required_cutoff(max_mean, 1e-18) + 16, 32)
-    entries = fock.layer1_mode_distributions(p, alpha, beta, s, "willie", cutoff=cutoff)
-    q1 = sum(w * dist.probs for _, w, dist in entries)
-    q0 = fock.photon_distribution_thermal(p.kappa * p.n_b, cutoff).probs
+    """willie_tv_mc drawing each 2^16-row seed chunk in one multinomial call,
+    with its laws built per key at the warden (1 - kappa, kappa n_b)."""
+    coupling, background = 1.0 - p.kappa, p.kappa * p.n_b
+    cutoff = max(fock.required_cutoff(background + coupling * s, 1e-18) + 16, 32)
+    weight = {0: (1.0 - alpha, 1.0 - beta), 1: (alpha, beta)}
+    q1 = sum(
+        weight[x][0] * weight[y][1]
+        * fock.photon_distribution_thermal(background + coupling * (p.tau * s * x + (1.0 - p.tau) * s * y), cutoff)
+        for x in (0, 1)
+        for y in (0, 1)
+    )
+    q0 = fock.photon_distribution_thermal(background, cutoff)
     q1 = q1 / q1.sum()
     q0 = q0 / q0.sum()
     llr = np.log(q1) - np.log(q0)

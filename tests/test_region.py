@@ -29,6 +29,9 @@ class TestRegionNumerics:
             ({"cutoff": rg.MAX_CUTOFF + 1}, "cutoff"),
             ({"cutoff": 100000}, "cutoff"),
             ({"psk_order": None}, "psk_order"),
+            ({"cutoff": 24.5}, "cutoff"),
+            ({"cutoff": None}, "cutoff"),
+            ({"tail_tol": None}, "tail_tol"),
         ],
     )
     def test_rejects_out_of_domain(self, kwargs, key):
