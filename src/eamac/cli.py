@@ -15,13 +15,7 @@ from pathlib import Path
 
 from . import __version__, planner, region as rg, validate as val
 from .channel import MacParams, ModulationConfig
-from .errors import (
-    ConfigError,
-    DomainError,
-    EamacError,
-    InfeasibleError,
-    ShapeError,
-)
+from .errors import ConfigError, DomainError, EamacError, InfeasibleError, ShapeError
 
 LN2 = math.log(2.0)
 REQUIRED = object()
@@ -282,16 +276,8 @@ def _plan_lines(plan, args) -> list:
 
 def cmd_plan(config, args) -> str:
     p = _mac_params(config)
-    plan = planner.build_plan(
-        config["n"],
-        config["alpha"],
-        config["beta"],
-        config["s"],
-        p,
-        delta=config["delta"],
-        epsilon=config["epsilon"],
-        mu_bar=config["mu_bar"],
-    )
+    point = (config["n"], config["alpha"], config["beta"], config["s"], p)
+    plan = planner.build_plan(*point, delta=config["delta"], epsilon=config["epsilon"], mu_bar=config["mu_bar"])
     return "\n".join(_header("plan", config, args) + _plan_lines(plan, args)) + "\n"
 
 

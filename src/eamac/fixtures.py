@@ -62,6 +62,7 @@ def regenerate(path=None) -> dict:
 
     produced = 48
     tight = 1e-12
+    numerics = rg.RegionNumerics(cutoff=produced, psk_order=2 * produced, tail_tol=tight)
     rho = fock.conditional_output_density(eff_unc, produced, tail_tol=tight)
     records = {
         "psk_mi_unconditioned": {
@@ -81,13 +82,10 @@ def regenerate(path=None) -> dict:
             "n_s": eff_cond.n_s,
             "cutoff": 24,
             "produced_cutoff": produced,
-            "value": rg.continuous_phase_mi(
-                eff_cond, rg.RegionNumerics(cutoff=produced, psk_order=2 * produced, tail_tol=tight)
-            ),
+            "value": rg.continuous_phase_mi(eff_cond, numerics),
             "tolerance": 5e-7,
         },
     }
-    numerics = rg.RegionNumerics(cutoff=produced, psk_order=2 * produced, tail_tol=tight)
     reg = rg.achievable_region(p, m, numerics)
     records["region_canonical"] = {
         "tau": p.tau,
@@ -114,7 +112,7 @@ def regenerate(path=None) -> dict:
         "# psk_mi_unconditioned uses psk_order 64 < 2 * produced_cutoff, so it",
         "# keeps coherences with |x - y| = 32 that the working cutoff cannot hold.",
         "# Its phase-averaged entropy minus the psk_order 128 one, from the",
-        f"# photon-number-sector spectrum at produced_cutoff: {s_avg[0] - s_avg[1]!r}.",
+        f"# loss-then-amplifier Kraus-law spectrum at produced_cutoff: {s_avg[0] - s_avg[1]!r}.",
         f"version = {VERSION}",
     ]
     for name, rec in records.items():

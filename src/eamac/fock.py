@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .channel import EffectiveChannel, MacParams
 from .errors import DomainError, PhysicalityError, ShapeError, SupportError, TruncationError
+from .gaussian import _xlogx
 
 DEFAULT_TAIL_TOL = 1e-8
 
@@ -169,7 +169,7 @@ def photon_distribution_thermal(n_mean, cutoff: int) -> np.ndarray:
     mean of an array of means; a zero mean gives the vacuum row [1, 0, ...]
     without taking log 0."""
     n = np.asarray(n_mean, dtype=float)[..., None]
-    if np.any(n < 0.0):
+    if not np.all(n >= 0.0):  # NaN too
         raise DomainError(f"mean photon number must be >= 0, got {n_mean}")
     q = n / (n + 1.0)
     k = np.arange(cutoff)
@@ -228,15 +228,17 @@ def _hopping_block(xi: float, total: int, lo: int, hi: int) -> np.ndarray:
 
     Rows and columns are the first-mode counts lo..hi of the states
     |k, total - k>.  A clipped range exponentiates the clipped generator,
-    which keeps the block orthogonal.
+    which keeps the block orthogonal.  The generator is D (-i 2 J_x) D^-1
+    with D = diag(i^k) and 2 J_x the real symmetric tridiagonal matrix with
+    off-diagonal sqrt((k + 1) (total - k)), whose eigenvalues on a whole
+    sector are total - 2m; with 2 J_x = V diag(lam) V^T the block is the
+    real D V exp(-i xi lam) V^T D^-1.
     """
-    # imported here: only the dense oracle exponentiates, and scipy.linalg
-    # stays off the import path of the CLI
-    from scipy.linalg import expm
-
     k = np.arange(lo, hi)
-    val = np.sqrt((k + 1) * (total - k))
-    return expm(xi * (np.diag(val, -1) - np.diag(val, 1)))
+    val = np.sqrt((k + 1.0) * (total - k))
+    lam, vec = np.linalg.eigh(np.diag(val, -1) + np.diag(val, 1))
+    phase = np.array([1.0, 1j, -1.0, -1j])[np.arange(hi - lo + 1) % 4]
+    return ((phase[:, None] * vec * np.exp(-1j * xi * lam)) @ (vec.T * phase.conj())).real
 
 
 @lru_cache(maxsize=8)
@@ -315,8 +317,7 @@ def spectral_entropy(eigs: np.ndarray) -> float | np.ndarray:
     """Entropy -sum lambda ln lambda in nats of a density-matrix spectrum, or of each row of a stack."""
     if np.min(eigs) < -1e-10:
         raise PhysicalityError(f"density matrix has eigenvalue {np.min(eigs):.3e} < -1e-10")
-    # the log of every eigenvalue at or below 0, rounding included, is taken as 0
-    entropy = -(eigs * np.log(eigs, out=np.zeros_like(eigs), where=eigs > 0.0)).sum(axis=-1)
+    entropy = -_xlogx(eigs).sum(axis=-1)
     return float(entropy) if entropy.ndim == 0 else entropy
 
 
@@ -402,6 +403,14 @@ def _check_output_cutoff(eff: EffectiveChannel, cutoff: int, tail_tol: float) ->
 BLOCK_BATCH = 1 << 20
 
 
+@lru_cache(maxsize=8)
+def _log_factorials(size: int) -> np.ndarray:
+    """ln k! for k < size, read-only."""
+    table = np.array([math.lgamma(k + 1.0) for k in range(size)])
+    table.flags.writeable = False
+    return table
+
+
 def _kraus_laws(kappa, n_t, d_in: int, d_out: int) -> tuple[np.ndarray, np.ndarray]:
     """Photon-number laws of thermal loss as pure loss, then an amplifier.
 
@@ -422,11 +431,15 @@ def _kraus_laws(kappa, n_t, d_in: int, d_out: int) -> tuple[np.ndarray, np.ndarr
     kappa, n_t = (np.asarray(v, dtype=float)[..., None] for v in (kappa, n_t))
     gain = 1.0 + n_t
     count = np.arange(max(d_in, d_out))
-    log_fact = gammaln(count + 1.0)
+    log_fact = _log_factorials(count.size)
     r, m = count[:, None], count[None, :d_in]
     gap = np.maximum(r - m, 0)
-    log_a = np.array([xlogy(count[:d_in], kappa / gain), -(count[:d_in] + 1) * np.log1p(n_t)])
-    log_b = np.array([xlogy(count, (gain - kappa) / gain), xlogy(count, n_t / gain)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # count ln y for y = eta, 1 - eta and 1 - 1/G; column 0 holds the 0 ln y, 0 ln 0 included
+        xlogy = count * np.log(np.array([kappa / gain, (gain - kappa) / gain, n_t / gain]))
+    xlogy[..., 0] = 0.0
+    log_a = np.array([xlogy[0, ..., :d_in], -(count[:d_in] + 1) * np.log1p(n_t)])
+    log_b = xlogy[1:]
     # log C(r, m) + log a_m + (r - m) log b, the last gathered by the gap r - m
     log_law = log_fact[r] - log_fact[m] - log_fact[gap] + log_a[..., None, :] + np.take(log_b, gap, axis=-1)
     law = np.where(m <= r, np.exp(log_law), 0.0)

@@ -10,7 +10,6 @@ thermal state with mean photon number ``nbar`` has covariance
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DomainError, EamacError, PhysicalityError, ShapeError, ChannelValidityError
 
@@ -65,6 +64,12 @@ def thermal_cov(nbar, n_modes: int = 1) -> np.ndarray:
     return (2.0 * nbar + 1.0) * np.eye(2 * n_modes)
 
 
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x ln x elementwise, with 0 wherever x <= 0: 0 ln 0 = 0, and a spectrum's
+    rounding below 0 counts as 0."""
+    return x * np.log(np.where(x > 0.0, x, 1.0))
+
+
 def g_entropy(x):
     """Entropy of a thermal state with mean photon number ``x``, in nats.
 
@@ -72,10 +77,10 @@ def g_entropy(x):
     Accepts scalars or arrays.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
+    if (arr < 0.0).any():
         raise DomainError("g_entropy requires x >= 0")
-    out = (arr + 1.0) * np.log1p(arr) - xlogy(arr, arr)
-    if np.isscalar(x) or np.ndim(x) == 0:
+    out = (arr + 1.0) * np.log1p(arr) - _xlogx(arr)
+    if arr.ndim == 0:
         return float(out)
     return out
 

@@ -17,9 +17,9 @@ willie_tv_mc measure classically.
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erfc, erfcinv
 
 from . import fock
 from .channel import MacParams
@@ -50,28 +50,31 @@ __all__ = [
     "McEstimate",
     "willie_tv_mc",
     "chernoff_truncation",
-    "binomial_tail_exact",
     "second_order_rate",
 ]
 
 
+_STANDARD_NORMAL = NormalDist()
+
+
 def q_func(z: float) -> float:
     """Standard normal upper-tail probability Q(z)."""
-    return 0.5 * erfc(z / math.sqrt(2.0))
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 def q_inv(p: float) -> float:
     """Inverse of the Q function, to |Q(q_inv(p)) - p| <= 1e-12.
 
-    An erfcinv seed polished by two Halley steps on Q(z) - p, with
-    Q' = -phi and Q'' = z phi, so the round trip is pinned by the erfc
-    evaluation itself.
+    The seed is -Phi^{-1}(p) from Wichura's rational approximation AS241
+    (Appl. Stat. 37, 477 (1988)), as ``statistics.NormalDist.inv_cdf``
+    implements it; up to three Halley steps on Q(z) - p, with Q' = -phi and
+    Q'' = z phi, then pin the round trip to the erfc evaluation itself.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"q_inv requires p in (0, 1), got {p}")
-    z = math.sqrt(2.0) * float(erfcinv(2.0 * p))
-    for _ in range(2):
-        miss = float(q_func(z)) - p
+    z = -_STANDARD_NORMAL.inv_cdf(p)
+    for _ in range(3):
+        miss = q_func(z) - p
         density = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         # an exact seed, or a density below the smallest double, ends the polish
         if miss == 0.0 or density == 0.0:
@@ -373,7 +376,7 @@ def slot_laws(p: MacParams, alpha: float, beta: float, s: float, receiver: str, 
     for name, value in (("alpha", alpha), ("beta", beta)):
         if not 0.0 <= value <= 1.0:
             raise DomainError(f"{name} must lie in [0, 1], got {value}")
-    if s < 0.0:
+    if not s >= 0.0:
         raise DomainError(f"s must be >= 0, got {s}")
     kappa_r, background = p.receiver(receiver)
     weights = np.outer([1.0 - alpha, alpha], [1.0 - beta, beta])
@@ -459,6 +462,8 @@ def willie_tv_mc(
         raise ConfigError("willie_tv_mc requires an explicit seed for reproducibility")
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+    if not s >= 0.0:  # NaN too, before it sizes the cutoff
+        raise DomainError(f"s must be >= 0, got {s}")
     # cutoff sized so the chance of any draw beyond it over all n*samples
     # slots is negligible
     kappa_r, background = p.receiver("willie")
@@ -507,16 +512,6 @@ def chernoff_truncation(n: int, alpha: float, beta: float, mu_bar: float) -> flo
     if not 0.0 < mu_bar < 1.0:
         raise DomainError(f"mu_bar must lie in (0, 1), got {mu_bar}")
     return 2.0 * math.exp(-0.5 * mu_bar**2 * n * alpha) + 2.0 * math.exp(-0.5 * mu_bar**2 * n * beta)
-
-
-def binomial_tail_exact(n: int, prob: float, mu_bar: float) -> float:
-    """Exact lower binomial tail P(Bin(n, prob) < (1 - mu_bar) n prob)."""
-    # imported here: scipy.stats costs about half a second at import and
-    # has no other user in the package
-    from scipy.stats import binom
-
-    threshold = (1.0 - mu_bar) * n * prob
-    return float(binom.cdf(math.ceil(threshold) - 1, n, prob))
 
 
 def second_order_rate(n: int, stats: RelEntStats, eps: float, direction: str = "lower") -> float:

@@ -294,11 +294,20 @@ class TestValidate:
         assert blobs[0].count(b"= pass") == 5
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.optimize and scipy.linalg stay unloaded too: q_inv needs no root
-    # finder, and only the dense oracle exponentiates
+def test_cli_loads_no_scipy(tmp_path):
+    # the runtime needs numpy only: neither the import nor a region or a
+    # validate run loads any scipy module
     src_dir = str(Path(eamac.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, eamac.cli; print([m in sys.modules for m in ('scipy.stats', 'scipy.optimize', 'scipy.linalg')])"
+    region = write_config(tmp_path / "r.cfg", **REGION_BASE)
+    validate = write_config(tmp_path / "v.cfg", samples=2000)
+    probe = "; ".join([
+        "import sys, eamac.cli as cli",
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "print(loaded())",
+        f"assert cli.main(['region', '--config', {region!r}, '--out', {str(tmp_path / 'r.txt')!r}]) == 0",
+        f"assert cli.main(['validate', '--config', {validate!r}, '--seed', '1', '--out', {str(tmp_path / 'v.txt')!r}]) == 0",
+        "print(loaded())",
+    ])
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[False, False, False]"
+    assert out.stdout.split() == ["[]", "[]"]

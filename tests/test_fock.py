@@ -92,6 +92,20 @@ class TestBeamsplitterFock:
         assert out[2] == pytest.approx(math.sqrt(t))
         assert out[1] == pytest.approx(-math.sqrt(1.0 - t))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_hopping_blocks_match_the_matrix_exponential(self):
+        # the eigenbasis route against scipy's expm of the same (possibly clipped) generator
+        expm = pytest.importorskip("scipy.linalg").expm
+        rng = np.random.default_rng(11)
+        for xi in [0.0, math.pi / 2, *rng.uniform(0.0, math.pi / 2, 200)]:
+            total = int(rng.integers(0, 50))
+            lo = int(rng.integers(0, total + 1))
+            hi = int(rng.integers(lo, total + 1))
+            k = np.arange(lo, hi)
+            val = np.sqrt((k + 1) * (total - k))
+            generator = np.diag(val, -1) - np.diag(val, 1)
+            assert np.abs(fk._hopping_block(xi, total, lo, hi) - expm(xi * generator)).max() <= 1e-12
+
 
 class TestThermalLoss:
     def test_full_transmission_is_identity(self):
@@ -151,8 +165,16 @@ class TestThermalLaw:
         with pytest.raises(DomainError, match="mean photon number"):
             fk.photon_distribution_thermal(n_mean, 8)
 
+    def test_nan_mean_rejected(self):
+        # a NaN mean once passed the sign check and gave the vacuum law
+        with pytest.raises(DomainError, match="mean photon number must be >= 0, got nan"):
+            fk.photon_distribution_thermal(math.nan, 8)
+
 
 class TestInformationFunctionals:
+    def test_rounding_below_zero_adds_no_entropy(self):
+        assert fk.spectral_entropy(np.array([0.5, 0.5, -1e-12])) == fk.spectral_entropy(np.array([0.5, 0.5]))
+
     def test_pure_state_entropy_zero(self):
         psi = fk.tmsv_fock(0.5, 24)
         assert fk.entropy_fock(psi.to_density()) == pytest.approx(0.0, abs=1e-10)
@@ -367,6 +389,23 @@ class TestKrausLaws:
         k = np.arange(8)
         assert np.abs(law.sum(axis=1) - 1.0).max() <= 1e-14
         assert np.abs(law @ np.arange(6000) - (kappa * k + n_t)).max() <= 1e-12 * (1.0 + n_t)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kappa", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("n_t", [0.0, 0.2, 3.0])
+    def test_rows_equal_direct_binomial_laws(self, kappa, n_t):
+        # C(r, m) a_m b^(r - m) for m <= r, with 0^0 = 1
+        def law(r, m, a_m, b):
+            return math.comb(r, m) * a_m * b ** (r - m) if m <= r else 0.0
+
+        d_in, d_out = 12, 30
+        gain = 1.0 + n_t
+        eta = kappa / gain
+        loss, amp = fk._kraus_laws(kappa, n_t, d_in, d_out)
+        direct_loss = [[law(k, m, eta**m, 1.0 - eta) for m in range(d_in)] for k in range(d_in)]
+        direct_amp = [[law(x, m, gain ** -(m + 1), 1.0 - 1.0 / gain) for x in range(d_out)] for m in range(d_in)]
+        assert np.abs(loss - direct_loss).max() <= 1e-13
+        assert np.abs(amp - direct_amp).max() <= 1e-13
 
     def test_kappa_one_keeps_the_noise(self):
         # the noise at kappa_eff = 1 is an amplifier after no loss, continuous with kappa_eff < 1

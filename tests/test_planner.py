@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,6 +29,57 @@ class TestQInv:
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(DomainError):
                 pl.q_inv(bad)
+
+    def test_polish_pins_round_trip(self):
+        # rounding z / sqrt 2 inside Q costs about z^2 ulps of p; the
+        # polished inverse stays within 1.9 such units here, its seed alone reaches 3.8
+        rng = np.random.default_rng(5)
+        grid = np.concatenate([rng.uniform(0.001, 0.999, 3000), np.logspace(-300.0, -3.0, 2000)])
+        for p in grid:
+            z = pl.q_inv(p)
+            assert abs(pl.q_func(z) - p) <= 3.0 * np.finfo(float).eps * p * max(1.0, z * z)
+
+
+def _q_ref(z):
+    """Q(z) at the exact double z, to 50 digits."""
+    return mpmath.erfc(mpmath.mpf(z) / mpmath.sqrt(2)) / 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestQAgainstMpmath:
+    """q_func and q_inv against 50-digit references."""
+
+    @pytest.fixture(autouse=True)
+    def digits(self):
+        with mpmath.workdps(50):
+            yield
+
+    def test_q_func_relative_error(self):
+        for z in np.linspace(-5.0, 25.0, 3001):
+            exact = _q_ref(z)
+            # rounding z / sqrt 2 to a double moves Q by about z^2 times its
+            # relative error; 1e-13 holds to |z| = 22, and 1.04e-13 is the worst on this grid
+            assert abs(pl.q_func(z) - exact) / exact <= max(1e-13, 2e-16 * z * z)
+
+    def test_q_inv_relative_error_up_to_the_median(self):
+        grid = np.concatenate([np.logspace(-15.0, math.log10(0.5), 400), np.linspace(0.4, 0.5, 101)])
+        for p in grid:
+            z = pl.q_inv(p)
+            if p == 0.5:
+                assert z == 0.0
+                continue
+            exact = mpmath.findroot(lambda t: _q_ref(t) - mpmath.mpf(p), mpmath.mpf(z))
+            assert abs(z - exact) / exact <= 1e-15
+
+    def test_q_inv_deep_tail_round_trip(self):
+        for p in np.logspace(-300.0, -15.0, 300):
+            assert abs(pl.q_func(pl.q_inv(p)) - p) / p <= 1e-12
+
+    def test_q_inv_upper_half_round_trip(self):
+        # Q^{-1} is ill-conditioned towards p = 1, so only the round trip is checked
+        grid = np.concatenate([np.linspace(0.5, 0.999, 300), 1.0 - np.logspace(-15.0, -3.0, 300)])
+        for p in grid:
+            assert abs(pl.q_func(pl.q_inv(p)) - p) / p <= 1e-12
 
 
 class TestCovertBudget:
@@ -221,6 +273,10 @@ class TestRelEnt:
             assert exact.d == pytest.approx(d, rel=1e-12)
             assert exact.v == pytest.approx(v, rel=1e-12)
 
+    def test_exact_rejects_nan_power(self):
+        with pytest.raises(DomainError, match="s must be >= 0, got nan"):
+            pl.relent_exact(P_CANON, 1e-3, 1e-3, math.nan, "bob", "joint")
+
     def test_v_over_d_approaches_two(self):
         big = pl.relent_exact(P_CANON, 1e-2, 1e-2, 5e-2, "bob", "joint")
         small = pl.relent_exact(P_CANON, 1e-3, 1e-3, 5e-3, "bob", "joint")
@@ -286,6 +342,10 @@ class TestWillieTv:
         with pytest.raises(ConfigError):
             pl.willie_tv_mc(100, 0.1, 0.1, 0.01, P_CANON, samples=100)
 
+    def test_mc_rejects_nan_power(self):
+        with pytest.raises(DomainError, match="s must be >= 0, got nan"):
+            pl.willie_tv_mc(100, 0.1, 0.1, math.nan, P_CANON, samples=100, seed=1)
+
     def test_mc_stderr_scaling(self):
         est1 = pl.willie_tv_mc(1000, 0.05, 0.05, 0.05, P_CANON, samples=20000, seed=11)
         est2 = pl.willie_tv_mc(1000, 0.05, 0.05, 0.05, P_CANON, samples=40000, seed=11)
@@ -348,7 +408,9 @@ class TestChernoff:
         for n in (50, 200, 1000):
             for prob in (0.05, 0.2):
                 for mu_bar in (0.3, 0.6):
-                    exact = pl.binomial_tail_exact(n, prob, mu_bar)
+                    # P(Bin(n, prob) < (1 - mu_bar) n prob), summed exactly
+                    below = math.ceil((1.0 - mu_bar) * n * prob)
+                    exact = sum(math.comb(n, k) * prob**k * (1.0 - prob) ** (n - k) for k in range(below))
                     single = math.exp(-0.5 * mu_bar**2 * n * prob)
                     assert exact <= single + 1e-15
 
