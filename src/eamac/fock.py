@@ -1,11 +1,13 @@
 """Brute-force ground truth in truncated Fock space, plus the region's spectrum.
 
 The oracle checks the Gaussian closed forms by an independent route:
-states are explicit density matrices on a cutoff-d photon-number basis,
-entropies come straight from eigenvalues, and the thermal-loss channel
-is a beamsplitter with a truncated thermal environment, exponentiated
-per total photon number (``_hopping_block``).  Real states stay real;
-only phase rotations make them complex.
+states are explicit density matrices on a cutoff-d photon-number basis
+and entropies come straight from eigenvalues.  One beamsplitter,
+exponentiated per whole sector of conserved total photon number
+(``_beamsplitter_amplitudes``), is both the MAC's tau combiner and the
+thermal-loss channel, where it mixes the mode with a truncated thermal
+environment.  Real states stay real; only phase rotations make them
+complex.
 The region's spectrum, ``phase_averaged_spectra``, writes thermal loss
 as pure loss then a quantum-limited amplifier, whose closed-form Kraus
 laws need no environment and no matrix exponential, and never forms a
@@ -38,7 +40,6 @@ __all__ = [
     "tmsv_fock",
     "thermal_fock",
     "phase_rotate_fock",
-    "beamsplitter_fock",
     "thermal_loss_fock",
     "mac_joint_fock",
     "entropy_fock",
@@ -47,7 +48,6 @@ __all__ = [
     "phase_average_fock",
     "conditional_output_density",
     "phase_averaged_spectra",
-    "phase_averaged_spectrum",
     "psk_ensemble_mi",
     "photon_distribution_thermal",
     "moments_from_fock",
@@ -135,6 +135,8 @@ def required_cutoff(n_mean: float, tail_tol: float) -> int:
     """Smallest d with thermal/TMSV tail (n/(n+1))^d <= tail_tol."""
     if n_mean <= 0.0:
         return 1
+    if not n_mean < math.inf:  # NaN too
+        raise DomainError(f"mean photon number must be finite, got {n_mean}")
     q = n_mean / (n_mean + 1.0)
     return max(1, math.ceil(math.log(tail_tol) / math.log(q)))
 
@@ -153,8 +155,8 @@ def _check_tmsv_cutoff(n_s: float, cutoff: int, tail_tol: float) -> None:
 
 def tmsv_fock(n_s: float, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> FockVector:
     """Two-mode squeezed vacuum, amplitudes sqrt(n_s^k / (n_s+1)^(k+1)) on |k,k>."""
-    if n_s < 0.0:
-        raise DomainError(f"n_s must be >= 0, got {n_s}")
+    if not 0.0 <= n_s < math.inf:
+        raise DomainError(f"n_s must be finite and >= 0, got {n_s}")
     _check_tmsv_cutoff(n_s, cutoff, tail_tol)
     return FockVector(cutoff, 2, np.diag(np.sqrt(photon_distribution_thermal(n_s, cutoff))))
 
@@ -169,8 +171,10 @@ def photon_distribution_thermal(n_mean, cutoff: int) -> np.ndarray:
     mean of an array of means; a zero mean gives the vacuum row [1, 0, ...]
     without taking log 0."""
     n = np.asarray(n_mean, dtype=float)[..., None]
-    if not np.all(n >= 0.0):  # NaN too
-        raise DomainError(f"mean photon number must be >= 0, got {n_mean}")
+    # two ufunc reductions, which NaN fails, cost about as much as one elementwise sign check
+    low, high = np.minimum.reduce(n, axis=None, initial=0.0), np.maximum.reduce(n, axis=None, initial=0.0)
+    if not (low >= 0.0 and high < np.inf):
+        raise DomainError(f"mean photon number must be {'finite' if low >= 0.0 else '>= 0'}, got {n_mean}")
     q = n / (n + 1.0)
     k = np.arange(cutoff)
     return np.where(q > 0.0, np.exp(k * np.log(np.where(q > 0.0, q, 1.0))) / (n + 1.0), k == 0)
@@ -194,51 +198,39 @@ def phase_rotate_fock(state, theta: float, mode: int = 0):
     return FockDensity(state.cutoff, state.modes, (state.as_tensor() * ket * bra).reshape(dim, dim))
 
 
-@lru_cache(maxsize=8)
-def beamsplitter_fock(d1: int, d2: int, transmissivity: float) -> np.ndarray:
-    """Two-mode beamsplitter unitary on a (d1 x d2)-truncated Fock space.
+def _hopping_block(xi: float, total: int) -> np.ndarray:
+    """exp(xi (a^dag b - a b^dag)) on the whole sector of ``total`` photons.
 
-    Computed by exponentiating the hopping generator xi (a^dag b - a b^dag)
-    with cos(xi) = sqrt(t) blockwise per total photon number, which the
-    generator conserves; the result is exactly orthogonal on the truncated
-    space.  Mode convention matches beamsplitter_symplectic:
-    a -> sqrt(t) a + sqrt(1-t) b,  b -> -sqrt(1-t) a + sqrt(t) b.
+    Rows and columns are the first-mode counts k = 0..total of the states
+    |k, total - k>.  The generator is D (-i 2 J_x) D^-1 with D = diag(i^k)
+    and 2 J_x the real symmetric tridiagonal matrix with off-diagonal
+    sqrt((k + 1) (total - k)), whose eigenvalues are total - 2m; with
+    2 J_x = V diag(lam) V^T the block is the real D V exp(-i xi lam) V^T D^-1.
     """
-    if not 0.0 <= transmissivity <= 1.0:
-        raise DomainError(f"transmissivity must lie in [0, 1], got {transmissivity}")
-    xi = math.acos(min(1.0, math.sqrt(transmissivity)))
-    dim = d1 * d2
-    if transmissivity == 0.0 and d1 == d2:
-        # exact mode swap |n, m> -> (-1)^n |m, n>; the generic block
-        # exponential would scramble the levels clipped by the cutoff
-        unitary = np.zeros((dim, dim))
-        n_idx, m_idx = np.divmod(np.arange(dim), d2)
-        unitary[m_idx * d1 + n_idx, np.arange(dim)] = (-1.0) ** n_idx
-        return unitary
-    unitary = np.zeros((dim, dim))
-    for total in range(d1 + d2 - 1):
-        ks = np.arange(max(0, total - d2 + 1), min(total, d1 - 1) + 1)
-        idx = ks * d2 + (total - ks)
-        unitary[np.ix_(idx, idx)] = _hopping_block(xi, total, ks[0], ks[-1])
-    return unitary
-
-
-def _hopping_block(xi: float, total: int, lo: int, hi: int) -> np.ndarray:
-    """exp(xi (a^dag b - a b^dag)) on the sector of ``total`` photons.
-
-    Rows and columns are the first-mode counts lo..hi of the states
-    |k, total - k>.  A clipped range exponentiates the clipped generator,
-    which keeps the block orthogonal.  The generator is D (-i 2 J_x) D^-1
-    with D = diag(i^k) and 2 J_x the real symmetric tridiagonal matrix with
-    off-diagonal sqrt((k + 1) (total - k)), whose eigenvalues on a whole
-    sector are total - 2m; with 2 J_x = V diag(lam) V^T the block is the
-    real D V exp(-i xi lam) V^T D^-1.
-    """
-    k = np.arange(lo, hi)
+    k = np.arange(total)
     val = np.sqrt((k + 1.0) * (total - k))
     lam, vec = np.linalg.eigh(np.diag(val, -1) + np.diag(val, 1))
-    phase = np.array([1.0, 1j, -1.0, -1j])[np.arange(hi - lo + 1) % 4]
+    phase = np.array([1.0, 1j, -1.0, -1j])[np.arange(total + 1) % 4]
     return ((phase[:, None] * vec * np.exp(-1j * xi * lam)) @ (vec.T * phase.conj())).real
+
+
+def _beamsplitter_amplitudes(t: float, d_in: int, d_env: int, d_out: int) -> np.ndarray:
+    """b[x, e_out, n, e_in] = <x, e_out|U|n, e_in> for n < d_in, e_in < d_env, x < d_out.
+
+    U is the beamsplitter of transmissivity t, in the mode convention of
+    beamsplitter_symplectic: a -> sqrt(t) a + sqrt(1-t) e,
+    e -> -sqrt(1-t) a + sqrt(t) e.  Each sector of n + e_in photons is
+    exponentiated whole (``_hopping_block``), so e_out (of size
+    d_in + d_env - 1) holds every photon and nothing is clipped but the
+    levels x >= d_out; t = 0 is the swap |n, e> -> (-1)^n |e, n>.  Real.
+    """
+    xi = math.acos(min(1.0, math.sqrt(t)))
+    b = np.zeros((d_out, d_in + d_env - 1, d_in, d_env))
+    for total in range(d_in + d_env - 1):
+        x = np.arange(min(total + 1, d_out))[:, None]
+        n = np.arange(max(0, total - d_env + 1), min(total + 1, d_in))
+        b[x, total - x, n, total - n] = _hopping_block(xi, total)[x, n]
+    return b
 
 
 @lru_cache(maxsize=8)
@@ -246,22 +238,15 @@ def _thermal_loss_superop(kappa: float, n_env: float, d_in: int, d_out: int, d_e
     """Matrix K with vec(rho') = K vec(rho) for the thermal-loss channel.
 
     K[(x, y), (n, m)] = sum_{e', e} p_e <x, e'|U|n, e> <m, e|U^dag|y, e'>
-    with U the beamsplitter of transmissivity kappa and p the thermal law
-    of the environment, truncated at d_env and renormalized.  Each sector
-    of n + e photons is exponentiated whole (``_hopping_block``), so the
-    environment output absorbs every signal photon and the only truncation
-    losses are the environment input tail and signal levels spilling past
-    d_out; both show up in the output trace.  Real because U is real.
+    with U the beamsplitter of transmissivity kappa
+    (``_beamsplitter_amplitudes``) and p the thermal law of the
+    environment, truncated at d_env and renormalized.  The environment
+    output absorbs every signal photon, so the only truncation losses are
+    the environment input tail and signal levels spilling past d_out; both
+    show up in the output trace.  Real because U is real.
     """
-    xi = math.acos(min(1.0, math.sqrt(kappa)))
     p_env = photon_distribution_thermal(n_env, d_env)
-    weight = np.sqrt(p_env / p_env.sum())
-    # b[x, e_out, n, e_in] = <x, e_out|U|n, e_in> sqrt(p_e_in)
-    b = np.zeros((d_out, d_in + d_env - 1, d_in, d_env))
-    for total in range(d_in + d_env - 1):
-        x = np.arange(min(total + 1, d_out))[:, None]
-        n = np.arange(max(0, total - d_env + 1), min(total + 1, d_in))
-        b[x, total - x, n, total - n] = _hopping_block(xi, total, 0, total)[x, n] * weight[total - n]
+    b = _beamsplitter_amplitudes(kappa, d_in, d_env, d_out) * np.sqrt(p_env / p_env.sum())
     b = b.transpose(0, 2, 1, 3).reshape(d_out * d_in, -1)
     gram = b @ b.T
     k4 = gram.reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
@@ -321,11 +306,11 @@ def spectral_entropy(eigs: np.ndarray) -> float | np.ndarray:
     return float(entropy) if entropy.ndim == 0 else entropy
 
 
-def rel_entropy_fock(rho: FockDensity, sigma: FockDensity, support_tol: float = 1e-10) -> float:
+def rel_entropy_fock(rho: FockDensity, sigma: FockDensity) -> float:
     """Quantum relative entropy D(rho || sigma) in nats.
 
-    Raises SupportError when rho puts more than ``support_tol`` weight
-    outside the support of sigma.
+    Raises SupportError when rho puts more than 1e-10 weight outside the
+    support of sigma.
     """
     if rho.matrix.shape != sigma.matrix.shape:
         raise ShapeError("relative entropy requires equal-shape densities")
@@ -334,7 +319,7 @@ def rel_entropy_fock(rho: FockDensity, sigma: FockDensity, support_tol: float = 
     rho_in_sigma_basis = svecs.conj().T @ rho.matrix @ svecs
     diag = np.maximum(np.diag(rho_in_sigma_basis).real, 0.0)
     escaped = float(np.sum(diag[~live]))
-    if escaped > support_tol:
+    if escaped > 1e-10:
         raise SupportError(f"rho has weight {escaped:.3e} outside supp(sigma)")
     minus_s_rho = -entropy_fock(rho)
     cross = float(np.sum(diag[live] * np.log(svals[live])))
@@ -505,14 +490,6 @@ def phase_averaged_spectra(effs, cutoff: int, psk_order, tail_tol=DEFAULT_TAIL_T
     return np.array(spectra), deficits
 
 
-def phase_averaged_spectrum(
-    eff: EffectiveChannel, cutoff: int, psk_order, tail_tol: float = DEFAULT_TAIL_TOL
-) -> tuple[np.ndarray, float]:
-    """Spectrum and trace deficit of one link: the one-link view of ``phase_averaged_spectra``."""
-    spectra, deficits = phase_averaged_spectra([eff], cutoff, psk_order, tail_tol)
-    return spectra[0], float(deficits[0])
-
-
 def psk_ensemble_mi(
     eff: EffectiveChannel,
     psk_order: int,
@@ -560,12 +537,11 @@ def mac_joint_fock(
     d = cutoff
     psi = tmsv_fock(n_s, d, tail_tol)
     psi_x, psi_y = phase_rotate_fock(psi, theta, mode=0), phase_rotate_fock(psi, phi, mode=0)
-    # joint pure state, axes (A_X, I_X, A_Y, I_Y) -> (A_X, A_Y, I_X, I_Y)
-    joint = np.tensordot(psi_x.amplitudes, psi_y.amplitudes, axes=0).transpose(0, 2, 1, 3)
-    u = beamsplitter_fock(d, d, p.tau)
-    mixed = (u @ joint.reshape(d * d, d * d)).reshape(d, d, d, d)
-    # trace the discarded combiner port (axis 1): modes left (a, I_X, I_Y)
-    amp = mixed.transpose(0, 2, 3, 1).reshape(d**3, d)
+    # combined amplitudes (a, e_out, I_X, I_Y) of the signals (A_X, A_Y) on the tau beamsplitter
+    b = _beamsplitter_amplitudes(p.tau, d, d, d)
+    mixed = np.einsum("aexy,xi,yj->aeij", b, psi_x.amplitudes, psi_y.amplitudes)
+    # trace the discarded combiner port e_out: modes left (a, I_X, I_Y)
+    amp = mixed.transpose(0, 2, 3, 1).reshape(d**3, -1)
     rho = FockDensity(d, 3, amp @ amp.conj().T)
     return thermal_loss_fock(rho, p.kappa, p.n_b, mode=0, tail_tol=tail_tol)
 

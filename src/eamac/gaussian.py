@@ -77,8 +77,8 @@ def g_entropy(x):
     Accepts scalars or arrays.
     """
     arr = np.asarray(x, dtype=float)
-    if (arr < 0.0).any():
-        raise DomainError("g_entropy requires x >= 0")
+    if not (arr >= 0.0).all():  # NaN too
+        raise DomainError(f"g_entropy requires x >= 0, got {x}")
     out = (arr + 1.0) * np.log1p(arr) - _xlogx(arr)
     if arr.ndim == 0:
         return float(out)

@@ -86,7 +86,7 @@ def q_inv(p: float) -> float:
 def covert_budget(n: int, delta: float, p: MacParams) -> float:
     """Largest admissible weighted power (alpha tau + beta (1-tau)) s at
     block length n and detection budget delta."""
-    if n < 1:
+    if not n >= 1:  # NaN too
         raise DomainError(f"n must be >= 1, got {n}")
     if not 0.0 <= delta < 1.0:
         raise DomainError(f"delta must lie in [0, 1), got {delta}")
@@ -347,6 +347,12 @@ class RelEntStats:
 _MARGINALS = ("joint", "x", "y")
 
 
+def _check_power(s: float) -> None:
+    """Reject a per-slot power s that is NaN, negative or infinite, naming it."""
+    if not 0.0 <= s < math.inf:
+        raise DomainError(f"s must be {'finite' if s >= 0.0 else '>= 0'}, got {s}")
+
+
 def relent_leading(p: MacParams, alpha: float, beta: float, s: float, receiver: str, marginal: str) -> RelEntStats:
     """Leading-order D and V of the sparse layer's per-slot divergences.
 
@@ -357,6 +363,7 @@ def relent_leading(p: MacParams, alpha: float, beta: float, s: float, receiver: 
     """
     if marginal not in _MARGINALS:
         raise DomainError(f"marginal must be one of {_MARGINALS}, got {marginal!r}")
+    _check_power(s)
     x_weight, y_weight = alpha * p.tau**2, beta * (1.0 - p.tau) ** 2
     weight, order = {
         "joint": (x_weight + y_weight, "O((alpha+beta)*s^4)"),
@@ -376,8 +383,7 @@ def slot_laws(p: MacParams, alpha: float, beta: float, s: float, receiver: str, 
     for name, value in (("alpha", alpha), ("beta", beta)):
         if not 0.0 <= value <= 1.0:
             raise DomainError(f"{name} must lie in [0, 1], got {value}")
-    if not s >= 0.0:
-        raise DomainError(f"s must be >= 0, got {s}")
+    _check_power(s)
     kappa_r, background = p.receiver(receiver)
     weights = np.outer([1.0 - alpha, alpha], [1.0 - beta, beta])
     x, y = np.ogrid[:2, :2]
@@ -412,8 +418,9 @@ def relent_exact(p: MacParams, alpha: float, beta: float, s: float, receiver: st
 
 def willie_tv_leading(n: int, alpha: float, beta: float, s: float, p: MacParams) -> float:
     """Leading term of the warden's detection advantage (trace distance)."""
-    if n < 1:
+    if not n >= 1:  # NaN too
         raise DomainError(f"n must be >= 1, got {n}")
+    _check_power(s)
     return 1.0 - 2.0 * q_func(math.sqrt(n) * weighted_power(alpha, beta, s, p) / _willie_coeff(p))
 
 
@@ -452,7 +459,8 @@ def willie_tv_mc(
 
     Samples are split into chunks of ``_MC_CHUNK`` rows, the unit of
     seeding: chunk seeds are spawned from ``seed`` independently of the
-    worker count, and aggregation is a plain sum.  Within a chunk, rows
+    worker count, chunks run on a pool of ``workers`` threads, and
+    aggregation is a plain sum in chunk order.  Within a chunk, rows
     are drawn and scored in blocks of ``_MC_BLOCK`` rows, which bounds
     the memory per worker; consecutive block draws from one generator
     equal a single draw of the whole chunk.  The result therefore
@@ -462,8 +470,9 @@ def willie_tv_mc(
         raise ConfigError("willie_tv_mc requires an explicit seed for reproducibility")
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
-    if not s >= 0.0:  # NaN too, before it sizes the cutoff
-        raise DomainError(f"s must be >= 0, got {s}")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
+    _check_power(s)  # before it sizes the cutoff
     # cutoff sized so the chance of any draw beyond it over all n*samples
     # slots is negligible
     kappa_r, background = p.receiver("willie")
@@ -493,12 +502,8 @@ def willie_tv_mc(
         hits_q = count_hits(rng, q0, size)
         return hits_p, hits_q
 
-    jobs = list(zip(seeds, chunk_sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, jobs))
-    else:
-        results = [run_chunk(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(run_chunk, zip(seeds, chunk_sizes)))
     hits_p = sum(r[0] for r in results)
     hits_q = sum(r[1] for r in results)
     p_hat = hits_p / samples

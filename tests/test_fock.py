@@ -80,31 +80,64 @@ class TestPhaseRotate:
 
 
 class TestBeamsplitterFock:
+    """The one whole-sector beamsplitter behind the tau combiner and thermal loss."""
+
     def test_orthogonal_on_truncated_space(self):
-        u = fk.beamsplitter_fock(6, 6, 0.37)
-        np.testing.assert_allclose(u @ u.T, np.eye(36), atol=1e-12)
+        # e_out and x of size d_in + d_env - 1 hold every photon: U restricted to the input is an isometry
+        for t in (0.0, 0.37, 0.64, 1.0):
+            b = fk._beamsplitter_amplitudes(t, 6, 5, 10).reshape(10 * 10, 6 * 5)
+            assert np.abs(b.T @ b - np.eye(30)).max() <= 1e-12
 
     def test_heisenberg_convention_single_photon(self):
         # |1,0> -> cos(xi)|1,0> - sin(xi)|0,1>
         t = 0.64
-        u = fk.beamsplitter_fock(2, 2, t)
-        out = u @ np.array([0.0, 0.0, 1.0, 0.0])
-        assert out[2] == pytest.approx(math.sqrt(t))
-        assert out[1] == pytest.approx(-math.sqrt(1.0 - t))
+        b = fk._beamsplitter_amplitudes(t, 2, 2, 2)
+        assert b[1, 0, 1, 0] == pytest.approx(math.sqrt(t))
+        assert b[0, 1, 1, 0] == pytest.approx(-math.sqrt(1.0 - t))
+
+    def test_zero_transmissivity_swaps_the_modes(self):
+        # |n, e> -> (-1)^n |e, n>, with no special case for t = 0
+        d_in, d_env = 7, 5
+        n, e = np.ogrid[:d_in, :d_env]
+        swap = np.zeros((d_env, d_in + d_env - 1, d_in, d_env))
+        swap[e, n, n, e] = (-1.0) ** n
+        assert np.abs(fk._beamsplitter_amplitudes(0.0, d_in, d_env, d_env) - swap).max() <= 1e-14
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_hopping_blocks_match_the_matrix_exponential(self):
-        # the eigenbasis route against scipy's expm of the same (possibly clipped) generator
+        # the eigenbasis route against scipy's expm of the same whole-sector generator
         expm = pytest.importorskip("scipy.linalg").expm
         rng = np.random.default_rng(11)
         for xi in [0.0, math.pi / 2, *rng.uniform(0.0, math.pi / 2, 200)]:
             total = int(rng.integers(0, 50))
-            lo = int(rng.integers(0, total + 1))
-            hi = int(rng.integers(lo, total + 1))
-            k = np.arange(lo, hi)
+            k = np.arange(total)
             val = np.sqrt((k + 1) * (total - k))
             generator = np.diag(val, -1) - np.diag(val, 1)
-            assert np.abs(fk._hopping_block(xi, total, lo, hi) - expm(xi * generator)).max() <= 1e-12
+            assert np.abs(fk._hopping_block(xi, total) - expm(xi * generator)).max() <= 1e-12
+
+    @staticmethod
+    def weighted_per_sector_superop(kappa, n_env, d_in, d_out, d_env):
+        """The thermal-loss superoperator with each sector's amplitudes weighted as they are written."""
+        xi = math.acos(min(1.0, math.sqrt(kappa)))
+        p_env = fk.photon_distribution_thermal(n_env, d_env)
+        weight = np.sqrt(p_env / p_env.sum())
+        b = np.zeros((d_out, d_in + d_env - 1, d_in, d_env))
+        for total in range(d_in + d_env - 1):
+            x = np.arange(min(total + 1, d_out))[:, None]
+            n = np.arange(max(0, total - d_env + 1), min(total + 1, d_in))
+            b[x, total - x, n, total - n] = fk._hopping_block(xi, total)[x, n] * weight[total - n]
+        b = b.transpose(0, 2, 1, 3).reshape(d_out * d_in, -1)
+        k4 = (b @ b.T).reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
+        return k4.reshape(d_out * d_out, d_in * d_in)
+
+    def test_thermal_loss_superop_is_bitwise_the_per_sector_construction(self):
+        rng = np.random.default_rng(12)
+        grid = [(0.0, 0.7), (1.0, 0.4), (0.3, 0.0), (0.0, 0.0), (1.0, 0.0)]
+        grid += [(float(rng.uniform()), float(rng.uniform(0.0, 2.0))) for _ in range(10)]
+        for kappa, n_env in grid:
+            d_in, d_out, d_env = 12, int(rng.integers(8, 16)), fk.required_cutoff(n_env, 1e-8)
+            superop = fk._thermal_loss_superop(kappa, n_env, d_in, d_out, d_env)
+            np.testing.assert_array_equal(superop, self.weighted_per_sector_superop(kappa, n_env, d_in, d_out, d_env))
 
 
 class TestThermalLoss:
@@ -169,6 +202,31 @@ class TestThermalLaw:
         # a NaN mean once passed the sign check and gave the vacuum law
         with pytest.raises(DomainError, match="mean photon number must be >= 0, got nan"):
             fk.photon_distribution_thermal(math.nan, 8)
+
+
+class TestNonFiniteInputs:
+    """NaN and inf end in a DomainError naming the argument, not a wrong law or a bare ValueError."""
+
+    @pytest.mark.parametrize("n_mean", [math.inf, math.nan, [0.2, math.inf], [math.nan, 0.1]])
+    def test_photon_distribution_thermal(self, n_mean):
+        with pytest.raises(DomainError, match="mean photon number must be"):
+            fk.photon_distribution_thermal(n_mean, 8)
+
+    @pytest.mark.parametrize("n_mean", [math.inf, math.nan])
+    def test_thermal_fock(self, n_mean):
+        # an infinite mean once gave the vacuum law, so thermal_fock(inf, 4) was the vacuum
+        with pytest.raises(DomainError, match="mean photon number must be"):
+            fk.thermal_fock(n_mean, 4)
+
+    @pytest.mark.parametrize("n_mean", [math.inf, math.nan])
+    def test_required_cutoff(self, n_mean):
+        with pytest.raises(DomainError, match=f"mean photon number must be finite, got {n_mean}"):
+            fk.required_cutoff(n_mean, 1e-8)
+
+    @pytest.mark.parametrize("n_s", [math.inf, math.nan, -math.inf])
+    def test_tmsv_fock(self, n_s):
+        with pytest.raises(DomainError, match=f"n_s must be finite and >= 0, got {n_s}"):
+            fk.tmsv_fock(n_s, 8)
 
 
 class TestInformationFunctionals:
@@ -289,7 +347,7 @@ class TestPhaseAveragedSpectrum:
     @pytest.mark.parametrize("psk_order", [2, 4, 6, 10, 28, 64])
     def test_matches_dense_on_seeded_grid(self, psk_order):
         for eff in _criterion7_links(2024, 6) + self.EDGE_LINKS:
-            eigs, deficit = fk.phase_averaged_spectrum(eff, 14, psk_order, tail_tol=1e-5)
+            (eigs,), (deficit,) = fk.phase_averaged_spectra([eff], 14, psk_order, tail_tol=1e-5)
             s_dense, tail_dense = _dense_spectrum_entropy(eff, 14, psk_order, 1e-5)
             assert abs(fk.spectral_entropy(eigs) - s_dense) <= 1e-12
             assert abs(deficit - tail_dense) <= 1e-12
@@ -311,7 +369,7 @@ class TestPhaseAveragedSpectrum:
         links = _criterion7_links(11, 4) + self.EDGE_LINKS
         spectra, deficits = fk.phase_averaged_spectra(links, 12, psk_order, tail_tol=1e-5)
         for eff, row, deficit in zip(links, spectra, deficits):
-            one, one_deficit = fk.phase_averaged_spectrum(eff, 12, psk_order, tail_tol=1e-5)
+            (one,), (one_deficit,) = fk.phase_averaged_spectra([eff], 12, psk_order, tail_tol=1e-5)
             np.testing.assert_array_equal(row, one)
             assert deficit == one_deficit
 
@@ -335,7 +393,7 @@ class TestPhaseAveragedSpectrum:
 
         rec = fixtures.load_fixtures()[name]
         eff = ch.EffectiveChannel(rec["kappa_eff"], rec["n_t_eff"], rec["n_s"])
-        eigs, deficit = fk.phase_averaged_spectrum(eff, int(rec["cutoff"]), 64)
+        (eigs,), (deficit,) = fk.phase_averaged_spectra([eff], int(rec["cutoff"]), 64)
         s_dense, tail_dense = _dense_spectrum_entropy(eff, int(rec["cutoff"]), 64, fk.DEFAULT_TAIL_TOL)
         assert abs(fk.spectral_entropy(eigs) - s_dense) <= 1e-12
         assert abs(deficit - tail_dense) <= 1e-12
@@ -343,8 +401,8 @@ class TestPhaseAveragedSpectrum:
     def test_blocks_are_one_by_one_for_large_order(self):
         # L >= 2d leaves a diagonal state: d^2 eigenvalues, one per (x, k)
         eff = ch.EffectiveChannel(0.25, 0.525, 0.1)
-        eigs, deficit = fk.phase_averaged_spectrum(eff, 12, 24, tail_tol=1e-5)
-        diag, _ = fk.phase_averaged_spectrum(eff, 12, 64, tail_tol=1e-5)
+        (eigs,), (deficit,) = fk.phase_averaged_spectra([eff], 12, 24, tail_tol=1e-5)
+        (diag,), _ = fk.phase_averaged_spectra([eff], 12, 64, tail_tol=1e-5)
         assert eigs.size == 144
         np.testing.assert_array_equal(np.sort(eigs), np.sort(diag))
         assert abs(eigs.sum() - (1.0 - deficit)) <= 1e-14

@@ -22,6 +22,12 @@ class TestGEntropy:
         with pytest.raises(DomainError):
             g.g_entropy(-0.1)
 
+    @pytest.mark.parametrize("x", [math.nan, -math.inf, [0.5, math.nan], np.array([[0.1, math.nan]])])
+    def test_nan_rejected(self, x):
+        # (x < 0).any() once let NaN through
+        with pytest.raises(DomainError, match="g_entropy requires x >= 0, got"):
+            g.g_entropy(x)
+
     def test_increasing_and_concave(self):
         # finite differences on a grid
         xs = np.linspace(0.0, 5.0, 201)

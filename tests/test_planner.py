@@ -102,6 +102,11 @@ class TestCovertBudget:
         with pytest.raises(DomainError):
             pl.covert_budget(100, 1.0, P_CANON)
 
+    @pytest.mark.parametrize("n", [math.nan, 0])
+    def test_bad_block_length_rejected(self, n):
+        with pytest.raises(DomainError, match=f"n must be >= 1, got {n}"):
+            pl.covert_budget(n, 0.1, P_CANON)
+
 
 class TestLayer1Throughput:
     def test_silent_sender(self):
@@ -232,6 +237,11 @@ class TestRelEnt:
         assert lead.d == pytest.approx(8.3333e-9, rel=1e-4)
         assert lead.v == pytest.approx(2.0 * lead.d, rel=1e-15)
 
+    @pytest.mark.parametrize("s, bound", [(math.nan, ">= 0"), (-0.1, ">= 0"), (math.inf, "finite")])
+    def test_leading_rejects_bad_power(self, s, bound):
+        with pytest.raises(DomainError, match=f"s must be {bound}, got {s}"):
+            pl.relent_leading(P_CANON, 1e-3, 1e-3, s, "bob", "joint")
+
     def test_exact_identical_hypotheses_zero(self):
         exact = pl.relent_exact(P_CANON, 0.3, 0.2, 0.0, "willie", "joint")
         assert exact.d == pytest.approx(0.0, abs=1e-14)
@@ -334,6 +344,19 @@ class TestWillieTv:
         assert pl.willie_tv_leading(10**4, 0.01, 0.01, 0.10, P_CANON) > base
         assert 0.0 <= base <= 1.0
 
+    @pytest.mark.parametrize(
+        "n, s, match",
+        [
+            (100, math.nan, "s must be >= 0, got nan"),
+            (100, -0.1, "s must be >= 0"),
+            (100, math.inf, "s must be finite"),
+            (math.nan, 0.1, "n must be >= 1, got nan"),
+        ],
+    )
+    def test_leading_rejects_non_finite_inputs(self, n, s, match):
+        with pytest.raises(DomainError, match=match):
+            pl.willie_tv_leading(n, 0.1, 0.1, s, P_CANON)
+
     def test_mc_zero_signal(self):
         est = pl.willie_tv_mc(200, 0.1, 0.1, 0.0, P_CANON, samples=20000, seed=5)
         assert abs(est.value) <= 3.0 * max(est.stderr, 1e-9)
@@ -345,6 +368,10 @@ class TestWillieTv:
     def test_mc_rejects_nan_power(self):
         with pytest.raises(DomainError, match="s must be >= 0, got nan"):
             pl.willie_tv_mc(100, 0.1, 0.1, math.nan, P_CANON, samples=100, seed=1)
+
+    def test_mc_rejects_no_workers(self):
+        with pytest.raises(DomainError, match="workers must be >= 1, got 0"):
+            pl.willie_tv_mc(100, 0.1, 0.1, 0.01, P_CANON, samples=100, seed=1, workers=0)
 
     def test_mc_stderr_scaling(self):
         est1 = pl.willie_tv_mc(1000, 0.05, 0.05, 0.05, P_CANON, samples=20000, seed=11)
