@@ -132,7 +132,9 @@ class FockDensity:
 
 
 def required_cutoff(n_mean: float, tail_tol: float) -> int:
-    """Smallest d with thermal/TMSV tail (n/(n+1))^d <= tail_tol."""
+    """Smallest d with thermal/TMSV tail (n/(n+1))^d <= tail_tol, for tail_tol in (0, 1)."""
+    if not 0.0 < tail_tol < 1.0:  # NaN too
+        raise DomainError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     if n_mean <= 0.0:
         return 1
     if not n_mean < math.inf:  # NaN too

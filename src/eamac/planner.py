@@ -15,6 +15,7 @@ willie_tv_mc measure classically.
 """
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -99,6 +100,11 @@ def _willie_coeff(p: MacParams) -> float:
     """Weighted power per unit Q^{-1} at n = 1: 2 sqrt(b (1+b)) / kappa_r at Willie."""
     kappa_r, b = p.receiver("willie")
     return 2.0 * math.sqrt(b * (1.0 + b)) / kappa_r
+
+
+def _leading_tv(n: float, power: float, p: MacParams) -> float:
+    """Leading detection advantage 1 - 2 Q(sqrt(n) power / c) at weighted power ``power``."""
+    return 1.0 - 2.0 * q_func(math.sqrt(n) * power / _willie_coeff(p))
 
 
 def _chi2_rate(p: MacParams, receiver: str, weight: float) -> float:
@@ -318,7 +324,9 @@ def scaling_limits(
             )
         implied = delta
     else:
-        implied = willie_tv_leading(1, alpha, beta, s, p)
+        _check_power(s)
+        # the schedule's constants alpha, beta may exceed 1, so no [0, 1] check here
+        implied = _leading_tv(1, power, p)
         if not 0.0 < implied < 1.0:
             raise InfeasibleError(
                 f"power {power:.6g} implies no detection budget in (0, 1)", binding="budget-constant"
@@ -353,6 +361,21 @@ def _check_power(s: float) -> None:
         raise DomainError(f"s must be {'finite' if s >= 0.0 else '>= 0'}, got {s}")
 
 
+def _check_fractions(alpha: float, beta: float) -> None:
+    """Reject a sender's on-probability alpha or beta outside [0, 1] (NaN too), naming it."""
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not 0.0 <= value <= 1.0:
+            raise DomainError(f"{name} must lie in [0, 1], got {value}")
+
+
+def _check_count(name: str, value) -> None:
+    """Reject a count that is not an integer >= 1 (2.5, NaN, None too), naming it."""
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value}")
+
+
 def relent_leading(p: MacParams, alpha: float, beta: float, s: float, receiver: str, marginal: str) -> RelEntStats:
     """Leading-order D and V of the sparse layer's per-slot divergences.
 
@@ -363,6 +386,7 @@ def relent_leading(p: MacParams, alpha: float, beta: float, s: float, receiver: 
     """
     if marginal not in _MARGINALS:
         raise DomainError(f"marginal must be one of {_MARGINALS}, got {marginal!r}")
+    _check_fractions(alpha, beta)
     _check_power(s)
     x_weight, y_weight = alpha * p.tau**2, beta * (1.0 - p.tau) ** 2
     weight, order = {
@@ -380,9 +404,7 @@ def slot_laws(p: MacParams, alpha: float, beta: float, s: float, receiver: str, 
     (2, 2, cutoff), thermal of mean b + kappa_r (tau s x + (1 - tau) s y) with
     (kappa_r, b) = p.receiver(receiver).  The default cutoff holds every law's
     tail below 1e-14, plus 8 levels, and is at least 32."""
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not 0.0 <= value <= 1.0:
-            raise DomainError(f"{name} must lie in [0, 1], got {value}")
+    _check_fractions(alpha, beta)
     _check_power(s)
     kappa_r, background = p.receiver(receiver)
     weights = np.outer([1.0 - alpha, alpha], [1.0 - beta, beta])
@@ -420,8 +442,9 @@ def willie_tv_leading(n: int, alpha: float, beta: float, s: float, p: MacParams)
     """Leading term of the warden's detection advantage (trace distance)."""
     if not n >= 1:  # NaN too
         raise DomainError(f"n must be >= 1, got {n}")
+    _check_fractions(alpha, beta)
     _check_power(s)
-    return 1.0 - 2.0 * q_func(math.sqrt(n) * weighted_power(alpha, beta, s, p) / _willie_coeff(p))
+    return _leading_tv(n, weighted_power(alpha, beta, s, p), p)
 
 
 @dataclass(frozen=True)
@@ -452,64 +475,71 @@ def willie_tv_mc(
 ) -> McEstimate:
     """Monte Carlo estimate of the warden's n-slot total variation.
 
-    Uses TV = P(A) - Q(A) on the likelihood-ratio event A = {LLR > 0}.
-    Slots are i.i.d., so each n-slot sample reduces to a multinomial
-    count vector over photon numbers; sampling counts is exactly
-    equivalent to sampling slots.
+    With P = q1^n (some sender may transmit), Q = q0^n (both silent), the
+    mixture M = (P + Q) / 2 and S the n-slot log-likelihood ratio,
+    TV(P, Q) = E_M[|p - q| / (p + q)] = E_M[|tanh(S / 2)|].  The estimate
+    is the mean of f = |tanh(S / 2)| in [0, 1] over ``samples`` i.i.d.
+    draws from M in total (not per hypothesis), with the plug-in standard
+    error sqrt(Var(f) / samples).  Slots are i.i.d., so each n-slot draw
+    reduces to a multinomial count vector over photon numbers, and S is
+    that vector dotted with the per-slot llr.
 
     Samples are split into chunks of ``_MC_CHUNK`` rows, the unit of
     seeding: chunk seeds are spawned from ``seed`` independently of the
     worker count, chunks run on a pool of ``workers`` threads, and
-    aggregation is a plain sum in chunk order.  Within a chunk, rows
-    are drawn and scored in blocks of ``_MC_BLOCK`` rows, which bounds
-    the memory per worker; consecutive block draws from one generator
-    equal a single draw of the whole chunk.  The result therefore
-    depends only on (seed, samples), not on the block size or ``workers``.
+    aggregation is a plain sum in chunk order.  A chunk of m rows draws
+    k ~ Binomial(m, 1/2), then k rows from q1 and m - k from q0, which is
+    m exact draws from M.  Rows are drawn and scored in blocks of
+    ``_MC_BLOCK`` rows, which bounds the memory per worker; consecutive
+    block draws from one generator equal a single draw of the whole
+    chunk.  The result therefore depends only on (seed, samples), not on
+    ``workers``.
     """
     if seed is None:
         raise ConfigError("willie_tv_mc requires an explicit seed for reproducibility")
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
+    _check_count("n", n)
+    _check_count("samples", samples)
+    _check_count("workers", workers)
     _check_power(s)  # before it sizes the cutoff
     # cutoff sized so the chance of any draw beyond it over all n*samples
     # slots is negligible
     kappa_r, background = p.receiver("willie")
     cutoff = max(fock.required_cutoff(background + kappa_r * s, 1e-18) + 16, 32)
     weights, laws = slot_laws(p, alpha, beta, s, "willie", cutoff=cutoff)
-    # q1 adds the weighted laws in key order 00, 01, 10, 11, which fixes the stream's bits
-    q1 = sum((weights[..., None] * laws).reshape(4, -1))
+    q0 = laws[0, 0]
+    # q1 is q0 plus the weighted shifts of the other keys, so it equals q0
+    # bit for bit when the senders are silent or s = 0 (then S = 0 exactly)
+    q1 = q0 + sum((weights[..., None] * (laws - q0)).reshape(4, -1))
     q1 = q1 / q1.sum()
-    q0 = laws[0, 0] / laws[0, 0].sum()
+    q0 = q0 / q0.sum()
     llr = np.log(q1) - np.log(q0)
 
     chunk_sizes = [min(_MC_CHUNK, samples - start) for start in range(0, samples, _MC_CHUNK)]
     seeds = np.random.SeedSequence(seed).spawn(len(chunk_sizes))
 
-    def count_hits(rng, q, size):
-        # multinomial consumes the stream row by row: blocks equal one draw
-        hits = 0
-        for start in range(0, size, _MC_BLOCK):
-            counts = rng.multinomial(n, q, size=min(_MC_BLOCK, size - start))
-            hits += int(np.count_nonzero(counts @ llr > 0.0))
-        return hits
-
     def run_chunk(args):
         chunk_seed, size = args
         rng = np.random.default_rng(chunk_seed)
-        hits_p = count_hits(rng, q1, size)
-        hits_q = count_hits(rng, q0, size)
-        return hits_p, hits_q
+        from_q1 = int(rng.binomial(size, 0.5))
+        total = total_sq = 0.0
+        for q, rows in ((q1, from_q1), (q0, size - from_q1)):
+            # multinomial consumes the stream row by row: blocks equal one draw.
+            # einsum casts the counts to float through a small buffer where `@`
+            # would copy the whole block, and the counts are freed as soon as
+            # they are scored, so blocks of varying size (each hypothesis ends in a
+            # partial one) reuse the allocator's space instead of growing it.
+            for start in range(0, rows, _MC_BLOCK):
+                block = min(_MC_BLOCK, rows - start)
+                f = np.abs(np.tanh(0.5 * np.einsum("ij,j->i", rng.multinomial(n, q, size=block), llr)))
+                total += float(f.sum())
+                total_sq += float(f @ f)
+        return total, total_sq
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(run_chunk, zip(seeds, chunk_sizes)))
-    hits_p = sum(r[0] for r in results)
-    hits_q = sum(r[1] for r in results)
-    p_hat = hits_p / samples
-    q_hat = hits_q / samples
-    stderr = math.sqrt(p_hat * (1.0 - p_hat) / samples + q_hat * (1.0 - q_hat) / samples)
-    return McEstimate(value=p_hat - q_hat, stderr=stderr, samples=samples)
+    mean = sum(r[0] for r in results) / samples
+    var = max(sum(r[1] for r in results) / samples - mean * mean, 0.0)
+    return McEstimate(value=mean, stderr=math.sqrt(var / samples), samples=samples)
 
 
 def chernoff_truncation(n: int, alpha: float, beta: float, mu_bar: float) -> float:

@@ -119,7 +119,10 @@ def check_willie_tv_mc(seed: int, samples: int = 10**6, workers: int = 1) -> Che
         passed=measured <= 0.05,
         measured=measured,
         tolerance=0.05,
-        detail=f"leading {lead:.6f}, mc {est.value:.6f} +- {est.stderr:.6f} ({samples} samples)",
+        detail=(
+            f"leading {lead:.6f}, mc {est.value:.6f} +- {est.stderr:.6f} "
+            f"({samples} mixture draws, mean |tanh(LLR / 2)|)"
+        ),
     )
 
 

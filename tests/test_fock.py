@@ -228,6 +228,23 @@ class TestNonFiniteInputs:
         with pytest.raises(DomainError, match=f"n_s must be finite and >= 0, got {n_s}"):
             fk.tmsv_fock(n_s, 8)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda tol: fk.required_cutoff(1.0, tol),
+            lambda tol: fk.required_cutoff(0.0, tol),
+            lambda tol: fk.tmsv_fock(0.5, 20, tail_tol=tol),
+            lambda tol: fk.thermal_loss_fock(fk.thermal_fock(0.5, 10), 0.5, 1.0, tail_tol=tol),
+            lambda tol: fk.psk_ensemble_mi(ch.EffectiveChannel(0.3, 0.2, 0.1), 4, 8, tail_tol=tol),
+        ],
+        ids=["required_cutoff", "required_cutoff_vacuum", "tmsv_fock", "thermal_loss_fock", "psk_ensemble_mi"],
+    )
+    @pytest.mark.parametrize("tail_tol", [0.0, -1e-8, 1.0, 2.0, math.nan])
+    def test_tail_tol_outside_unit_interval(self, entry, tail_tol):
+        # once a bare math domain error, or a silent cutoff of 1 for tol >= 1
+        with pytest.raises(DomainError, match=rf"tail_tol must lie in \(0, 1\), got {tail_tol}"):
+            entry(tail_tol)
+
 
 class TestInformationFunctionals:
     def test_rounding_below_zero_adds_no_entropy(self):

@@ -8,6 +8,7 @@ import pytest
 
 from eamac import fock
 from eamac import planner as pl
+from eamac import validate
 from eamac.channel import MacParams
 from eamac.errors import ConfigError, DomainError, InfeasibleError
 
@@ -357,9 +358,22 @@ class TestWillieTv:
         with pytest.raises(DomainError, match=match):
             pl.willie_tv_leading(n, 0.1, 0.1, s, P_CANON)
 
+    @pytest.mark.parametrize("value", [math.nan, -0.1, 1.5])
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_leading_evaluators_reject_bad_fractions(self, field, value):
+        # a NaN alpha or beta once came back as a NaN divergence or advantage
+        fractions = {"alpha": 0.1, "beta": 0.1, field: value}
+        match = rf"{field} must lie in \[0, 1\], got {value}"
+        with pytest.raises(DomainError, match=match):
+            pl.willie_tv_leading(100, s=0.1, p=P_CANON, **fractions)
+        with pytest.raises(DomainError, match=match):
+            pl.relent_leading(P_CANON, s=0.1, receiver="bob", marginal="joint", **fractions)
+
     def test_mc_zero_signal(self):
-        est = pl.willie_tv_mc(200, 0.1, 0.1, 0.0, P_CANON, samples=20000, seed=5)
-        assert abs(est.value) <= 3.0 * max(est.stderr, 1e-9)
+        # silent senders or s = 0 make q1 equal q0 bit for bit, so every |tanh(S/2)| is 0
+        for alpha, beta, s in ((0.1, 0.1, 0.0), (0.0, 0.0, 0.1)):
+            est = pl.willie_tv_mc(200, alpha, beta, s, P_CANON, samples=20000, seed=5)
+            assert (est.value, est.stderr) == (0.0, 0.0)
 
     def test_mc_requires_seed(self):
         with pytest.raises(ConfigError):
@@ -372,6 +386,23 @@ class TestWillieTv:
     def test_mc_rejects_no_workers(self):
         with pytest.raises(DomainError, match="workers must be >= 1, got 0"):
             pl.willie_tv_mc(100, 0.1, 0.1, 0.01, P_CANON, samples=100, seed=1, workers=0)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("n", 0, "n must be >= 1, got 0"),
+            ("n", 2.5, "n must be an integer, got 2.5"),
+            ("n", math.nan, "n must be an integer, got nan"),
+            ("samples", 0, "samples must be >= 1, got 0"),
+            ("samples", 2.5, "samples must be an integer, got 2.5"),
+            ("samples", math.nan, "samples must be an integer, got nan"),
+            ("workers", 1.5, "workers must be an integer, got 1.5"),
+        ],
+    )
+    def test_mc_rejects_bad_counts(self, field, value, match):
+        kwargs = {"n": 100, "samples": 100, "workers": 1, field: value}
+        with pytest.raises(DomainError, match=match):
+            pl.willie_tv_mc(alpha=0.1, beta=0.1, s=0.01, p=P_CANON, seed=1, **kwargs)
 
     def test_mc_stderr_scaling(self):
         est1 = pl.willie_tv_mc(1000, 0.05, 0.05, 0.05, P_CANON, samples=20000, seed=11)
@@ -392,34 +423,68 @@ class TestWillieTv:
         expected = _whole_chunk_tv_mc(*args, samples=samples, seed=2718)
         assert pl.willie_tv_mc(*args, samples=samples, seed=2718, workers=workers) == expected
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mc_within_four_stderr_of_exact(self, n, seed):
+        # exact: 1/2 sum |q1^n - q0^n| over every tuple of n slots (76^n terms)
+        args = (0.5, 0.3, 1.0, P_CANON)
+        q1, q0 = _warden_laws(*args)
+        joint1, joint0 = q1, q0
+        for _ in range(n - 1):
+            joint1, joint0 = np.multiply.outer(joint1, q1), np.multiply.outer(joint0, q0)
+        exact = 0.5 * float(np.abs(joint1 - joint0).sum())
+        est = pl.willie_tv_mc(n, *args, samples=10**5, seed=seed)
+        assert abs(est.value - exact) <= 4.0 * est.stderr
 
-def _whole_chunk_tv_mc(n, alpha, beta, s, p, samples, seed):
-    """willie_tv_mc drawing each 2^16-row seed chunk in one multinomial call,
-    with its laws built per key at the warden (1 - kappa, kappa n_b)."""
+    def test_mc_precision_at_the_validate_point(self):
+        # 0.29938121245: Gil-Pelaez inversion of the n-slot LLR's characteristic
+        # function (trapezoid on [0, 12 / sigma_n], 1001 and 4001 nodes agree to 1e-14)
+        n = 10**4
+        p, alpha, beta, s = validate.tv_experiment_params(0.30, n)
+        est = pl.willie_tv_mc(n, alpha, beta, s, p, samples=10**6, seed=42, workers=2)
+        assert est.stderr <= 2.5e-4
+        assert abs(est.value - 0.29938121245) <= 4.0 * est.stderr
+
+
+def _warden_laws(alpha, beta, s, p):
+    """willie_tv_mc's normalised (q1, q0), with its laws built per key at the
+    warden (1 - kappa, kappa n_b) and q1 summed as q0 plus each key's shift."""
     coupling, background = 1.0 - p.kappa, p.kappa * p.n_b
     cutoff = max(fock.required_cutoff(background + coupling * s, 1e-18) + 16, 32)
     weight = {0: (1.0 - alpha, 1.0 - beta), 1: (alpha, beta)}
-    q1 = sum(
+    q0 = fock.photon_distribution_thermal(background, cutoff)
+    q1 = q0 + sum(
         weight[x][0] * weight[y][1]
-        * fock.photon_distribution_thermal(background + coupling * (p.tau * s * x + (1.0 - p.tau) * s * y), cutoff)
+        * (fock.photon_distribution_thermal(background + coupling * (p.tau * s * x + (1.0 - p.tau) * s * y), cutoff) - q0)
         for x in (0, 1)
         for y in (0, 1)
     )
-    q0 = fock.photon_distribution_thermal(background, cutoff)
-    q1 = q1 / q1.sum()
-    q0 = q0 / q0.sum()
+    return q1 / q1.sum(), q0 / q0.sum()
+
+
+def _whole_chunk_tv_mc(n, alpha, beta, s, p, samples, seed):
+    """willie_tv_mc drawing each hypothesis's rows of a 2^16-row seed chunk in
+    one multinomial call, then summing f = |tanh(S/2)| per 2^12-row block."""
+    q1, q0 = _warden_laws(alpha, beta, s, p)
     llr = np.log(q1) - np.log(q0)
-    chunk = 1 << 16
+    chunk, block = 1 << 16, 1 << 12
     sizes = [min(chunk, samples - start) for start in range(0, samples, chunk)]
-    hits_p = hits_q = 0
+    total = total_sq = 0.0
     for chunk_seed, size in zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes):
         rng = np.random.default_rng(chunk_seed)
-        hits_p += int(np.count_nonzero(rng.multinomial(n, q1, size=size) @ llr > 0.0))
-        hits_q += int(np.count_nonzero(rng.multinomial(n, q0, size=size) @ llr > 0.0))
-    p_hat = hits_p / samples
-    q_hat = hits_q / samples
-    stderr = math.sqrt(p_hat * (1.0 - p_hat) / samples + q_hat * (1.0 - q_hat) / samples)
-    return pl.McEstimate(value=p_hat - q_hat, stderr=stderr, samples=samples)
+        from_q1 = int(rng.binomial(size, 0.5))
+        chunk_total = chunk_sq = 0.0
+        for q, rows in ((q1, from_q1), (q0, size - from_q1)):
+            f = np.abs(np.tanh(0.5 * np.einsum("ij,j->i", rng.multinomial(n, q, size=rows), llr)))
+            for start in range(0, rows, block):
+                part = f[start : start + block]
+                chunk_total += float(part.sum())
+                chunk_sq += float(part @ part)
+        total += chunk_total
+        total_sq += chunk_sq
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    return pl.McEstimate(value=mean, stderr=math.sqrt(var / samples), samples=samples)
 
 
 class TestChernoff:
