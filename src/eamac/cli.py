@@ -5,7 +5,7 @@ command reads a key = value config file, validates it against a closed
 schema (unknown keys are rejected), and emits a deterministic text file:
 identical config and seed give byte-identical output, independent of the
 worker count.  Exit codes: 0 success, 2 config error, 3 infeasible plan,
-4 numerical or truncation failure.
+4 numerical or truncation failure (a failing validate still writes its report).
 """
 
 import argparse
@@ -125,6 +125,8 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):
+        return ", ".join(_fmt(v) for v in value)
     return str(value)
 
 
@@ -142,27 +144,24 @@ def _header(command: str, config: dict, args) -> list:
     return lines
 
 
+def _record(command: str, config: dict, args, fields: list) -> str:
+    """The record format: the header, then one ``key = value`` line per field."""
+    lines = _header(command, config, args) + [f"{key} = {_fmt(value)}" for key, value in fields]
+    return "\n".join(lines) + "\n"
+
+
 def _rate(value: float, args) -> float:
     return value / LN2 if args.bits else value
 
 
-def _region_record(reg, config, args, boundary_points: int) -> str:
-    lines = _header("region", config, args)
-    lines += [
-        f"x_bound = {_fmt(_rate(reg.x_bound, args))}",
-        f"y_bound = {_fmt(_rate(reg.y_bound, args))}",
-        f"sum_bound = {_fmt(_rate(reg.sum_bound, args))}",
-        f"sum_branch = {reg.sum_branch}",
-        f"sum_active = {_fmt(reg.sum_active)}",
-    ]
-    for key in sorted(reg.validity):
-        lines.append(f"validity.{key} = {_fmt(reg.validity[key])}")
-    for i, (vx, vy) in enumerate(reg.vertices):
-        lines.append(f"vertex_{i} = {_fmt(_rate(vx, args))}, {_fmt(_rate(vy, args))}")
-    if boundary_points > 0:
-        for i, (bx, by) in enumerate(_boundary_polyline(reg, boundary_points)):
-            lines.append(f"boundary_{i} = {_fmt(_rate(bx, args))}, {_fmt(_rate(by, args))}")
-    return "\n".join(lines) + "\n"
+def _rates(obj, names, args) -> list:
+    """Rate fields read off ``obj``, in bits under ``--bits``."""
+    return [(name, _rate(getattr(obj, name), args)) for name in names]
+
+
+def _points(prefix: str, points, args) -> list:
+    """Numbered ``prefix_i = x, y`` fields of rate-plane points."""
+    return [(f"{prefix}_{i}", (_rate(x, args), _rate(y, args))) for i, (x, y) in enumerate(points)]
 
 
 def _boundary_polyline(reg, count: int) -> list:
@@ -170,9 +169,7 @@ def _boundary_polyline(reg, count: int) -> list:
     chain = [v for v in reg.vertices if v != (0.0, 0.0)]
     if len(chain) < 2:
         return chain
-    lengths = []
-    for a, b in zip(chain[:-1], chain[1:]):
-        lengths.append(math.hypot(b[0] - a[0], b[1] - a[1]))
+    lengths = [math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(chain[:-1], chain[1:])]
     total = sum(lengths)
     if total == 0.0:
         return [chain[0]]
@@ -189,7 +186,7 @@ def _boundary_polyline(reg, count: int) -> list:
     return points
 
 
-def _region_svg(reg, config, args) -> str:
+def _region_svg(reg, command: str, config, args) -> str:
     """Minimal standalone SVG of the region polygon, no plotting dependency."""
     span = max(reg.x_bound, reg.y_bound, 1e-12)
     size, margin = 400.0, 40.0
@@ -199,7 +196,7 @@ def _region_svg(reg, config, args) -> str:
         return margin + vx * scale, size - margin - vy * scale
 
     points = " ".join(f"{to_px(vx, vy)[0]:.3f},{to_px(vx, vy)[1]:.3f}" for vx, vy in reg.vertices)
-    header = "\n".join(_header("region", config, args))
+    header = "\n".join(_header(command, config, args))
     ox, oy = to_px(0.0, 0.0)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" height="{size:.0f}" '
@@ -216,69 +213,57 @@ def _mac_params(config) -> MacParams:
     return MacParams(tau=config["tau"], kappa=config["kappa"], n_b=config["n_b"])
 
 
-def cmd_region(config, args) -> str:
+def cmd_region(config, args) -> tuple:
     if config["boundary_points"] < 0:
         raise ConfigError(f"boundary_points must be >= 0, got {config['boundary_points']}")
     p = _mac_params(config)
     m = ModulationConfig(n_s=config["n_s"])
-    numerics = rg.RegionNumerics(
-        cutoff=config["cutoff"], psk_order=config["psk_order"], tail_tol=config["tail_tol"]
-    )
+    numerics = rg.RegionNumerics(cutoff=config["cutoff"], psk_order=config["psk_order"], tail_tol=config["tail_tol"])
     reg = rg.achievable_region(p, m, numerics)
     if args.format == "svg":
-        return _region_svg(reg, config, args)
-    return _region_record(reg, config, args, config["boundary_points"])
+        return _region_svg(reg, "region", config, args), 0
+    fields = _rates(reg, ("x_bound", "y_bound", "sum_bound"), args)
+    fields += [("sum_branch", reg.sum_branch), ("sum_active", reg.sum_active)]
+    fields += [(f"validity.{key}", reg.validity[key]) for key in sorted(reg.validity)]
+    fields += _points("vertex", reg.vertices, args)
+    if config["boundary_points"] > 0:
+        fields += _points("boundary", _boundary_polyline(reg, config["boundary_points"]), args)
+    return _record("region", config, args, fields), 0
 
 
-def cmd_covert_rect(config, args) -> str:
-    p = _mac_params(config)
-    rect = rg.covert_rectangle(p, config["s"])
+def cmd_covert_rect(config, args) -> tuple:
+    rect = rg.covert_rectangle(_mac_params(config), config["s"])
     if args.format == "svg":
-        return _region_svg(rect, config, args)
-    lines = _header("covert-rect", config, args)
-    lines += [
-        f"x_bound = {_fmt(_rate(rect.x_bound, args))}",
-        f"y_bound = {_fmt(_rate(rect.y_bound, args))}",
-    ]
-    for i, (vx, vy) in enumerate(rect.vertices):
-        lines.append(f"vertex_{i} = {_fmt(_rate(vx, args))}, {_fmt(_rate(vy, args))}")
-    return "\n".join(lines) + "\n"
+        return _region_svg(rect, "covert-rect", config, args), 0
+    fields = _rates(rect, ("x_bound", "y_bound"), args) + _points("vertex", rect.vertices, args)
+    return _record("covert-rect", config, args, fields), 0
 
 
-def cmd_budget(config, args) -> str:
+def cmd_budget(config, args) -> tuple:
     p = _mac_params(config)
-    lines = _header("budget", config, args)
     missing = [k for k in ("alpha", "beta", "s") if config[k] is None]
     if missing:
-        lines.append(f"budget = {_fmt(planner.covert_budget(config['n'], config['delta'], p))}")
+        fields = [("budget", planner.covert_budget(config["n"], config["delta"], p))]
         if len(missing) < 3:
             raise ConfigError(f"budget needs all of alpha, beta, s or none; missing {', '.join(missing)}")
     else:
         power, budget, feasible = planner.covert_feasibility(
             config["n"], config["alpha"], config["beta"], config["s"], p, config["delta"]
         )
-        lines += [f"budget = {_fmt(budget)}", f"power = {_fmt(power)}", f"feasible = {_fmt(feasible)}"]
-    return "\n".join(lines) + "\n"
+        fields = [("budget", budget), ("power", power), ("feasible", feasible)]
+    return _record("budget", config, args, fields), 0
 
 
-def _plan_lines(plan, args) -> list:
-    lines = [f"power = {_fmt(plan.power)}", f"budget = {_fmt(plan.budget)}", "feasible = true"]
-    lines += [f"{name} = {_fmt(_rate(value, args))}" for name, value in plan.rates()]
-    lines += [f"order.{name} = {order}" for name, order in _RATE_ORDERS.items()]
-    lines += [
-        f"l_x = {plan.layer2.l_x}",
-        f"l_y = {plan.layer2.l_y}",
-        f"ent_nats_x = {_fmt(_rate(plan.layer2.ent_nats_x, args))}",
-        f"ent_nats_y = {_fmt(_rate(plan.layer2.ent_nats_y, args))}",
-    ]
-    return lines
-
-
-def cmd_plan(config, args) -> str:
+def cmd_plan(config, args) -> tuple:
     p = _mac_params(config)
     point = (config["n"], config["alpha"], config["beta"], config["s"], p)
     plan = planner.build_plan(*point, delta=config["delta"], epsilon=config["epsilon"], mu_bar=config["mu_bar"])
-    return "\n".join(_header("plan", config, args) + _plan_lines(plan, args)) + "\n"
+    fields = [("power", plan.power), ("budget", plan.budget), ("feasible", True)]
+    fields += [(name, _rate(value, args)) for name, value in plan.rates()]
+    fields += [(f"order.{name}", order) for name, order in _RATE_ORDERS.items()]
+    fields += [("l_x", plan.layer2.l_x), ("l_y", plan.layer2.l_y)]
+    fields += _rates(plan.layer2, ("ent_nats_x", "ent_nats_y"), args)
+    return _record("plan", config, args, fields), 0
 
 
 SWEEP_COLUMNS = ["budget", "power", "feasible", *_RATE_ORDERS, "rect_x", "rect_y"]
@@ -301,7 +286,7 @@ def _sweep_row(config, args, value) -> str:
     return ",".join(cells)
 
 
-def cmd_sweep(config, args) -> str:
+def cmd_sweep(config, args) -> tuple:
     if config["vary"] not in SWEEP_KEYS:
         raise ConfigError(f"vary must be one of {SWEEP_KEYS}, got {config['vary']!r}")
     if config["count"] < 1 or config["count"] > MAX_SWEEP_POINTS:
@@ -312,34 +297,24 @@ def cmd_sweep(config, args) -> str:
     rows = [_sweep_row(config, args, v) for v in grid]
     header = [line if line.startswith("#") else f"# {line}" for line in _header("sweep", config, args)]
     columns = ",".join([config["vary"]] + SWEEP_COLUMNS)
-    return "\n".join(header + [columns] + rows) + "\n"
+    return "\n".join(header + [columns] + rows) + "\n", 0
 
 
-class _ValidationFailed(EamacError):
-    """Carries the report text so it is still written before exiting 4."""
-
-    def __init__(self, report: str):
-        super().__init__("validation suite failed; see report")
-        self.report = report
-
-
-def cmd_validate(config, args) -> str:
+def cmd_validate(config, args) -> tuple:
     if args.seed is None:
         raise ConfigError("validate is stochastic; --seed is required")
     results = val.run_suite(args.seed, samples=config["samples"], workers=args.workers)
-    lines = _header("validate", config, args)
+    fields = []
     for res in results:
-        status = "pass" if res.passed else "FAIL"
-        lines.append(f"check.{res.name} = {status}")
-        lines.append(f"check.{res.name}.measured = {_fmt(res.measured)}")
-        lines.append(f"check.{res.name}.tolerance = {_fmt(res.tolerance)}")
-        lines.append(f"check.{res.name}.detail = {res.detail}")
+        fields += [
+            (f"check.{res.name}", "pass" if res.passed else "FAIL"),
+            (f"check.{res.name}.measured", res.measured),
+            (f"check.{res.name}.tolerance", res.tolerance),
+            (f"check.{res.name}.detail", res.detail),
+        ]
     all_pass = all(r.passed for r in results)
-    lines.append(f"overall = {'pass' if all_pass else 'FAIL'}")
-    report = "\n".join(lines) + "\n"
-    if not all_pass:
-        raise _ValidationFailed(report)
-    return report
+    fields.append(("overall", "pass" if all_pass else "FAIL"))
+    return _record("validate", config, args, fields), 0 if all_pass else 4
 
 
 COMMANDS = {
@@ -382,20 +357,13 @@ def main(argv=None) -> int:
         if args.seed is not None and not 0 <= args.seed < 2**64:
             raise ConfigError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
         config = parse_config(args.config, SCHEMAS[args.command])
-        text = COMMANDS[args.command](config, args)
+        text, code = COMMANDS[args.command](config, args)
     except (ConfigError, DomainError, ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleError as exc:
         print(f"infeasible: {exc} (binding: {exc.binding})", file=sys.stderr)
         return 3
-    except _ValidationFailed as exc:
-        if args.out:
-            Path(args.out).write_text(exc.report)
-        else:
-            sys.stdout.write(exc.report)
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
     except EamacError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
@@ -403,7 +371,9 @@ def main(argv=None) -> int:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    return 0
+    if code:  # a failing validate report
+        print("numerical failure: validation suite failed; see report", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -235,7 +235,6 @@ def _beamsplitter_amplitudes(t: float, d_in: int, d_env: int, d_out: int) -> np.
     return b
 
 
-@lru_cache(maxsize=8)
 def _thermal_loss_superop(kappa: float, n_env: float, d_in: int, d_out: int, d_env: int) -> np.ndarray:
     """Matrix K with vec(rho') = K vec(rho) for the thermal-loss channel.
 
@@ -252,7 +251,7 @@ def _thermal_loss_superop(kappa: float, n_env: float, d_in: int, d_out: int, d_e
     b = b.transpose(0, 2, 1, 3).reshape(d_out * d_in, -1)
     gram = b @ b.T
     k4 = gram.reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
-    return np.ascontiguousarray(k4.reshape(d_out * d_out, d_in * d_in))
+    return k4.reshape(d_out * d_out, d_in * d_in)
 
 
 def _env_cutoff_for(n_env: float, tail_tol: float, d_env) -> int:
@@ -286,7 +285,7 @@ def thermal_loss_fock(
         raise ShapeError(f"mode {mode} out of range for {rho.modes} modes")
     d = rho.cutoff
     d_env = _env_cutoff_for(n_b, tail_tol, d_env)
-    superop = _thermal_loss_superop(float(kappa), float(n_b), d, d, d_env)
+    superop = _thermal_loss_superop(kappa, n_b, d, d, d_env)
 
     # the superoperator acts on the mode's (ket, bra) axes, moved to the front
     moved = np.moveaxis(rho.as_tensor(), (mode, rho.modes + mode), (0, 1))

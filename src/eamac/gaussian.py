@@ -79,7 +79,10 @@ def g_entropy(x):
     arr = np.asarray(x, dtype=float)
     if not (arr >= 0.0).all():  # NaN too
         raise DomainError(f"g_entropy requires x >= 0, got {x}")
-    out = (arr + 1.0) * np.log1p(arr) - _xlogx(arr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (arr + 1.0) * np.log1p(arr) - _xlogx(arr)
+    if not np.isfinite(out).all():  # x = inf, or (x + 1) ln(x + 1) overflows
+        raise DomainError(f"g_entropy is not finite at x = {x}")
     if arr.ndim == 0:
         return float(out)
     return out

@@ -84,6 +84,16 @@ class TestRegionCommand:
         text = out.read_text()
         assert text.startswith("<svg") and "<polygon" in text
 
+    @pytest.mark.parametrize(
+        "command, entries", [("region", REGION_BASE), ("covert-rect", dict(tau=0.5, kappa=0.5, n_b=1.0, s=0.01))]
+    )
+    def test_svg_header_names_its_command(self, tmp_path, command, entries):
+        cfg = write_config(tmp_path / "c.cfg", **entries)
+        out = tmp_path / "r.svg"
+        assert run([command, "--config", cfg, "--out", str(out), "--format", "svg"]) == 0
+        header = out.read_text().split("<!--\n")[1].split("\n-->")[0].splitlines()
+        assert header[1] == f"command = {command}"
+
     def test_csv_not_supported(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", **REGION_BASE)
         assert run(["region", "--config", cfg, "--format", "csv"]) == 2
@@ -292,6 +302,30 @@ class TestValidate:
         assert blobs[0] == blobs[1]
         assert b"overall = pass" in blobs[0]
         assert blobs[0].count(b"= pass") == 5
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_failing_check_writes_full_report_and_exits_4(self, tmp_path, capsys, monkeypatch, to_file):
+        from eamac import cli
+        from eamac.validate import CheckResult
+
+        failing = CheckResult("oracle", False, 2.5, 1.0, "measured above tolerance")
+        monkeypatch.setattr(cli.val, "run_suite", lambda seed, samples, workers: [failing])
+        cfg = write_config(tmp_path / "v.cfg", samples=1000)
+        out = tmp_path / "v.txt"
+        argv = ["validate", "--config", cfg, "--seed", "5"] + (["--out", str(out)] if to_file else [])
+        assert run(argv) == 4
+        captured = capsys.readouterr()
+        report = out.read_text() if to_file else captured.out
+        assert report.endswith(
+            "check.oracle = FAIL\n"
+            "check.oracle.measured = 2.5\n"
+            "check.oracle.tolerance = 1.0\n"
+            "check.oracle.detail = measured above tolerance\n"
+            "overall = FAIL\n"
+        )
+        assert report.startswith("# eamac") and "seed = 5\n" in report
+        assert captured.out == ("" if to_file else report)
+        assert captured.err == "numerical failure: validation suite failed; see report\n"
 
 
 def test_cli_loads_no_scipy(tmp_path):

@@ -1,6 +1,7 @@
 """Covariance-matrix algebra: spectra, entropies, channels, conditioning."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,14 @@ class TestGEntropy:
         # (x < 0).any() once let NaN through
         with pytest.raises(DomainError, match="g_entropy requires x >= 0, got"):
             g.g_entropy(x)
+
+    @pytest.mark.parametrize("x", [math.inf, 1e306, [0.5, math.inf], np.array([[0.1, 1e306]])])
+    def test_non_finite_g_rejected(self, x):
+        # inf - inf and an overflowing (x + 1) ln(x + 1) once returned NaN with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="g_entropy is not finite at x = "):
+                g.g_entropy(x)
 
     def test_increasing_and_concave(self):
         # finite differences on a grid
