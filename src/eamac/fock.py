@@ -29,7 +29,6 @@ import numpy as np
 
 from .channel import EffectiveChannel, MacParams
 from .errors import DomainError, PhysicalityError, ShapeError, SupportError, TruncationError
-from .gaussian import _xlogx
 
 DEFAULT_TAIL_TOL = 1e-8
 
@@ -139,8 +138,11 @@ def required_cutoff(n_mean: float, tail_tol: float) -> int:
         return 1
     if not n_mean < math.inf:  # NaN too
         raise DomainError(f"mean photon number must be finite, got {n_mean}")
-    q = n_mean / (n_mean + 1.0)
-    return max(1, math.ceil(math.log(tail_tol) / math.log(q)))
+    # ln(n / (n + 1)) without rounding n / (n + 1) to 1 above n = 2^53
+    need = math.log(tail_tol) / -math.log1p(1.0 / n_mean)
+    if need == math.inf:
+        raise DomainError(f"mean photon number {n_mean} is too large for any cutoff")
+    return max(1, math.ceil(need))
 
 
 def _check_tmsv_cutoff(n_s: float, cutoff: int, tail_tol: float) -> None:
@@ -169,17 +171,16 @@ def thermal_fock(n_mean: float, cutoff: int) -> FockDensity:
 
 
 def photon_distribution_thermal(n_mean, cutoff: int) -> np.ndarray:
-    """Geometric photon-number law n^k / (n+1)^(k+1) for k < cutoff, one row per
+    """Geometric photon-number law (n/(n+1))^k / (n+1) for k < cutoff, one row per
     mean of an array of means; a zero mean gives the vacuum row [1, 0, ...]
-    without taking log 0."""
+    through 0^0 = 1."""
     n = np.asarray(n_mean, dtype=float)[..., None]
     # two ufunc reductions, which NaN fails, cost about as much as one elementwise sign check
     low, high = np.minimum.reduce(n, axis=None, initial=0.0), np.maximum.reduce(n, axis=None, initial=0.0)
     if not (low >= 0.0 and high < np.inf):
         raise DomainError(f"mean photon number must be {'finite' if low >= 0.0 else '>= 0'}, got {n_mean}")
-    q = n / (n + 1.0)
-    k = np.arange(cutoff)
-    return np.where(q > 0.0, np.exp(k * np.log(np.where(q > 0.0, q, 1.0))) / (n + 1.0), k == 0)
+    n1 = n + 1.0
+    return (n / n1) ** np.arange(cutoff) / n1
 
 
 def phase_rotate_fock(state, theta: float, mode: int = 0):
@@ -301,9 +302,10 @@ def entropy_fock(rho: FockDensity) -> float:
 
 def spectral_entropy(eigs: np.ndarray) -> float | np.ndarray:
     """Entropy -sum lambda ln lambda in nats of a density-matrix spectrum, or of each row of a stack."""
-    if np.min(eigs) < -1e-10:
-        raise PhysicalityError(f"density matrix has eigenvalue {np.min(eigs):.3e} < -1e-10")
-    entropy = -_xlogx(eigs).sum(axis=-1)
+    if eigs.min() < -1e-10:
+        raise PhysicalityError(f"density matrix has eigenvalue {eigs.min():.3e} < -1e-10")
+    # 0 ln 0 = 0, and a rounding below 0 counts as 0
+    entropy = -(eigs * np.log(eigs, out=np.zeros(eigs.shape), where=eigs > 0.0)).sum(axis=-1)
     return float(entropy) if entropy.ndim == 0 else entropy
 
 
@@ -390,11 +392,20 @@ BLOCK_BATCH = 1 << 20
 
 
 @lru_cache(maxsize=8)
-def _log_factorials(size: int) -> np.ndarray:
-    """ln k! for k < size, read-only."""
-    table = np.array([math.lgamma(k + 1.0) for k in range(size)])
-    table.flags.writeable = False
-    return table
+def _binomial_basis(size: int, d_in: int) -> np.ndarray:
+    """Read-only rows [ln C(r, m) (-inf for m > r), m, r - m, 1] over r < size, m < d_in, flattened."""
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(size)])
+    r, m = np.ogrid[:size, :d_in]
+    log_comb = np.where(m <= r, log_fact[r] - log_fact[m] - log_fact[np.abs(r - m)], -np.inf)
+    basis = np.array(np.broadcast_arrays(log_comb, m, r - m, 1.0), dtype=float).reshape(4, -1)
+    basis.flags.writeable = False
+    return basis
+
+
+def _log(y: float) -> float:
+    """ln y, with ln 0 a finite -1e6: 0 ln 0 is then 0 with no mask, and for r < 10^6 any
+    count of it from 1 up underflows exp, whatever ln C(r, m) <= r ln 2 it meets."""
+    return math.log(y) if y > 0.0 else -1e6
 
 
 def _kraus_laws(kappa, n_t, d_in: int, d_out: int) -> tuple[np.ndarray, np.ndarray]:
@@ -409,26 +420,18 @@ def _kraus_laws(kappa, n_t, d_in: int, d_out: int) -> tuple[np.ndarray, np.ndarr
     law of x < d_out photons out of m.  These are the squared Kraus
     amplitudes <m|A_j|k> (j = k - m photons lost) and <x|B_i|m>
     (i = x - m photons added) of Ivan, Sabapathy & Simon, PRA 84, 042311
-    (2011), all nonnegative.  Both are C(r, m) a_m b^(r - m) over r >= m,
-    (a_m, b) = (eta^m, 1 - eta) and (G^-(m+1), 1 - 1/G), so one log-space
-    pass over a stack of the two builds them, the amplifier as its
-    transpose.  Arrays of B kappas and n_ts give laws stacked in front, (B, d, d).
+    (2011), all nonnegative.  Both are C(r, m) c a^m b^(r - m) over r >= m,
+    (a, b, c) = (eta, 1 - eta, 1) and (1/G, 1 - 1/G, 1/G): each law's
+    coefficients [1, ln a, ln b, ln c], from math on its link's two floats,
+    times one cached basis [ln C(r, m), m, r - m, 1] (``_binomial_basis``) and
+    one exp give both laws of every link, the amplifier as its transpose.
+    Arrays of B kappas and n_ts give laws stacked in front, (B, d, d).
     """
-    kappa, n_t = (np.asarray(v, dtype=float)[..., None] for v in (kappa, n_t))
-    gain = 1.0 + n_t
-    count = np.arange(max(d_in, d_out))
-    log_fact = _log_factorials(count.size)
-    r, m = count[:, None], count[None, :d_in]
-    gap = np.maximum(r - m, 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # count ln y for y = eta, 1 - eta and 1 - 1/G; column 0 holds the 0 ln y, 0 ln 0 included
-        xlogy = count * np.log(np.array([kappa / gain, (gain - kappa) / gain, n_t / gain]))
-    xlogy[..., 0] = 0.0
-    log_a = np.array([xlogy[0, ..., :d_in], -(count[:d_in] + 1) * np.log1p(n_t)])
-    log_b = xlogy[1:]
-    # log C(r, m) + log a_m + (r - m) log b, the last gathered by the gap r - m
-    log_law = log_fact[r] - log_fact[m] - log_fact[gap] + log_a[..., None, :] + np.take(log_b, gap, axis=-1)
-    law = np.where(m <= r, np.exp(log_law), 0.0)
+    links = list(zip(np.ravel(kappa).tolist(), np.ravel(n_t).tolist()))
+    rows = [(1.0, _log(kap / (1.0 + noise)), _log((1.0 + noise - kap) / (1.0 + noise)), 0.0) for kap, noise in links]
+    rows += [(1.0, -math.log1p(noise), _log(noise / (1.0 + noise)), -math.log1p(noise)) for _, noise in links]
+    size = max(d_in, d_out)
+    law = np.exp(np.array(rows) @ _binomial_basis(size, d_in)).reshape(2, *np.shape(kappa), size, d_in)
     return law[0, ..., :d_in, :], law[1, ..., :d_out, :].swapaxes(-1, -2)
 
 
@@ -450,16 +453,15 @@ def phase_averaged_spectra(effs, cutoff: int, psk_order, tail_tol=DEFAULT_TAIL_T
     V[(x, k), j] = sqrt(p_k) <x|B_i A_j|k>, i = x - k + j, indexed by the
     j <= k < cutoff photons lost.  For L / gcd(2, L) >= cutoff every block
     is 1 x 1 and the spectrum is p_k P(x|k) with P = loss @ amp, one
-    batched product for all links.
+    batched product for all links, and p_k the TMSV's geometric law.
     The trace deficit is 1 minus the summed block traces: the TMSV tail and
     the output levels x >= cutoff.
     """
     for eff in effs:
         _check_output_cutoff(eff, cutoff, tail_tol)
         _check_tmsv_cutoff(eff.n_s, cutoff, tail_tol)
-    kappa, n_t, n_s = np.array([(eff.kappa_eff, eff.n_t_eff, eff.n_s) for eff in effs]).T
-    p_k = photon_distribution_thermal(n_s, cutoff)
-    loss, amp = _kraus_laws(kappa, n_t, cutoff, cutoff)
+    p_k = photon_distribution_thermal([eff.n_s for eff in effs], cutoff)
+    loss, amp = _kraus_laws([eff.kappa_eff for eff in effs], [eff.n_t_eff for eff in effs], cutoff, cutoff)
     # law[i, k, x] is the squared norm of row (x, k) of link i
     law = p_k[:, :, None] * (loss @ amp)
     deficits = 1.0 - law.sum(axis=(1, 2))

@@ -7,6 +7,7 @@ thermal state with mean photon number ``nbar`` has covariance
 ``(nu - 1) / 2`` photons per mode.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,10 +65,14 @@ def thermal_cov(nbar, n_modes: int = 1) -> np.ndarray:
     return (2.0 * nbar + 1.0) * np.eye(2 * n_modes)
 
 
-def _xlogx(x: np.ndarray) -> np.ndarray:
-    """x ln x elementwise, with 0 wherever x <= 0: 0 ln 0 = 0, and a spectrum's
-    rounding below 0 counts as 0."""
-    return x * np.log(np.where(x > 0.0, x, 1.0))
+def _g(x: float) -> float:
+    """g(x) = (x+1) ln(x+1) - x ln x for a finite x >= 0, as written up to x = 1, where both terms
+    are nonnegative, and above it as log1p(x) + x log1p(1/x), which does not cancel."""
+    if x > 1.0:
+        return math.log1p(x) + x * math.log1p(1.0 / x)
+    if x == 0.0:
+        return 0.0
+    return (x + 1.0) * math.log1p(x) - x * math.log(x)
 
 
 def g_entropy(x):
@@ -79,13 +84,10 @@ def g_entropy(x):
     arr = np.asarray(x, dtype=float)
     if not (arr >= 0.0).all():  # NaN too
         raise DomainError(f"g_entropy requires x >= 0, got {x}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = (arr + 1.0) * np.log1p(arr) - _xlogx(arr)
-    if not np.isfinite(out).all():  # x = inf, or (x + 1) ln(x + 1) overflows
+    if not (arr < math.inf).all():
         raise DomainError(f"g_entropy is not finite at x = {x}")
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    out = np.array([_g(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:

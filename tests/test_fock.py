@@ -193,6 +193,13 @@ class TestThermalLaw:
         for idx in np.ndindex(2, 2):
             assert np.array_equal(laws[idx], fk.photon_distribution_thermal(float(means[idx]), 40))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_mean_is_exactly_the_vacuum(self):
+        vacuum = np.zeros(40)
+        vacuum[0] = 1.0
+        assert np.array_equal(fk.photon_distribution_thermal(0.0, 40), vacuum)
+        assert np.array_equal(fk.photon_distribution_thermal([0.3, 0.0], 40)[1], vacuum)
+
     @pytest.mark.parametrize("n_mean", [-0.1, [0.2, -1e-9]])
     def test_negative_mean_rejected(self, n_mean):
         with pytest.raises(DomainError, match="mean photon number"):
@@ -222,6 +229,13 @@ class TestNonFiniteInputs:
     def test_required_cutoff(self, n_mean):
         with pytest.raises(DomainError, match=f"mean photon number must be finite, got {n_mean}"):
             fk.required_cutoff(n_mean, 1e-8)
+
+    def test_required_cutoff_of_huge_means(self):
+        # n / (n + 1) rounds to 1 above 2^53, and ln 1 = 0 once divided by zero
+        assert fk.required_cutoff(1e17, 1e-8) == pytest.approx(-math.log(1e-8) * 1e17, rel=1e-15)
+        assert fk.required_cutoff(5e-324, 1e-8) == 1
+        with pytest.raises(DomainError, match="mean photon number 1e[+]308 is too large for any cutoff"):
+            fk.required_cutoff(1e308, 1e-8)
 
     @pytest.mark.parametrize("n_s", [math.inf, math.nan, -math.inf])
     def test_tmsv_fock(self, n_s):

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,13 +30,37 @@ class TestGEntropy:
         with pytest.raises(DomainError, match="g_entropy requires x >= 0, got"):
             g.g_entropy(x)
 
-    @pytest.mark.parametrize("x", [math.inf, 1e306, [0.5, math.inf], np.array([[0.1, 1e306]])])
+    @pytest.mark.parametrize("x", [math.inf, [0.5, math.inf], np.array([[0.1, math.inf]])])
     def test_non_finite_g_rejected(self, x):
-        # inf - inf and an overflowing (x + 1) ln(x + 1) once returned NaN with a RuntimeWarning
+        # inf - inf once returned NaN with a RuntimeWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="g_entropy is not finite at x = "):
                 g.g_entropy(x)
+
+    @staticmethod
+    def g_ref(x: float):
+        """g at 40 digits, in the form without cancellation."""
+        with mpmath.workdps(40):
+            big = mpmath.mpf(x)
+            return mpmath.log1p(big) + big * mpmath.log1p(1 / big)
+
+    @pytest.mark.parametrize("x", [1e306, np.array([[0.1, 1e306]])])
+    def test_huge_x_is_finite(self, x):
+        # (x + 1) ln(x + 1) once overflowed here and raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = np.max(g.g_entropy(x))
+        assert abs(value - self.g_ref(1e306)) <= 4e-16 * value
+
+    def test_matches_mpmath_from_subnormal_to_1e300(self):
+        # measured: at most 2.3e-16 relative on these points (2.5e-16 on 4000
+        # log-spaced ones); below about 3e-311 g itself is subnormal, and the
+        # bound there is one subnormal step
+        xs = np.geomspace(5e-324, 1e300, 1000).tolist() + [1.0, math.nextafter(1.0, 2.0), 1e12, 1e16]
+        for x, value in zip(xs, g.g_entropy(np.array(xs)).tolist()):
+            ref = self.g_ref(x)
+            assert abs(value - ref) <= max(4e-16 * ref, 5e-324)
 
     def test_increasing_and_concave(self):
         # finite differences on a grid

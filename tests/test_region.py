@@ -5,8 +5,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eamac import fixtures
+from eamac import fock as fk
 from eamac import gaussian as g
 from eamac import region as rg
 from eamac.channel import EffectiveChannel, MacParams, ModulationConfig, effective_cov, effective_params
@@ -127,6 +130,47 @@ class TestLinkMis:
             with pytest.raises(TruncationError) as batch:
                 rg.link_mis(effs, numerics)
             assert str(batch.value) == str(alone.value)
+
+
+class TestAgainstDenseOracle:
+    """The region's four link MIs against the dense Fock route (fock.psk_ensemble_mi)."""
+
+    # kappa_eff = 0 (decoupled), kappa_eff = 1 with n_t_eff = 0 (identity), n_t_eff = 0 (pure loss)
+    EDGE_LINKS = [EffectiveChannel(0.0, 0.3, 0.1), EffectiveChannel(1.0, 0.0, 0.1), EffectiveChannel(0.4, 0.0, 0.1)]
+
+    @pytest.mark.parametrize("psk_order", [64, 8])
+    def test_link_mis_match_dense_psk_ensemble_mi(self, psk_order):
+        # cutoff 12: psk_order 64 takes the 1 x 1 spectrum branch, 8 the Gram blocks.
+        # The dense environment tail is 1e-15; what is left is the TMSV tail of
+        # the dense conditional state at cutoff 12, which puts the two routes up
+        # to 1.1e-8 apart over this grid.
+        numerics = rg.RegionNumerics(cutoff=12, psk_order=psk_order, tail_tol=1e-5)
+        rng = np.random.default_rng(15)
+        for _ in range(12):
+            p = MacParams(tau=rng.uniform(0.05, 0.95), kappa=rng.uniform(0.1, 0.9), n_b=rng.uniform(0.02, 0.3))
+            effs = _region_links(p, rng.uniform(0.02, 0.2)) + self.EDGE_LINKS
+            for eff, value in zip(effs, rg.link_mis(effs, numerics)):
+                n_env = eff.n_t_eff / (1.0 - eff.kappa_eff) if eff.kappa_eff < 1.0 else 0.0
+                dense = fk.psk_ensemble_mi(eff, psk_order, 12, d_env=fk.required_cutoff(n_env, 1e-15), tail_tol=1e-5)
+                assert abs(value - dense) <= 5e-8
+
+
+# any float, the edges drawn often; in-range draws mixed in so that many
+# examples get past MacParams to the Fock work
+ANY_FLOAT = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0, 1e308, 5e-324, -1.0]) | st.floats()
+UNIT_OR_ANY = st.floats(0.0, 1.0) | ANY_FLOAT
+NONNEGATIVE_OR_ANY = st.floats(0.0) | ANY_FLOAT
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=500)
+@given(tau=UNIT_OR_ANY, kappa=UNIT_OR_ANY, n_b=NONNEGATIVE_OR_ANY, n_s=NONNEGATIVE_OR_ANY)
+def test_region_is_finite_or_raises_eamac_error(tau, kappa, n_b, n_s):
+    try:
+        reg = rg.achievable_region(MacParams(tau=tau, kappa=kappa, n_b=n_b), ModulationConfig(n_s=n_s))
+    except EamacError:
+        return
+    bounds = [reg.x_bound, reg.y_bound, reg.sum_bound, *reg.sum_candidates, *(v for vertex in reg.vertices for v in vertex)]
+    assert all(math.isfinite(v) for v in bounds)
 
 
 class TestConditionalEntropyTerm:
