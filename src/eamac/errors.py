@@ -21,10 +21,6 @@ class ChannelValidityError(EamacError, ValueError):
     """An (X, Y) pair does not define a completely positive Gaussian channel."""
 
 
-class SupportError(EamacError, ValueError):
-    """Relative entropy requested outside the support of the second argument."""
-
-
 class TruncationError(EamacError, RuntimeError):
     """A Fock-space cutoff is too small for the requested tail budget."""
 

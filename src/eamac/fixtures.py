@@ -63,7 +63,7 @@ def regenerate(path=None) -> dict:
     produced = 48
     tight = 1e-12
     numerics = rg.RegionNumerics(cutoff=produced, psk_order=2 * produced, tail_tol=tight)
-    rho = fock.conditional_output_density(eff_unc, produced, tail_tol=tight)
+    psk_mi, tail = fock._psk_ensemble_mi_and_tail(eff_unc, 64, produced, None, tight)
     records = {
         "psk_mi_unconditioned": {
             "kappa_eff": eff_unc.kappa_eff,
@@ -72,8 +72,8 @@ def regenerate(path=None) -> dict:
             "psk_order": 64,
             "cutoff": 24,
             "produced_cutoff": produced,
-            "tail": rho.tail(),
-            "value": fock.psk_ensemble_mi(eff_unc, 64, produced, tail_tol=tight),
+            "tail": tail,
+            "value": psk_mi,
             "tolerance": 5e-7,
         },
         "continuous_mi_conditioned": {

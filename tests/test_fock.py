@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eamac import channel as ch
 from eamac import fock as fk
 from eamac import gaussian as g
-from eamac.errors import DomainError, SupportError, TruncationError
+from eamac.errors import DomainError, PhysicalityError, TruncationError
 
 
 class TestTmsvFock:
@@ -82,25 +84,33 @@ class TestPhaseRotate:
 class TestBeamsplitterFock:
     """The one whole-sector beamsplitter behind the tau combiner and thermal loss."""
 
+    @staticmethod
+    def dense_amplitudes(t, d_in, d_env, d_out):
+        """b[x, e_out, n, e] = <x, e_out|U|n, e>, the per-sector a[e, x, n] placed at e_out = n + e - x."""
+        b = np.zeros((d_out, d_in + d_env - 1, d_in, d_env))
+        e, x, n = np.indices((d_env, d_out, d_in))
+        live = n + e >= x
+        b[x[live], (n + e - x)[live], n[live], e[live]] = fk._beamsplitter_amplitudes(t, d_in, d_env, d_out)[live]
+        return b
+
     def test_orthogonal_on_truncated_space(self):
         # e_out and x of size d_in + d_env - 1 hold every photon: U restricted to the input is an isometry
         for t in (0.0, 0.37, 0.64, 1.0):
-            b = fk._beamsplitter_amplitudes(t, 6, 5, 10).reshape(10 * 10, 6 * 5)
+            b = self.dense_amplitudes(t, 6, 5, 10).reshape(10 * 10, 6 * 5)
             assert np.abs(b.T @ b - np.eye(30)).max() <= 1e-12
 
     def test_heisenberg_convention_single_photon(self):
-        # |1,0> -> cos(xi)|1,0> - sin(xi)|0,1>
+        # |1,0> -> cos(xi)|1,0> - sin(xi)|0,1>, indexed a[e, x, n] with e_out = n + e - x
         t = 0.64
-        b = fk._beamsplitter_amplitudes(t, 2, 2, 2)
-        assert b[1, 0, 1, 0] == pytest.approx(math.sqrt(t))
-        assert b[0, 1, 1, 0] == pytest.approx(-math.sqrt(1.0 - t))
+        a = fk._beamsplitter_amplitudes(t, 2, 2, 2)
+        assert a[0, 1, 1] == pytest.approx(math.sqrt(t))
+        assert a[0, 0, 1] == pytest.approx(-math.sqrt(1.0 - t))
 
     def test_zero_transmissivity_swaps_the_modes(self):
         # |n, e> -> (-1)^n |e, n>, with no special case for t = 0
         d_in, d_env = 7, 5
-        n, e = np.ogrid[:d_in, :d_env]
-        swap = np.zeros((d_env, d_in + d_env - 1, d_in, d_env))
-        swap[e, n, n, e] = (-1.0) ** n
+        e, x, n = np.ogrid[:d_env, :d_env, :d_in]
+        swap = np.where(x == e, (-1.0) ** n, 0.0)
         assert np.abs(fk._beamsplitter_amplitudes(0.0, d_in, d_env, d_env) - swap).max() <= 1e-14
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -117,7 +127,7 @@ class TestBeamsplitterFock:
 
     @staticmethod
     def weighted_per_sector_superop(kappa, n_env, d_in, d_out, d_env):
-        """The thermal-loss superoperator with each sector's amplitudes weighted as they are written."""
+        """The thermal-loss superoperator as the Gram of the dense 4-index amplitudes b[x, e_out, n, e]."""
         xi = math.acos(min(1.0, math.sqrt(kappa)))
         p_env = fk.photon_distribution_thermal(n_env, d_env)
         weight = np.sqrt(p_env / p_env.sum())
@@ -131,13 +141,29 @@ class TestBeamsplitterFock:
         return k4.reshape(d_out * d_out, d_in * d_in)
 
     def test_thermal_loss_superop_is_bitwise_the_per_sector_construction(self):
+        # the same nonzero products as the dense 4-index Gram; without its zero columns BLAS groups
+        # the sums differently, so the two agree to rounding (measured 2.8e-16), not bit for bit
         rng = np.random.default_rng(12)
         grid = [(0.0, 0.7), (1.0, 0.4), (0.3, 0.0), (0.0, 0.0), (1.0, 0.0)]
         grid += [(float(rng.uniform()), float(rng.uniform(0.0, 2.0))) for _ in range(10)]
         for kappa, n_env in grid:
             d_in, d_out, d_env = 12, int(rng.integers(8, 16)), fk.required_cutoff(n_env, 1e-8)
             superop = fk._thermal_loss_superop(kappa, n_env, d_in, d_out, d_env)
-            np.testing.assert_array_equal(superop, self.weighted_per_sector_superop(kappa, n_env, d_in, d_out, d_env))
+            dense = self.weighted_per_sector_superop(kappa, n_env, d_in, d_out, d_env)
+            assert np.abs(superop - dense).max() <= 1e-15
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=500)
+    @given(
+        kappa=st.floats(0.0, 1.0),
+        n_env=st.floats(0.0, 2.0),
+        d_in=st.integers(2, 12),
+        d_out=st.integers(2, 12),
+    )
+    def test_per_sector_superop_matches_the_dense_gram(self, kappa, n_env, d_in, d_out):
+        d_env = fk.required_cutoff(n_env, 1e-8)
+        superop = fk._thermal_loss_superop(kappa, n_env, d_in, d_out, d_env)
+        dense = self.weighted_per_sector_superop(kappa, n_env, d_in, d_out, d_env)
+        assert np.abs(superop - dense).max() <= 1e-15
 
 
 class TestThermalLoss:
@@ -183,6 +209,39 @@ class TestThermalLoss:
         th = fk.thermal_fock(0.5, 8)
         with pytest.raises(TruncationError):
             fk.thermal_loss_fock(th, 0.5, 2.0, d_env=3)
+
+    @pytest.mark.parametrize("modes, mode", [(1, 0), (2, 0), (2, 1), (3, 2)])
+    def test_vector_input_is_bitwise_its_density(self, modes, mode):
+        # the amplitudes give the moved density entry by entry, with the same products
+        rng = np.random.default_rng(modes + mode)
+        amps = rng.normal(size=(5,) * modes) + 1j * rng.normal(size=(5,) * modes)
+        psi = fk.FockVector(5, modes, amps / np.linalg.norm(amps))
+        via_vector = fk.thermal_loss_fock(psi, 0.6, 0.3, mode=mode, tail_tol=1e-6)
+        via_density = fk.thermal_loss_fock(psi.to_density(), 0.6, 0.3, mode=mode, tail_tol=1e-6)
+        np.testing.assert_array_equal(via_vector.matrix, via_density.matrix)
+
+
+class TestHermitianCheck:
+    """FockDensity's slab-by-slab check of rho = rho^dag."""
+
+    @staticmethod
+    def density():
+        # 576 x 576: several slabs of rows
+        return fk.tmsv_fock(0.3, 24).to_density().matrix.astype(complex)
+
+    @pytest.mark.parametrize("row, col", [(0, 1), (575, 3), (3, 575), (300, 301)])
+    def test_asymmetry_in_any_slab_fails(self, row, col):
+        mat = self.density()
+        mat[row, col] += 1e-9
+        with pytest.raises(PhysicalityError, match="not Hermitian"):
+            fk.FockDensity(24, 2, mat)
+
+    @pytest.mark.parametrize("row, col", [(0, 0), (575, 575), (10, 400)])
+    def test_nan_fails(self, row, col):
+        mat = self.density()
+        mat[row, col] = mat[col, row] = np.nan
+        with pytest.raises(PhysicalityError, match="not Hermitian"):
+            fk.FockDensity(24, 2, mat)
 
 
 class TestThermalLaw:
@@ -267,20 +326,6 @@ class TestInformationFunctionals:
     def test_pure_state_entropy_zero(self):
         psi = fk.tmsv_fock(0.5, 24)
         assert fk.entropy_fock(psi.to_density()) == pytest.approx(0.0, abs=1e-10)
-
-    def test_rel_entropy_matches_geometric_kl(self):
-        rho = fk.thermal_fock(0.1, 60)
-        sigma = fk.thermal_fock(0.2, 60)
-        p1 = fk.photon_distribution_thermal(0.1, 60)
-        p2 = fk.photon_distribution_thermal(0.2, 60)
-        kl = float(np.sum(p1 * (np.log(p1) - np.log(p2))))
-        assert fk.rel_entropy_fock(rho, sigma) == pytest.approx(kl, abs=1e-10)
-
-    def test_rel_entropy_support_violation(self):
-        rho = fk.thermal_fock(0.5, 6)
-        vac = fk.thermal_fock(0.0, 6)
-        with pytest.raises(SupportError):
-            fk.rel_entropy_fock(rho, vac)
 
 
 class TestPskEnsembleMi:

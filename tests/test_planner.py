@@ -315,16 +315,6 @@ class TestSlotLaws:
         mean = float(np.sum(np.arange(64) * laws[1, 0]))
         assert mean == pytest.approx(0.5 * 1.0 + 0.5 * 0.5 * 0.01, abs=1e-10)
 
-    def test_quantum_equals_classical_for_diagonal_states(self):
-        p = MacParams(tau=0.5, kappa=0.5, n_b=0.8)
-        weights, laws = pl.slot_laws(p, 0.2, 0.1, 0.05, "bob", cutoff=48)
-        mix = np.sum(weights[..., None] * laws, axis=(0, 1))
-        rho = fock.FockDensity(48, 1, np.diag(laws[1, 1]).astype(complex))
-        sigma = fock.FockDensity(48, 1, np.diag(mix).astype(complex))
-        quantum = fock.rel_entropy_fock(rho, sigma)
-        classical = float(np.sum(laws[1, 1] * (np.log(laws[1, 1]) - np.log(mix))))
-        assert quantum == pytest.approx(classical, abs=1e-10)
-
 
 class TestWillieTv:
     def test_leading_zero_without_transmission(self):
