@@ -5,9 +5,9 @@ Layers, bottom up:
 - ``gaussian``: covariance-matrix algebra (symplectic spectra, entropies,
   Gaussian channels, heterodyne conditioning).
 - ``channel``: the two-sender channel's states and point-to-point reductions.
-- ``fock``: truncated Fock-space oracle for everything above.
-- ``region``: achievable rate regions and their low-photon rectangle limit.
+- ``region``: rate regions from the links' photon-number laws, and their rectangle limit.
 - ``planner``: covert power budget, two-layer throughput, detection bounds.
+- ``fock``: truncated Fock-space oracle for everything above; off the product path.
 - ``validate``: cross-check suite pitting closed forms against the oracle.
 """
 

@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import __version__, planner, region as rg, validate as val
+from . import __version__, planner, region as rg
 from .channel import MacParams, ModulationConfig
 from .errors import ConfigError, DomainError, EamacError, InfeasibleError, ShapeError
 
@@ -71,7 +71,8 @@ SCHEMAS = {
 }
 
 SWEEP_KEYS = ("tau", "kappa", "n_b", "s", "alpha", "beta", "delta")
-MAX_SWEEP_POINTS = 100_000
+# most rows of a sweep, and most boundary points of a region
+MAX_POINTS = 100_000
 
 FORMATS = {
     "region": ("record", "svg"),
@@ -214,8 +215,8 @@ def _mac_params(config) -> MacParams:
 
 
 def cmd_region(config, args) -> tuple:
-    if config["boundary_points"] < 0:
-        raise ConfigError(f"boundary_points must be >= 0, got {config['boundary_points']}")
+    if not 0 <= config["boundary_points"] <= MAX_POINTS:
+        raise ConfigError(f"boundary_points must lie in [0, {MAX_POINTS}], got {config['boundary_points']}")
     p = _mac_params(config)
     m = ModulationConfig(n_s=config["n_s"])
     numerics = rg.RegionNumerics(cutoff=config["cutoff"], psk_order=config["psk_order"], tail_tol=config["tail_tol"])
@@ -289,8 +290,8 @@ def _sweep_row(config, args, value) -> str:
 def cmd_sweep(config, args) -> tuple:
     if config["vary"] not in SWEEP_KEYS:
         raise ConfigError(f"vary must be one of {SWEEP_KEYS}, got {config['vary']!r}")
-    if config["count"] < 1 or config["count"] > MAX_SWEEP_POINTS:
-        raise ConfigError(f"count must lie in [1, {MAX_SWEEP_POINTS}], got {config['count']}")
+    if not 1 <= config["count"] <= MAX_POINTS:
+        raise ConfigError(f"count must lie in [1, {MAX_POINTS}], got {config['count']}")
     count = config["count"]
     step = (config["stop"] - config["start"]) / (count - 1) if count > 1 else 0.0
     grid = [config["start"] + i * step for i in range(count)]
@@ -301,9 +302,11 @@ def cmd_sweep(config, args) -> tuple:
 
 
 def cmd_validate(config, args) -> tuple:
+    from .validate import run_suite  # the suite runs the dense Fock oracle, which no other command loads
+
     if args.seed is None:
         raise ConfigError("validate is stochastic; --seed is required")
-    results = val.run_suite(args.seed, samples=config["samples"], workers=args.workers)
+    results = run_suite(args.seed, samples=config["samples"], workers=args.workers)
     fields = []
     for res in results:
         fields += [

@@ -102,7 +102,7 @@ def regenerate(path=None) -> dict:
 
     # entropy change due to the coherences psk_order 64 keeps at produced
     s_avg = [
-        fock.spectral_entropy(fock.phase_averaged_spectra([eff_unc], produced, order, tight)[0][0])
+        rg.spectral_entropy(rg.phase_averaged_spectra([eff_unc], produced, order, tight)[0][0])
         for order in (64, 128)
     ]
     lines = [

@@ -1,6 +1,7 @@
-"""Brute-force ground truth in truncated Fock space, plus the region's spectrum.
+"""Brute-force ground truth in truncated Fock space: an oracle for the tests.
 
-The oracle checks the Gaussian closed forms by an independent route:
+The oracle checks the Gaussian closed forms and the region's Kraus-law
+spectrum (``region.phase_averaged_spectra``) by an independent route:
 states are explicit density matrices on a cutoff-d photon-number basis
 and entropies come straight from eigenvalues.  One beamsplitter,
 exponentiated per whole sector of conserved total photon number
@@ -11,13 +12,9 @@ inputs and one output: photon conservation fixes the other output, so
 no 4-index tensor is built.  Real states stay real; only phase
 rotations make them complex.  The states stay dense, but no step holds a
 temporary beyond them: ``psk_ensemble_mi`` at cutoff 24 peaks at about
-three 576 x 576 densities (8 MB).
-The region's spectrum, ``phase_averaged_spectra``, writes thermal loss
-as pure loss then a quantum-limited amplifier, whose closed-form Kraus
-laws need no environment and no matrix exponential, and never forms a
-dense state; a batch of links shares one ``loss @ amp`` product.  The
-dense route is its oracle.  The covert layer's per-slot laws belong to
-the planner (``planner.slot_laws``), not to this module.
+three 576 x 576 densities (8 MB).  The product path (``region``,
+``planner`` and the CLI's commands other than validate) never imports
+this module.
 
 Truncation bookkeeping: each constructor takes a tail budget
 ``tail_tol`` and raises TruncationError (naming the required cutoff)
@@ -27,33 +24,28 @@ achieved tail of a state is always available as ``state.tail()``.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .channel import EffectiveChannel, MacParams
 from .errors import DomainError, PhysicalityError, ShapeError, TruncationError
+from . import region as rg
 
-DEFAULT_TAIL_TOL = 1e-8
 # entries of one slab of FockDensity's Hermitian check
 HERMITIAN_SLAB = 1 << 16
 
 __all__ = [
     "FockVector",
     "FockDensity",
-    "required_cutoff",
     "tmsv_fock",
     "thermal_fock",
     "phase_rotate_fock",
     "thermal_loss_fock",
     "mac_joint_fock",
     "entropy_fock",
-    "spectral_entropy",
     "phase_average_fock",
     "conditional_output_density",
-    "phase_averaged_spectra",
     "psk_ensemble_mi",
-    "photon_distribution_thermal",
     "moments_from_fock",
 ]
 
@@ -139,57 +131,17 @@ class FockDensity:
         return FockDensity(self.cutoff, len(keep), tensor.reshape(dim, dim))
 
 
-def required_cutoff(n_mean: float, tail_tol: float) -> int:
-    """Smallest d with thermal/TMSV tail (n/(n+1))^d <= tail_tol, for tail_tol in (0, 1)."""
-    if not 0.0 < tail_tol < 1.0:  # NaN too
-        raise DomainError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    if n_mean <= 0.0:
-        return 1
-    if not n_mean < math.inf:  # NaN too
-        raise DomainError(f"mean photon number must be finite, got {n_mean}")
-    # ln(n / (n + 1)) without rounding n / (n + 1) to 1 above n = 2^53
-    need = math.log(tail_tol) / -math.log1p(1.0 / n_mean)
-    if need == math.inf:
-        raise DomainError(f"mean photon number {n_mean} is too large for any cutoff")
-    return max(1, math.ceil(need))
-
-
-def _check_tmsv_cutoff(n_s: float, cutoff: int, tail_tol: float) -> None:
-    """Reject a cutoff below 1, or one that leaves the TMSV tail (n_s / (n_s + 1))^cutoff above ``tail_tol``."""
-    if cutoff < 1:
-        raise DomainError(f"cutoff must be >= 1, got {cutoff}")
-    need = required_cutoff(n_s, tail_tol)
-    if cutoff < need:
-        raise TruncationError(
-            f"cutoff {cutoff} keeps TMSV tail above {tail_tol:g}; need d >= {need}",
-            required_cutoff=need,
-        )
-
-
-def tmsv_fock(n_s: float, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> FockVector:
+def tmsv_fock(n_s: float, cutoff: int, tail_tol: float = rg.DEFAULT_TAIL_TOL) -> FockVector:
     """Two-mode squeezed vacuum, amplitudes sqrt(n_s^k / (n_s+1)^(k+1)) on |k,k>."""
     if not 0.0 <= n_s < math.inf:
         raise DomainError(f"n_s must be finite and >= 0, got {n_s}")
-    _check_tmsv_cutoff(n_s, cutoff, tail_tol)
-    return FockVector(cutoff, 2, np.diag(np.sqrt(photon_distribution_thermal(n_s, cutoff))))
+    rg._check_tmsv_cutoff(n_s, cutoff, tail_tol)
+    return FockVector(cutoff, 2, np.diag(np.sqrt(rg.photon_distribution_thermal(n_s, cutoff))))
 
 
 def thermal_fock(n_mean: float, cutoff: int) -> FockDensity:
     """Single-mode thermal state, diagonal geometric distribution."""
-    return FockDensity(cutoff, 1, np.diag(photon_distribution_thermal(n_mean, cutoff)))
-
-
-def photon_distribution_thermal(n_mean, cutoff: int) -> np.ndarray:
-    """Geometric photon-number law (n/(n+1))^k / (n+1) for k < cutoff, one row per
-    mean of an array of means; a zero mean gives the vacuum row [1, 0, ...]
-    through 0^0 = 1."""
-    n = np.asarray(n_mean, dtype=float)[..., None]
-    # two ufunc reductions, which NaN fails, cost about as much as one elementwise sign check
-    low, high = np.minimum.reduce(n, axis=None, initial=0.0), np.maximum.reduce(n, axis=None, initial=0.0)
-    if not (low >= 0.0 and high < np.inf):
-        raise DomainError(f"mean photon number must be {'finite' if low >= 0.0 else '>= 0'}, got {n_mean}")
-    n1 = n + 1.0
-    return (n / n1) ** np.arange(cutoff) / n1
+    return FockDensity(cutoff, 1, np.diag(rg.photon_distribution_thermal(n_mean, cutoff)))
 
 
 def phase_rotate_fock(state, theta: float, mode: int = 0):
@@ -262,7 +214,7 @@ def _thermal_loss_superop(kappa: float, n_env: float, d_in: int, d_out: int, d_e
     levels spilling past d_out; both show up in the output trace.  Real
     because U is real.
     """
-    p_env = photon_distribution_thermal(n_env, d_env)
+    p_env = rg.photon_distribution_thermal(n_env, d_env)
     amps = _beamsplitter_amplitudes(kappa, d_in, d_env, d_out) * np.sqrt(p_env / p_env.sum())[:, None, None]
     flat = amps.reshape(d_env, -1)
     gram = (flat.T @ flat).reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
@@ -271,7 +223,7 @@ def _thermal_loss_superop(kappa: float, n_env: float, d_in: int, d_out: int, d_e
 
 
 def _env_cutoff_for(n_env: float, tail_tol: float, d_env) -> int:
-    need = required_cutoff(n_env, tail_tol)
+    need = rg.required_cutoff(n_env, tail_tol)
     if d_env is None:
         return need
     if d_env < need:
@@ -288,7 +240,7 @@ def thermal_loss_fock(
     n_b: float,
     d_env=None,
     mode: int = 0,
-    tail_tol: float = DEFAULT_TAIL_TOL,
+    tail_tol: float = rg.DEFAULT_TAIL_TOL,
 ) -> FockDensity:
     """Thermal-loss channel on one mode of ``state``: mix with a thermal(n_b)
     environment on a beamsplitter of transmissivity ``kappa`` and trace the
@@ -319,16 +271,7 @@ def thermal_loss_fock(
 
 def entropy_fock(rho: FockDensity) -> float:
     """Von Neumann entropy in nats from the eigenvalue spectrum."""
-    return spectral_entropy(np.linalg.eigvalsh(rho.matrix))
-
-
-def spectral_entropy(eigs: np.ndarray) -> float | np.ndarray:
-    """Entropy -sum lambda ln lambda in nats of a density-matrix spectrum, or of each row of a stack."""
-    if eigs.min() < -1e-10:
-        raise PhysicalityError(f"density matrix has eigenvalue {eigs.min():.3e} < -1e-10")
-    # 0 ln 0 = 0, and a rounding below 0 counts as 0
-    entropy = -(eigs * np.log(eigs, out=np.zeros(eigs.shape), where=eigs > 0.0)).sum(axis=-1)
-    return float(entropy) if entropy.ndim == 0 else entropy
+    return rg.spectral_entropy(np.linalg.eigvalsh(rho.matrix))
 
 
 def phase_average_fock(rho: FockDensity, psk_order, mode: int = 0) -> FockDensity:
@@ -356,7 +299,7 @@ def conditional_output_density(
     eff: EffectiveChannel,
     cutoff: int,
     d_env=None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
+    tail_tol: float = rg.DEFAULT_TAIL_TOL,
 ) -> FockDensity:
     """(B, idler) state of the point-to-point link for the zero-phase symbol.
 
@@ -374,133 +317,12 @@ def conditional_output_density(
     return thermal_loss_fock(psi, eff.kappa_eff, n_env, d_env=d_env, mode=0, tail_tol=tail_tol)
 
 
-def _check_output_cutoff(eff: EffectiveChannel, cutoff: int, tail_tol: float) -> None:
-    """Reject, before any Fock work, a cutoff too small for the B output.
-
-    The B marginal is thermal with mean m = kappa_eff n_s + n_t_eff, so by
-    data processing the output trace deficit is at least
-    (m / (m + 1))^cutoff - tail_tol: beyond 5 tail_tol the 4 tail_tol
-    deficit check would fail after the full build."""
-    m = eff.kappa_eff * eff.n_s + eff.n_t_eff
-    if m > 0.0 and (m / (m + 1.0)) ** cutoff > 5.0 * tail_tol:
-        need = required_cutoff(m, tail_tol)
-        msg = f"cutoff {cutoff} keeps the output tail (mean {m:.6g}) above {tail_tol:g}; need d >= {need}"
-        raise TruncationError(msg, required_cutoff=need)
-
-
-# block-row entries built per batch of equal-size blocks; this bounds the
-# scratch memory of a large cutoff with a small PSK period
-BLOCK_BATCH = 1 << 20
-
-
-@lru_cache(maxsize=8)
-def _binomial_basis(size: int, d_in: int) -> np.ndarray:
-    """Read-only rows [ln C(r, m) (-inf for m > r), m, r - m, 1] over r < size, m < d_in, flattened."""
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(size)])
-    r, m = np.ogrid[:size, :d_in]
-    log_comb = np.where(m <= r, log_fact[r] - log_fact[m] - log_fact[np.abs(r - m)], -np.inf)
-    basis = np.array(np.broadcast_arrays(log_comb, m, r - m, 1.0), dtype=float).reshape(4, -1)
-    basis.flags.writeable = False
-    return basis
-
-
-def _log(y: float) -> float:
-    """ln y, with ln 0 a finite -1e6: 0 ln 0 is then 0 with no mask, and for r < 10^6 any
-    count of it from 1 up underflows exp, whatever ln C(r, m) <= r ln 2 it meets."""
-    return math.log(y) if y > 0.0 else -1e6
-
-
-def _kraus_laws(kappa, n_t, d_in: int, d_out: int) -> tuple[np.ndarray, np.ndarray]:
-    """Photon-number laws of thermal loss as pure loss, then an amplifier.
-
-    Thermal loss of transmissivity kappa and added noise n_t is pure loss
-    eta = kappa / G followed by the quantum-limited amplifier of gain
-    G = 1 + n_t (Caruso, Giovannetti & Holevo, NJP 8, 310 (2006)), for
-    every kappa in [0, 1].  Returns ``loss[k, m]``, the binomial law
-    C(k, m) eta^m (1 - eta)^(k - m) of the m < d_in photons that survive k,
-    and ``amp[m, x]`` = C(x, m) G^-(m+1) (1 - 1/G)^(x - m), the amplifier's
-    law of x < d_out photons out of m.  These are the squared Kraus
-    amplitudes <m|A_j|k> (j = k - m photons lost) and <x|B_i|m>
-    (i = x - m photons added) of Ivan, Sabapathy & Simon, PRA 84, 042311
-    (2011), all nonnegative.  Both are C(r, m) c a^m b^(r - m) over r >= m,
-    (a, b, c) = (eta, 1 - eta, 1) and (1/G, 1 - 1/G, 1/G): each law's
-    coefficients [1, ln a, ln b, ln c], from math on its link's two floats,
-    times one cached basis [ln C(r, m), m, r - m, 1] (``_binomial_basis``) and
-    one exp give both laws of every link, the amplifier as its transpose.
-    Arrays of B kappas and n_ts give laws stacked in front, (B, d, d).
-    """
-    links = list(zip(np.ravel(kappa).tolist(), np.ravel(n_t).tolist()))
-    rows = [(1.0, _log(kap / (1.0 + noise)), _log((1.0 + noise - kap) / (1.0 + noise)), 0.0) for kap, noise in links]
-    rows += [(1.0, -math.log1p(noise), _log(noise / (1.0 + noise)), -math.log1p(noise)) for _, noise in links]
-    size = max(d_in, d_out)
-    law = np.exp(np.array(rows) @ _binomial_basis(size, d_in)).reshape(2, *np.shape(kappa), size, d_in)
-    return law[0, ..., :d_in, :], law[1, ..., :d_out, :].swapaxes(-1, -2)
-
-
-def phase_averaged_spectra(effs, cutoff: int, psk_order, tail_tol=DEFAULT_TAIL_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra and trace deficits of the PSK phase-averaged (B, idler) states of links.
-
-    Row i of the ``(len(effs), cutoff**2)`` spectra and entry i of the
-    deficits belong to ``effs[i]``, whose output-cutoff and TMSV-tail checks
-    run in link order before any Fock work.  Each state is
-    phase_average_fock(conditional_output_density(eff, cutoff), psk_order),
-    never built densely, and with no environment cutoff: the channel is
-    pure loss then an amplifier (``_kraus_laws``), whose Kraus operators
-    A_j remove and B_i add photons.  So |k, k> (signal, idler) reaches
-    |x, k> through the pairs (i, j) with i - j = x - k, and entries of the
-    output couple (x, k) and (y, l) only when x - k = y - l.  The phase
-    average keeps them only when 2 (x - y) = 0 (mod L), i.e. x = y modulo
-    L / gcd(2, L).  The state is therefore a direct sum of Gram blocks
-    V_B V_B^T, one per (x - k, x mod L / gcd(2, L)), with the row
-    V[(x, k), j] = sqrt(p_k) <x|B_i A_j|k>, i = x - k + j, indexed by the
-    j <= k < cutoff photons lost.  For L / gcd(2, L) >= cutoff every block
-    is 1 x 1 and the spectrum is p_k P(x|k) with P = loss @ amp, one
-    batched product for all links, and p_k the TMSV's geometric law.
-    The trace deficit is 1 minus the summed block traces: the TMSV tail and
-    the output levels x >= cutoff.
-    """
-    for eff in effs:
-        _check_output_cutoff(eff, cutoff, tail_tol)
-        _check_tmsv_cutoff(eff.n_s, cutoff, tail_tol)
-    p_k = photon_distribution_thermal([eff.n_s for eff in effs], cutoff)
-    loss, amp = _kraus_laws([eff.kappa_eff for eff in effs], [eff.n_t_eff for eff in effs], cutoff, cutoff)
-    # law[i, k, x] is the squared norm of row (x, k) of link i
-    law = p_k[:, :, None] * (loss @ amp)
-    deficits = 1.0 - law.sum(axis=(1, 2))
-    period = min(psk_order // math.gcd(2, psk_order), cutoff)
-    if period == cutoff:
-        return law.reshape(len(effs), -1), deficits
-    x, k = np.divmod(np.arange(cutoff**2), cutoff)
-    key = (x - k + cutoff - 1) * period + x % period
-    order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    sizes = np.diff(np.append(starts, order.size))
-    k, j = np.ogrid[:cutoff, :cutoff]
-    spectra = []
-    for p_link, loss_link, amp_link in zip(p_k, loss, amp):
-        # row (x, k) is scale[k, j] sqrt(amp[k - j, x]) over the photons lost j <= k
-        scale = np.sqrt(p_link[:, None] * np.where(j <= k, loss_link[k, np.maximum(k - j, 0)], 0.0))
-        # window[x, cutoff - 1 - k, j] = sqrt(amp[k - j, x]), zero for j > k
-        padded = np.pad(np.sqrt(amp_link[::-1].T), ((0, 0), (0, cutoff - 1)))
-        window = np.lib.stride_tricks.sliding_window_view(padded, cutoff, axis=1)
-        eigs = []
-        for size in np.unique(sizes):
-            heads = starts[sizes == size]
-            step = max(1, BLOCK_BATCH // (size * cutoff))
-            for first in range(0, heads.size, step):
-                rows, cols = np.divmod(order[heads[first : first + step, None] + np.arange(size)], cutoff)
-                blocks = scale[cols] * window[rows, cutoff - 1 - cols]
-                eigs.append(np.linalg.eigvalsh(blocks @ blocks.transpose(0, 2, 1)).ravel())
-        spectra.append(np.concatenate(eigs))
-    return np.array(spectra), deficits
-
-
 def psk_ensemble_mi(
     eff: EffectiveChannel,
     psk_order: int,
     cutoff: int,
     d_env=None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
+    tail_tol: float = rg.DEFAULT_TAIL_TOL,
 ) -> float:
     """Holevo information of the L-PSK modulated link, in nats.
 
@@ -516,7 +338,7 @@ def _psk_ensemble_mi_and_tail(eff, psk_order, cutoff, d_env, tail_tol) -> tuple[
     """``psk_ensemble_mi`` and the trace deficit of its conditional state, from one build of that state."""
     if psk_order < 1:
         raise DomainError(f"psk_order must be >= 1, got {psk_order}")
-    _check_output_cutoff(eff, cutoff, tail_tol)
+    rg._check_output_cutoff(eff, cutoff, tail_tol)
     rho0 = conditional_output_density(eff, cutoff, d_env=d_env, tail_tol=tail_tol)
     deficit = rho0.tail()
     if deficit > 4.0 * tail_tol:
@@ -536,7 +358,7 @@ def mac_joint_fock(
     cutoff: int,
     theta: float = 0.0,
     phi: float = 0.0,
-    tail_tol: float = DEFAULT_TAIL_TOL,
+    tail_tol: float = rg.DEFAULT_TAIL_TOL,
 ) -> FockDensity:
     """Receiver's joint (B, I_X, I_Y) state of the full MAC, built end to end.
 

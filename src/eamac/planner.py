@@ -22,11 +22,10 @@ from statistics import NormalDist
 
 import numpy as np
 
-from . import fock
 from .channel import MacParams
 from .errors import ConfigError, DomainError, InfeasibleError
 from .gaussian import g_entropy
-from .region import _low_photon_coefficients
+from .region import _low_photon_coefficients, photon_distribution_thermal, required_cutoff
 
 __all__ = [
     "q_func",
@@ -93,7 +92,10 @@ def covert_budget(n: int, delta: float, p: MacParams) -> float:
         raise DomainError(f"delta must lie in [0, 1), got {delta}")
     if delta == 0.0:
         return 0.0
-    return _willie_coeff(p) * q_inv((1.0 - delta) / 2.0) / math.sqrt(n)
+    budget = _willie_coeff(p) * q_inv((1.0 - delta) / 2.0) / math.sqrt(n)
+    if not math.isfinite(budget):  # b (1 + b) overflows at the warden's b = kappa n_b
+        raise DomainError(f"n_b = {p.n_b} is too large for a finite covert budget")
+    return budget
 
 
 def _willie_coeff(p: MacParams) -> float:
@@ -122,6 +124,8 @@ def weighted_power(alpha: float, beta: float, s: float, p: MacParams) -> float:
 def covert_feasibility(n: int, alpha: float, beta: float, s: float, p: MacParams, delta: float):
     """(power, budget, feasible): the weighted power, the covert budget at (n, delta),
     and whether power <= budget up to a relative 1e-12 slack for the budget's rounding."""
+    _check_fractions(alpha, beta)
+    _check_power(s)
     power = weighted_power(alpha, beta, s, p)
     budget = covert_budget(n, delta, p)
     return power, budget, power <= budget * (1.0 + 1e-12)
@@ -398,21 +402,21 @@ def relent_leading(p: MacParams, alpha: float, beta: float, s: float, receiver: 
     return RelEntStats(d=d, v=2.0 * d, r_order=order)
 
 
-def slot_laws(p: MacParams, alpha: float, beta: float, s: float, receiver: str, cutoff=None):
+def slot_laws(p: MacParams, alpha: float, beta: float, s: float, receiver: str):
     """The sparse layer's per-slot table at ``receiver``: ``weights`` (2, 2), the
     P(x) P(y) of the on/off inputs x ~ Bern(alpha), y ~ Bern(beta), and ``laws``
     (2, 2, cutoff), thermal of mean b + kappa_r (tau s x + (1 - tau) s y) with
-    (kappa_r, b) = p.receiver(receiver).  The default cutoff holds every law's
-    tail below 1e-14, plus 8 levels, and is at least 32."""
+    (kappa_r, b) = p.receiver(receiver).  The cutoff keeps the tail of mean
+    b + kappa_r s below 1e-18, plus 16 levels, and is at least 32: then no
+    willie_tv_mc draw over n * samples slots is likely to reach it."""
     _check_fractions(alpha, beta)
     _check_power(s)
     kappa_r, background = p.receiver(receiver)
     weights = np.outer([1.0 - alpha, alpha], [1.0 - beta, beta])
     x, y = np.ogrid[:2, :2]
     means = background + kappa_r * (p.tau * s * x + (1.0 - p.tau) * s * y)
-    if cutoff is None:
-        cutoff = max(fock.required_cutoff(float(means.max()), 1e-14) + 8, 32)
-    return weights, fock.photon_distribution_thermal(means, cutoff)
+    cutoff = max(required_cutoff(background + kappa_r * s, 1e-18) + 16, 32)
+    return weights, photon_distribution_thermal(means, cutoff)
 
 
 def relent_exact(p: MacParams, alpha: float, beta: float, s: float, receiver: str, marginal: str) -> RelEntStats:
@@ -500,12 +504,7 @@ def willie_tv_mc(
     _check_count("n", n)
     _check_count("samples", samples)
     _check_count("workers", workers)
-    _check_power(s)  # before it sizes the cutoff
-    # cutoff sized so the chance of any draw beyond it over all n*samples
-    # slots is negligible
-    kappa_r, background = p.receiver("willie")
-    cutoff = max(fock.required_cutoff(background + kappa_r * s, 1e-18) + 16, 32)
-    weights, laws = slot_laws(p, alpha, beta, s, "willie", cutoff=cutoff)
+    weights, laws = slot_laws(p, alpha, beta, s, "willie")
     q0 = laws[0, 0]
     # q1 is q0 plus the weighted shifts of the other keys, so it equals q0
     # bit for bit when the senders are silent or s = 0 (then S = 0 exactly)

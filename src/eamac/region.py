@@ -5,24 +5,24 @@ from the heterodyne-conditioned point-to-point links and a sum bound
 that is the better of the two decoding orders.  Each mutual information
 is the entropy of the phase-averaged (B, idler) state minus the
 closed-form conditional entropy.  That entropy comes from the
-photon-number spectrum of fock.phase_averaged_spectra: the link's
-thermal loss is pure loss followed by an amplifier, so no environment is
-truncated, and the averaged state splits into small blocks by photon
-difference and phase class, so no dense Fock matrix is built.  A
-region's four links are one batch (``link_mis``) with one exp for all their
-Kraus laws; per-link scalars are float math.  The dense Fock route
+photon-number spectrum of ``phase_averaged_spectra``: the link's thermal
+loss is pure loss followed by an amplifier with closed-form Kraus laws
+(``_kraus_laws``), so no environment is truncated, and the averaged state
+splits into small blocks by photon difference and phase class, so no dense
+Fock matrix is built.  A region's four links are one batch (``link_mis``)
+with one exp for all their Kraus laws.  The dense Fock route
 (fock.psk_ensemble_mi) is the oracle the tests compare against.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from numbers import Real
 
 import numpy as np
 
-from . import fock
 from .channel import EffectiveChannel, MacParams, ModulationConfig, effective_params
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, PhysicalityError, TruncationError
 from .gaussian import _g
 
 __all__ = [
@@ -30,12 +30,17 @@ __all__ = [
     "RateRegion",
     "conditional_entropy_term",
     "noise_condition_ok",
+    "required_cutoff",
+    "photon_distribution_thermal",
+    "spectral_entropy",
+    "phase_averaged_spectra",
     "link_mis",
     "continuous_phase_mi",
     "achievable_region",
     "covert_rectangle",
 ]
 
+DEFAULT_TAIL_TOL = 1e-8
 
 # Largest Fock cutoff a region accepts; it keeps a configured cutoff from
 # asking for more memory than the machine has.  At 512, which holds a TMSV
@@ -55,7 +60,7 @@ class RegionNumerics:
 
     cutoff: int = 24
     psk_order: int = 64
-    tail_tol: float = fock.DEFAULT_TAIL_TOL
+    tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self):
         if not (isinstance(self.cutoff, (int, np.integer)) and 1 <= self.cutoff <= MAX_CUTOFF):
@@ -105,6 +110,176 @@ def noise_condition_ok(eff: EffectiveChannel) -> bool:
     return eff.n_t_eff > lower
 
 
+def required_cutoff(n_mean: float, tail_tol: float) -> int:
+    """Smallest d with thermal/TMSV tail (n/(n+1))^d <= tail_tol, for tail_tol in (0, 1)."""
+    if not 0.0 < tail_tol < 1.0:  # NaN too
+        raise DomainError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    if n_mean <= 0.0:
+        return 1
+    if not n_mean < math.inf:  # NaN too
+        raise DomainError(f"mean photon number must be finite, got {n_mean}")
+    # ln(n / (n + 1)) without rounding n / (n + 1) to 1 above n = 2^53
+    need = math.log(tail_tol) / -math.log1p(1.0 / n_mean)
+    if need == math.inf:
+        raise DomainError(f"mean photon number {n_mean} is too large for any cutoff")
+    return max(1, math.ceil(need))
+
+
+def _check_tmsv_cutoff(n_s: float, cutoff: int, tail_tol: float) -> None:
+    """Reject a cutoff below 1, or one that leaves the TMSV tail (n_s / (n_s + 1))^cutoff above ``tail_tol``."""
+    if cutoff < 1:
+        raise DomainError(f"cutoff must be >= 1, got {cutoff}")
+    need = required_cutoff(n_s, tail_tol)
+    if cutoff < need:
+        raise TruncationError(
+            f"cutoff {cutoff} keeps TMSV tail above {tail_tol:g}; need d >= {need}",
+            required_cutoff=need,
+        )
+
+
+def photon_distribution_thermal(n_mean, cutoff: int) -> np.ndarray:
+    """Geometric photon-number law (n/(n+1))^k / (n+1) for k < cutoff, one row per
+    mean of an array of means; a zero mean gives the vacuum row [1, 0, ...]
+    through 0^0 = 1."""
+    n = np.asarray(n_mean, dtype=float)[..., None]
+    # two ufunc reductions, which NaN fails, cost about as much as one elementwise sign check
+    low, high = np.minimum.reduce(n, axis=None, initial=0.0), np.maximum.reduce(n, axis=None, initial=0.0)
+    if not (low >= 0.0 and high < np.inf):
+        raise DomainError(f"mean photon number must be {'finite' if low >= 0.0 else '>= 0'}, got {n_mean}")
+    n1 = n + 1.0
+    return (n / n1) ** np.arange(cutoff) / n1
+
+
+def spectral_entropy(eigs: np.ndarray) -> float | np.ndarray:
+    """Entropy -sum lambda ln lambda in nats of a density-matrix spectrum, or of each row of a stack."""
+    if eigs.min() < -1e-10:
+        raise PhysicalityError(f"density matrix has eigenvalue {eigs.min():.3e} < -1e-10")
+    # 0 ln 0 = 0, and a rounding below 0 counts as 0
+    entropy = -(eigs * np.log(eigs, out=np.zeros(eigs.shape), where=eigs > 0.0)).sum(axis=-1)
+    return float(entropy) if entropy.ndim == 0 else entropy
+
+
+def _check_output_cutoff(eff: EffectiveChannel, cutoff: int, tail_tol: float) -> None:
+    """Reject, before any Fock work, a cutoff too small for the B output.
+
+    The B marginal is thermal with mean m = kappa_eff n_s + n_t_eff, so by
+    data processing the output trace deficit is at least
+    (m / (m + 1))^cutoff - tail_tol: beyond 5 tail_tol the 4 tail_tol
+    deficit check would fail after the full build."""
+    m = eff.kappa_eff * eff.n_s + eff.n_t_eff
+    if m > 0.0 and (m / (m + 1.0)) ** cutoff > 5.0 * tail_tol:
+        need = required_cutoff(m, tail_tol)
+        msg = f"cutoff {cutoff} keeps the output tail (mean {m:.6g}) above {tail_tol:g}; need d >= {need}"
+        raise TruncationError(msg, required_cutoff=need)
+
+
+# block-row entries built per batch of equal-size blocks; this bounds the
+# scratch memory of a large cutoff with a small PSK period
+BLOCK_BATCH = 1 << 20
+
+
+@lru_cache(maxsize=8)
+def _binomial_basis(size: int, d_in: int) -> np.ndarray:
+    """Read-only rows [ln C(r, m) (-inf for m > r), m, r - m, 1] over r < size, m < d_in, flattened."""
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(size)])
+    r, m = np.ogrid[:size, :d_in]
+    log_comb = np.where(m <= r, log_fact[r] - log_fact[m] - log_fact[np.abs(r - m)], -np.inf)
+    basis = np.array(np.broadcast_arrays(log_comb, m, r - m, 1.0), dtype=float).reshape(4, -1)
+    basis.flags.writeable = False
+    return basis
+
+
+def _log(y: float) -> float:
+    """ln y, with ln 0 a finite -1e6: 0 ln 0 is then 0 with no mask, and for r < 10^6 any
+    count of it from 1 up underflows exp, whatever ln C(r, m) <= r ln 2 it meets."""
+    return math.log(y) if y > 0.0 else -1e6
+
+
+def _kraus_laws(kappa, n_t, d_in: int, d_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Photon-number laws of thermal loss as pure loss, then an amplifier.
+
+    Thermal loss of transmissivity kappa and added noise n_t is pure loss
+    eta = kappa / G followed by the quantum-limited amplifier of gain
+    G = 1 + n_t (Caruso, Giovannetti & Holevo, NJP 8, 310 (2006)), for
+    every kappa in [0, 1].  Returns ``loss[k, m]``, the binomial law
+    C(k, m) eta^m (1 - eta)^(k - m) of the m < d_in photons that survive k,
+    and ``amp[m, x]`` = C(x, m) G^-(m+1) (1 - 1/G)^(x - m), the amplifier's
+    law of x < d_out photons out of m.  These are the squared Kraus
+    amplitudes <m|A_j|k> (j = k - m photons lost) and <x|B_i|m>
+    (i = x - m photons added) of Ivan, Sabapathy & Simon, PRA 84, 042311
+    (2011), all nonnegative.  Both are C(r, m) c a^m b^(r - m) over r >= m,
+    (a, b, c) = (eta, 1 - eta, 1) and (1/G, 1 - 1/G, 1/G): each law's
+    coefficients [1, ln a, ln b, ln c], from math on its link's two floats,
+    times one cached basis [ln C(r, m), m, r - m, 1] (``_binomial_basis``) and
+    one exp give both laws of every link, the amplifier as its transpose.
+    Arrays of B kappas and n_ts give laws stacked in front, (B, d, d).
+    """
+    links = list(zip(np.ravel(kappa).tolist(), np.ravel(n_t).tolist()))
+    rows = [(1.0, _log(kap / (1.0 + noise)), _log((1.0 + noise - kap) / (1.0 + noise)), 0.0) for kap, noise in links]
+    rows += [(1.0, -math.log1p(noise), _log(noise / (1.0 + noise)), -math.log1p(noise)) for _, noise in links]
+    size = max(d_in, d_out)
+    law = np.exp(np.array(rows) @ _binomial_basis(size, d_in)).reshape(2, *np.shape(kappa), size, d_in)
+    return law[0, ..., :d_in, :], law[1, ..., :d_out, :].swapaxes(-1, -2)
+
+
+def phase_averaged_spectra(effs, cutoff: int, psk_order, tail_tol=DEFAULT_TAIL_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra and trace deficits of the PSK phase-averaged (B, idler) states of links.
+
+    Row i of the ``(len(effs), cutoff**2)`` spectra and entry i of the
+    deficits belong to ``effs[i]``, whose output-cutoff and TMSV-tail checks
+    run in link order before any Fock work.  Each state is the oracle's
+    fock.phase_average_fock(fock.conditional_output_density(eff, cutoff), psk_order),
+    never built densely, and with no environment cutoff: the channel is
+    pure loss then an amplifier (``_kraus_laws``), whose Kraus operators
+    A_j remove and B_i add photons.  So |k, k> (signal, idler) reaches
+    |x, k> through the pairs (i, j) with i - j = x - k, and entries of the
+    output couple (x, k) and (y, l) only when x - k = y - l.  The phase
+    average keeps them only when 2 (x - y) = 0 (mod L), i.e. x = y modulo
+    L / gcd(2, L).  The state is therefore a direct sum of Gram blocks
+    V_B V_B^T, one per (x - k, x mod L / gcd(2, L)), with the row
+    V[(x, k), j] = sqrt(p_k) <x|B_i A_j|k>, i = x - k + j, indexed by the
+    j <= k < cutoff photons lost.  For L / gcd(2, L) >= cutoff every block
+    is 1 x 1 and the spectrum is p_k P(x|k) with P = loss @ amp, one
+    batched product for all links, and p_k the TMSV's geometric law.
+    The trace deficit is 1 minus the summed block traces: the TMSV tail and
+    the output levels x >= cutoff.
+    """
+    for eff in effs:
+        _check_output_cutoff(eff, cutoff, tail_tol)
+        _check_tmsv_cutoff(eff.n_s, cutoff, tail_tol)
+    p_k = photon_distribution_thermal([eff.n_s for eff in effs], cutoff)
+    loss, amp = _kraus_laws([eff.kappa_eff for eff in effs], [eff.n_t_eff for eff in effs], cutoff, cutoff)
+    # law[i, k, x] is the squared norm of row (x, k) of link i
+    law = p_k[:, :, None] * (loss @ amp)
+    deficits = 1.0 - law.sum(axis=(1, 2))
+    period = min(psk_order // math.gcd(2, psk_order), cutoff)
+    if period == cutoff:
+        return law.reshape(len(effs), -1), deficits
+    x, k = np.divmod(np.arange(cutoff**2), cutoff)
+    key = (x - k + cutoff - 1) * period + x % period
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    sizes = np.diff(np.append(starts, order.size))
+    k, j = np.ogrid[:cutoff, :cutoff]
+    spectra = []
+    for p_link, loss_link, amp_link in zip(p_k, loss, amp):
+        # row (x, k) is scale[k, j] sqrt(amp[k - j, x]) over the photons lost j <= k
+        scale = np.sqrt(p_link[:, None] * np.where(j <= k, loss_link[k, np.maximum(k - j, 0)], 0.0))
+        # window[x, cutoff - 1 - k, j] = sqrt(amp[k - j, x]), zero for j > k
+        padded = np.pad(np.sqrt(amp_link[::-1].T), ((0, 0), (0, cutoff - 1)))
+        window = np.lib.stride_tricks.sliding_window_view(padded, cutoff, axis=1)
+        eigs = []
+        for size in np.unique(sizes):
+            heads = starts[sizes == size]
+            step = max(1, BLOCK_BATCH // (size * cutoff))
+            for first in range(0, heads.size, step):
+                rows, cols = np.divmod(order[heads[first : first + step, None] + np.arange(size)], cutoff)
+                blocks = scale[cols] * window[rows, cutoff - 1 - cols]
+                eigs.append(np.linalg.eigvalsh(blocks @ blocks.transpose(0, 2, 1)).ravel())
+        spectra.append(np.concatenate(eigs))
+    return np.array(spectra), deficits
+
+
 def link_mis(effs, numerics: RegionNumerics = RegionNumerics()) -> list:
     """Mutual informations of phase-modulated links, in nats, in one batched pass.
 
@@ -121,13 +296,13 @@ def link_mis(effs, numerics: RegionNumerics = RegionNumerics()) -> list:
     if not live:
         return values
     links = [effs[i] for i in live]
-    spectra, deficits = fock.phase_averaged_spectra(links, numerics.cutoff, numerics.psk_order, numerics.tail_tol)
-    for i, deficit, entropy in zip(live, deficits.tolist(), fock.spectral_entropy(spectra).tolist()):
+    spectra, deficits = phase_averaged_spectra(links, numerics.cutoff, numerics.psk_order, numerics.tail_tol)
+    for i, deficit, entropy in zip(live, deficits.tolist(), spectral_entropy(spectra).tolist()):
         if deficit > 4.0 * numerics.tail_tol:
-            raise fock.TruncationError(f"output trace deficit {deficit:.3e} exceeds budget; raise the cutoff")
+            raise TruncationError(f"output trace deficit {deficit:.3e} exceeds budget; raise the cutoff")
         value = entropy - conditional_entropy_term(effs[i])
         if value < -1e-9:
-            raise fock.TruncationError(f"mutual information {value:.3e} below -1e-9; numerics inconsistent")
+            raise TruncationError(f"mutual information {value:.3e} below -1e-9; numerics inconsistent")
         values[i] = max(value, 0.0)
     return values
 

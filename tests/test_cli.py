@@ -8,10 +8,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eamac
-from eamac import fock
-from eamac.cli import SCHEMAS, main
+from eamac import region as rg
+from eamac.cli import REQUIRED, SCHEMAS, SWEEP_KEYS, main
 
 
 def write_config(path, **entries):
@@ -114,7 +116,7 @@ def test_region_rejects_small_output_cutoff_before_fock_work(tmp_path, monkeypat
     def no_fock_work(*args):
         raise AssertionError("Kraus laws built before the cutoff check")
 
-    monkeypatch.setattr(fock, "_kraus_laws", no_fock_work)
+    monkeypatch.setattr(rg, "_kraus_laws", no_fock_work)
     cfg = write_config(tmp_path / "c.cfg", tau=0.5, kappa=0.5, n_b=100.0, n_s=0.1)
     assert run(["region", "--config", cfg]) == 4
     assert "need d >=" in capsys.readouterr().err
@@ -139,6 +141,7 @@ class TestRegionInputDomain:
             ("n_b", "inf"),
             ("n_s", "nan"),
             ("boundary_points", -3),
+            ("boundary_points", 100_001),
             ("cutoff", 100000),
         ],
     )
@@ -173,6 +176,14 @@ class TestPlannerInputDomain:
         assert run([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and repr(key) in err
+
+    @pytest.mark.parametrize("command", PLANNER_BASES)
+    def test_overflowing_budget_exits_2_naming_n_b(self, tmp_path, capsys, command):
+        # b (1 + b) overflows at the warden's background b = kappa n_b = 1.5e154
+        cfg = write_config(tmp_path / "c.cfg", **{**PLANNER_BASES[command], "n_b": 3e154})
+        assert run([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "n_b" in err
 
     @pytest.mark.parametrize("given", [("alpha",), ("alpha", "beta"), ("s",), ("beta", "s")])
     def test_budget_with_some_of_alpha_beta_s_exits_2(self, tmp_path, capsys, given):
@@ -305,11 +316,10 @@ class TestValidate:
 
     @pytest.mark.parametrize("to_file", [False, True])
     def test_failing_check_writes_full_report_and_exits_4(self, tmp_path, capsys, monkeypatch, to_file):
-        from eamac import cli
-        from eamac.validate import CheckResult
+        from eamac import validate
 
-        failing = CheckResult("oracle", False, 2.5, 1.0, "measured above tolerance")
-        monkeypatch.setattr(cli.val, "run_suite", lambda seed, samples, workers: [failing])
+        failing = validate.CheckResult("oracle", False, 2.5, 1.0, "measured above tolerance")
+        monkeypatch.setattr(validate, "run_suite", lambda seed, samples, workers: [failing])
         cfg = write_config(tmp_path / "v.cfg", samples=1000)
         out = tmp_path / "v.txt"
         argv = ["validate", "--config", cfg, "--seed", "5"] + (["--out", str(out)] if to_file else [])
@@ -326,6 +336,75 @@ class TestValidate:
         assert report.startswith("# eamac") and "seed = 5\n" in report
         assert captured.out == ("" if to_file else report)
         assert captured.err == "numerical failure: validation suite failed; see report\n"
+
+
+# extreme finite config values, with in-range draws mixed in; the ints that
+# size work stay small unless they are out of range
+EXTREME_FLOAT = st.sampled_from([0.0, 5e-324, 1e308, -1e308]) | st.floats(1e-6, 1.0)
+SMALL_INT = {"cutoff": 16, "psk_order": 64, "boundary_points": 20, "count": 12, "n": 10**9}
+VALID_CONFIGS = {"region": REGION_BASE, "covert-rect": dict(tau=0.5, kappa=0.5, n_b=1.0, s=0.01), **PLANNER_BASES}
+
+
+def key_value(command, key):
+    """(key, value) with the value extreme, in range, or None (left out) for an optional key."""
+    conv, default = SCHEMAS[command][key]
+    if conv is float:
+        value = EXTREME_FLOAT
+    elif conv is int:
+        value = st.sampled_from([-1, 0, 10**20]) | st.integers(1, SMALL_INT[key])
+    else:
+        value = st.sampled_from(SWEEP_KEYS + ("n",))
+    return st.tuples(st.just(key), value if default is REQUIRED else value | st.none())
+
+
+def extreme_config(command):
+    """A valid config of ``command`` with up to three of its keys redrawn by ``key_value``."""
+    entry = st.sampled_from(sorted(SCHEMAS[command])).flatmap(lambda key: key_value(command, key))
+    return st.lists(entry, max_size=3).map(lambda changes: {**VALID_CONFIGS[command], **dict(changes)})
+
+
+def assert_exits_cleanly(command, config, bits, workdir):
+    """cli.main exits 0, 2, 3 or 4, and on exit 0 every number it wrote is finite."""
+    out = workdir / "out.txt"
+    out.unlink(missing_ok=True)
+    cfg = write_config(workdir / "c.cfg", **{k: v for k, v in config.items() if v is not None})
+    code = run([command, "--config", cfg, "--out", str(out)] + ["--bits"] * bits)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        for line in out.read_text().splitlines():
+            key, sep, value = line.partition(" = ")
+            for cell in value.split(", ") if sep else line.split(","):
+                try:
+                    number = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(number), line
+    return code
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli_property")
+
+
+@pytest.mark.parametrize("command", ["region", "covert-rect", "budget", "plan", "sweep"])
+@settings(max_examples=40, derandomize=True, database=None, deadline=5000)
+@given(data=st.data())
+def test_any_extreme_config_exits_cleanly(workdir, command, data):
+    assert_exits_cleanly(command, data.draw(extreme_config(command)), data.draw(st.booleans()), workdir)
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        # 10^20 boundary points never finished before they were bounded
+        ("region", {**REGION_BASE, "boundary_points": 10**20}),
+        # b (1 + b) overflowed to a budget of inf with exit 0
+        ("budget", dict(tau=0.5, kappa=0.5, n_b=3e154, n=100, delta=0.1)),
+    ],
+)
+def test_extreme_config_examples_exit_2(workdir, command, config):
+    assert assert_exits_cleanly(command, config, False, workdir) == 2
 
 
 def test_cli_loads_no_scipy(tmp_path):

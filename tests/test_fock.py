@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from eamac import channel as ch
 from eamac import fock as fk
 from eamac import gaussian as g
+from eamac import region as rg
 from eamac.errors import DomainError, PhysicalityError, TruncationError
 
 
@@ -28,7 +29,7 @@ class TestTmsvFock:
     def test_truncation_error_reports_required_cutoff(self):
         with pytest.raises(TruncationError) as err:
             fk.tmsv_fock(1.0, 20, tail_tol=1e-8)
-        assert err.value.required_cutoff == fk.required_cutoff(1.0, 1e-8)
+        assert err.value.required_cutoff == rg.required_cutoff(1.0, 1e-8)
         assert fk.tmsv_fock(1.0, err.value.required_cutoff).tail() <= 1e-8
 
     def test_reduced_mode_entropy_matches_gaussian(self):
@@ -129,7 +130,7 @@ class TestBeamsplitterFock:
     def weighted_per_sector_superop(kappa, n_env, d_in, d_out, d_env):
         """The thermal-loss superoperator as the Gram of the dense 4-index amplitudes b[x, e_out, n, e]."""
         xi = math.acos(min(1.0, math.sqrt(kappa)))
-        p_env = fk.photon_distribution_thermal(n_env, d_env)
+        p_env = rg.photon_distribution_thermal(n_env, d_env)
         weight = np.sqrt(p_env / p_env.sum())
         b = np.zeros((d_out, d_in + d_env - 1, d_in, d_env))
         for total in range(d_in + d_env - 1):
@@ -147,7 +148,7 @@ class TestBeamsplitterFock:
         grid = [(0.0, 0.7), (1.0, 0.4), (0.3, 0.0), (0.0, 0.0), (1.0, 0.0)]
         grid += [(float(rng.uniform()), float(rng.uniform(0.0, 2.0))) for _ in range(10)]
         for kappa, n_env in grid:
-            d_in, d_out, d_env = 12, int(rng.integers(8, 16)), fk.required_cutoff(n_env, 1e-8)
+            d_in, d_out, d_env = 12, int(rng.integers(8, 16)), rg.required_cutoff(n_env, 1e-8)
             superop = fk._thermal_loss_superop(kappa, n_env, d_in, d_out, d_env)
             dense = self.weighted_per_sector_superop(kappa, n_env, d_in, d_out, d_env)
             assert np.abs(superop - dense).max() <= 1e-15
@@ -160,7 +161,7 @@ class TestBeamsplitterFock:
         d_out=st.integers(2, 12),
     )
     def test_per_sector_superop_matches_the_dense_gram(self, kappa, n_env, d_in, d_out):
-        d_env = fk.required_cutoff(n_env, 1e-8)
+        d_env = rg.required_cutoff(n_env, 1e-8)
         superop = fk._thermal_loss_superop(kappa, n_env, d_in, d_out, d_env)
         dense = self.weighted_per_sector_superop(kappa, n_env, d_in, d_out, d_env)
         assert np.abs(superop - dense).max() <= 1e-15
@@ -247,27 +248,27 @@ class TestHermitianCheck:
 class TestThermalLaw:
     def test_array_means_give_each_scalar_law_bit_for_bit(self):
         means = np.array([[0.0, 0.3], [1.2, 5.0]])
-        laws = fk.photon_distribution_thermal(means, 40)
+        laws = rg.photon_distribution_thermal(means, 40)
         assert laws.shape == (2, 2, 40)
         for idx in np.ndindex(2, 2):
-            assert np.array_equal(laws[idx], fk.photon_distribution_thermal(float(means[idx]), 40))
+            assert np.array_equal(laws[idx], rg.photon_distribution_thermal(float(means[idx]), 40))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_mean_is_exactly_the_vacuum(self):
         vacuum = np.zeros(40)
         vacuum[0] = 1.0
-        assert np.array_equal(fk.photon_distribution_thermal(0.0, 40), vacuum)
-        assert np.array_equal(fk.photon_distribution_thermal([0.3, 0.0], 40)[1], vacuum)
+        assert np.array_equal(rg.photon_distribution_thermal(0.0, 40), vacuum)
+        assert np.array_equal(rg.photon_distribution_thermal([0.3, 0.0], 40)[1], vacuum)
 
     @pytest.mark.parametrize("n_mean", [-0.1, [0.2, -1e-9]])
     def test_negative_mean_rejected(self, n_mean):
         with pytest.raises(DomainError, match="mean photon number"):
-            fk.photon_distribution_thermal(n_mean, 8)
+            rg.photon_distribution_thermal(n_mean, 8)
 
     def test_nan_mean_rejected(self):
         # a NaN mean once passed the sign check and gave the vacuum law
         with pytest.raises(DomainError, match="mean photon number must be >= 0, got nan"):
-            fk.photon_distribution_thermal(math.nan, 8)
+            rg.photon_distribution_thermal(math.nan, 8)
 
 
 class TestNonFiniteInputs:
@@ -276,7 +277,7 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("n_mean", [math.inf, math.nan, [0.2, math.inf], [math.nan, 0.1]])
     def test_photon_distribution_thermal(self, n_mean):
         with pytest.raises(DomainError, match="mean photon number must be"):
-            fk.photon_distribution_thermal(n_mean, 8)
+            rg.photon_distribution_thermal(n_mean, 8)
 
     @pytest.mark.parametrize("n_mean", [math.inf, math.nan])
     def test_thermal_fock(self, n_mean):
@@ -287,14 +288,14 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("n_mean", [math.inf, math.nan])
     def test_required_cutoff(self, n_mean):
         with pytest.raises(DomainError, match=f"mean photon number must be finite, got {n_mean}"):
-            fk.required_cutoff(n_mean, 1e-8)
+            rg.required_cutoff(n_mean, 1e-8)
 
     def test_required_cutoff_of_huge_means(self):
         # n / (n + 1) rounds to 1 above 2^53, and ln 1 = 0 once divided by zero
-        assert fk.required_cutoff(1e17, 1e-8) == pytest.approx(-math.log(1e-8) * 1e17, rel=1e-15)
-        assert fk.required_cutoff(5e-324, 1e-8) == 1
+        assert rg.required_cutoff(1e17, 1e-8) == pytest.approx(-math.log(1e-8) * 1e17, rel=1e-15)
+        assert rg.required_cutoff(5e-324, 1e-8) == 1
         with pytest.raises(DomainError, match="mean photon number 1e[+]308 is too large for any cutoff"):
-            fk.required_cutoff(1e308, 1e-8)
+            rg.required_cutoff(1e308, 1e-8)
 
     @pytest.mark.parametrize("n_s", [math.inf, math.nan, -math.inf])
     def test_tmsv_fock(self, n_s):
@@ -304,8 +305,8 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize(
         "entry",
         [
-            lambda tol: fk.required_cutoff(1.0, tol),
-            lambda tol: fk.required_cutoff(0.0, tol),
+            lambda tol: rg.required_cutoff(1.0, tol),
+            lambda tol: rg.required_cutoff(0.0, tol),
             lambda tol: fk.tmsv_fock(0.5, 20, tail_tol=tol),
             lambda tol: fk.thermal_loss_fock(fk.thermal_fock(0.5, 10), 0.5, 1.0, tail_tol=tol),
             lambda tol: fk.psk_ensemble_mi(ch.EffectiveChannel(0.3, 0.2, 0.1), 4, 8, tail_tol=tol),
@@ -321,7 +322,7 @@ class TestNonFiniteInputs:
 
 class TestInformationFunctionals:
     def test_rounding_below_zero_adds_no_entropy(self):
-        assert fk.spectral_entropy(np.array([0.5, 0.5, -1e-12])) == fk.spectral_entropy(np.array([0.5, 0.5]))
+        assert rg.spectral_entropy(np.array([0.5, 0.5, -1e-12])) == rg.spectral_entropy(np.array([0.5, 0.5]))
 
     def test_pure_state_entropy_zero(self):
         psi = fk.tmsv_fock(0.5, 24)
@@ -377,7 +378,7 @@ def _env_cutoff(eff, env_tail=1e-15):
     The Kraus route has no environment to truncate; a tail this small keeps
     the oracle's own truncation far inside the 1e-12 comparisons.
     """
-    return fk.required_cutoff(eff.n_t_eff / (1.0 - eff.kappa_eff) if eff.kappa_eff < 1.0 else 0.0, env_tail)
+    return rg.required_cutoff(eff.n_t_eff / (1.0 - eff.kappa_eff) if eff.kappa_eff < 1.0 else 0.0, env_tail)
 
 
 def _dense_spectrum_entropy(eff, cutoff, psk_order, tail_tol):
@@ -398,13 +399,13 @@ def _criterion7_links(seed, count):
 
 
 def _kraus_superop(kappa, n_t, d):
-    """K = sum_ij (B_i A_j) (x) (B_i A_j) on cutoff d from fock._kraus_laws.
+    """K = sum_ij (B_i A_j) (x) (B_i A_j) on cutoff d from region._kraus_laws.
 
     A_j removes j photons and B_i adds i; their amplitudes are the square
     roots of the loss and amplifier laws.  Row-major vec, as in
     fock._thermal_loss_superop.
     """
-    loss, amp = fk._kraus_laws(kappa, n_t, d, d)
+    loss, amp = rg._kraus_laws(kappa, n_t, d, d)
     lose = [np.diag(np.sqrt(np.diagonal(loss, -j)), j) for j in range(d)]
     add = [np.diag(np.sqrt(np.diagonal(amp, i)), -i) for i in range(d)]
     return sum(np.kron(b @ a, b @ a) for b in add for a in lose)
@@ -423,17 +424,17 @@ class TestPhaseAveragedSpectrum:
     @pytest.mark.parametrize("psk_order", [2, 4, 6, 10, 28, 64])
     def test_matches_dense_on_seeded_grid(self, psk_order):
         for eff in _criterion7_links(2024, 6) + self.EDGE_LINKS:
-            (eigs,), (deficit,) = fk.phase_averaged_spectra([eff], 14, psk_order, tail_tol=1e-5)
+            (eigs,), (deficit,) = rg.phase_averaged_spectra([eff], 14, psk_order, tail_tol=1e-5)
             s_dense, tail_dense = _dense_spectrum_entropy(eff, 14, psk_order, 1e-5)
-            assert abs(fk.spectral_entropy(eigs) - s_dense) <= 1e-12
+            assert abs(rg.spectral_entropy(eigs) - s_dense) <= 1e-12
             assert abs(deficit - tail_dense) <= 1e-12
 
     @pytest.mark.parametrize("psk_order", [4, 6, 8, 64])
     def test_batch_matches_dense_psk_ensemble_mi(self, psk_order):
         # cutoff 14: L in {4, 6, 8} gives Gram blocks (L < 2d), L = 64 the 1 x 1 branch
         links = _criterion7_links(7, 5) + [ch.EffectiveChannel(0.4, 0.3, 0.0), ch.EffectiveChannel(0.3, 0.0, 0.2)]
-        spectra, deficits = fk.phase_averaged_spectra(links, 14, psk_order, tail_tol=1e-5)
-        entropies = fk.spectral_entropy(spectra)
+        spectra, deficits = rg.phase_averaged_spectra(links, 14, psk_order, tail_tol=1e-5)
+        entropies = rg.spectral_entropy(spectra)
         for eff, entropy, deficit in zip(links, entropies, deficits):
             rho0 = fk.conditional_output_density(eff, 14, d_env=_env_cutoff(eff, 1e-14), tail_tol=1e-5)
             dense_mi = fk.psk_ensemble_mi(eff, psk_order, 14, d_env=_env_cutoff(eff, 1e-14), tail_tol=1e-5)
@@ -443,9 +444,9 @@ class TestPhaseAveragedSpectrum:
     @pytest.mark.parametrize("psk_order", [6, 24])
     def test_batch_rows_equal_one_link_views(self, psk_order):
         links = _criterion7_links(11, 4) + self.EDGE_LINKS
-        spectra, deficits = fk.phase_averaged_spectra(links, 12, psk_order, tail_tol=1e-5)
+        spectra, deficits = rg.phase_averaged_spectra(links, 12, psk_order, tail_tol=1e-5)
         for eff, row, deficit in zip(links, spectra, deficits):
-            (one,), (one_deficit,) = fk.phase_averaged_spectra([eff], 12, psk_order, tail_tol=1e-5)
+            (one,), (one_deficit,) = rg.phase_averaged_spectra([eff], 12, psk_order, tail_tol=1e-5)
             np.testing.assert_array_equal(row, one)
             assert deficit == one_deficit
 
@@ -469,16 +470,16 @@ class TestPhaseAveragedSpectrum:
 
         rec = fixtures.load_fixtures()[name]
         eff = ch.EffectiveChannel(rec["kappa_eff"], rec["n_t_eff"], rec["n_s"])
-        (eigs,), (deficit,) = fk.phase_averaged_spectra([eff], int(rec["cutoff"]), 64)
-        s_dense, tail_dense = _dense_spectrum_entropy(eff, int(rec["cutoff"]), 64, fk.DEFAULT_TAIL_TOL)
-        assert abs(fk.spectral_entropy(eigs) - s_dense) <= 1e-12
+        (eigs,), (deficit,) = rg.phase_averaged_spectra([eff], int(rec["cutoff"]), 64)
+        s_dense, tail_dense = _dense_spectrum_entropy(eff, int(rec["cutoff"]), 64, rg.DEFAULT_TAIL_TOL)
+        assert abs(rg.spectral_entropy(eigs) - s_dense) <= 1e-12
         assert abs(deficit - tail_dense) <= 1e-12
 
     def test_blocks_are_one_by_one_for_large_order(self):
         # L >= 2d leaves a diagonal state: d^2 eigenvalues, one per (x, k)
         eff = ch.EffectiveChannel(0.25, 0.525, 0.1)
-        (eigs,), (deficit,) = fk.phase_averaged_spectra([eff], 12, 24, tail_tol=1e-5)
-        (diag,), _ = fk.phase_averaged_spectra([eff], 12, 64, tail_tol=1e-5)
+        (eigs,), (deficit,) = rg.phase_averaged_spectra([eff], 12, 24, tail_tol=1e-5)
+        (diag,), _ = rg.phase_averaged_spectra([eff], 12, 64, tail_tol=1e-5)
         assert eigs.size == 144
         np.testing.assert_array_equal(np.sort(eigs), np.sort(diag))
         assert abs(eigs.sum() - (1.0 - deficit)) <= 1e-14
@@ -492,8 +493,6 @@ class TestPhaseAveragedSpectrum:
         ],
     )
     def test_both_routes_reject_the_same_small_cutoff(self, eff, cutoff, tail_tol):
-        from eamac import region as rg
-
         numerics = rg.RegionNumerics(cutoff=cutoff, psk_order=64, tail_tol=tail_tol)
         with pytest.raises(TruncationError) as sector:
             rg.continuous_phase_mi(eff, numerics)
@@ -510,16 +509,16 @@ class TestKrausLaws:
     def test_output_marginal_is_thermal(self, kappa, n_t):
         # a thermal(n_s) input leaves thermal(kappa n_s + n_t); the input tail is below 1e-16
         n_s, d_in, d_out = 0.5, 34, 60
-        loss, amp = fk._kraus_laws(kappa, n_t, d_in, d_out)
-        p_in = fk.photon_distribution_thermal(n_s, d_in)
-        expected = fk.photon_distribution_thermal(kappa * n_s + n_t, d_out)
+        loss, amp = rg._kraus_laws(kappa, n_t, d_in, d_out)
+        p_in = rg.photon_distribution_thermal(n_s, d_in)
+        expected = rg.photon_distribution_thermal(kappa * n_s + n_t, d_out)
         assert np.abs(p_in @ loss @ amp - expected).max() <= 1e-14
 
     @pytest.mark.parametrize("kappa", [0.0, 0.4, 1.0])
     @pytest.mark.parametrize("n_t", [0.0, 0.3, 5.0, 100.0])
     def test_output_mean_is_kappa_k_plus_noise(self, kappa, n_t):
         # 6000 output levels hold the law of k < 8 to below 1e-16 at n_t = 100
-        law = np.matmul(*fk._kraus_laws(kappa, n_t, 8, 6000))
+        law = np.matmul(*rg._kraus_laws(kappa, n_t, 8, 6000))
         k = np.arange(8)
         assert np.abs(law.sum(axis=1) - 1.0).max() <= 1e-14
         assert np.abs(law @ np.arange(6000) - (kappa * k + n_t)).max() <= 1e-12 * (1.0 + n_t)
@@ -535,7 +534,7 @@ class TestKrausLaws:
         d_in, d_out = 12, 30
         gain = 1.0 + n_t
         eta = kappa / gain
-        loss, amp = fk._kraus_laws(kappa, n_t, d_in, d_out)
+        loss, amp = rg._kraus_laws(kappa, n_t, d_in, d_out)
         direct_loss = [[law(k, m, eta**m, 1.0 - eta) for m in range(d_in)] for k in range(d_in)]
         direct_amp = [[law(x, m, gain ** -(m + 1), 1.0 - 1.0 / gain) for x in range(d_out)] for m in range(d_in)]
         assert np.abs(loss - direct_loss).max() <= 1e-13
@@ -543,8 +542,6 @@ class TestKrausLaws:
 
     def test_kappa_one_keeps_the_noise(self):
         # the noise at kappa_eff = 1 is an amplifier after no loss, continuous with kappa_eff < 1
-        from eamac import region as rg
-
         at_one = rg.continuous_phase_mi(ch.EffectiveChannel(1.0, 0.3, 0.2))
         near_one = rg.continuous_phase_mi(ch.EffectiveChannel(0.999999, 0.3, 0.2))
         assert math.isfinite(near_one) and abs(at_one - near_one) <= 1e-6

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from eamac import fock, planner, validate
+from eamac import region as rg
 from eamac.channel import MacParams, ModulationConfig, effective_params
 
 
@@ -37,7 +38,7 @@ def test_psk_ensemble_mi_at_the_largest_grid_environment():
     # where the dense 4-index beamsplitter tensor and full-size temporaries took 15.9 MB
     p, m = MacParams(tau=0.95, kappa=0.1, n_b=1.2), ModulationConfig(n_s=0.3)
     eff = effective_params(p, m, "x", False)
-    assert fock.required_cutoff(eff.n_t_eff / (1.0 - eff.kappa_eff), 1e-5) == 19
+    assert rg.required_cutoff(eff.n_t_eff / (1.0 - eff.kappa_eff), 1e-5) == 19
     peak = traced_peak_mb(lambda: fock.psk_ensemble_mi(eff, 64, 24, tail_tol=1e-5))
     assert peak < 10.0
 
@@ -45,7 +46,7 @@ def test_psk_ensemble_mi_at_the_largest_grid_environment():
 @pytest.mark.parametrize("cutoff, n_env", [(24, 1.2), (24, 2.0), (32, 2.0)])
 def test_thermal_loss_superop_holds_about_two_outputs(cutoff, n_env):
     # the output and one Gram of its size (2.2 outputs measured); the dense 4-index build took 3.4
-    d_env = fock.required_cutoff(n_env, 1e-8)
+    d_env = rg.required_cutoff(n_env, 1e-8)
     superop = fock._thermal_loss_superop(0.3, n_env, cutoff, cutoff, d_env)
     peak = traced_peak_mb(lambda: fock._thermal_loss_superop(0.3, n_env, cutoff, cutoff, d_env))
     assert peak < 2.5 * superop.nbytes / 1e6

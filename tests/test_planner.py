@@ -6,8 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from eamac import fock
 from eamac import planner as pl
+from eamac import region as rg
 from eamac import validate
 from eamac.channel import MacParams
 from eamac.errors import ConfigError, DomainError, InfeasibleError
@@ -107,6 +107,12 @@ class TestCovertBudget:
     def test_bad_block_length_rejected(self, n):
         with pytest.raises(DomainError, match=f"n must be >= 1, got {n}"):
             pl.covert_budget(n, 0.1, P_CANON)
+
+    @pytest.mark.parametrize("delta", [0.1, 5e-324])
+    def test_overflowing_budget_names_n_b(self, delta):
+        # the warden's b (1 + b) overflows at b = 1.5e154; 5e-324 gives inf * 0 = nan
+        with pytest.raises(DomainError, match="n_b = 3e\\+154"):
+            pl.covert_budget(100, delta, MacParams(tau=0.5, kappa=0.5, n_b=3e154))
 
 
 class TestLayer1Throughput:
@@ -268,7 +274,7 @@ class TestRelEnt:
         coupling, background = p.receiver(receiver)
         p_x, p_y = {0: 1.0 - alpha, 1: alpha}, {0: 1.0 - beta, 1: beta}
         law = {
-            (x, y): fock.photon_distribution_thermal(background + coupling * s * (p.tau * x + (1.0 - p.tau) * y), cutoff)
+            (x, y): rg.photon_distribution_thermal(background + coupling * s * (p.tau * x + (1.0 - p.tau) * y), cutoff)
             for x in (0, 1)
             for y in (0, 1)
         }
@@ -300,7 +306,7 @@ class TestSlotLaws:
         p = MacParams(tau=0.5, kappa=0.5, n_b=1.0)
         weights, laws = pl.slot_laws(p, 0.0, 0.0, 0.01, "bob")
         assert weights.ravel().tolist() == [1.0, 0.0, 0.0, 0.0]
-        background = fock.photon_distribution_thermal(p.n_t, laws.shape[-1])
+        background = rg.photon_distribution_thermal(p.n_t, laws.shape[-1])
         np.testing.assert_allclose(laws[0, 0], background)
 
     def test_distributions_normalized(self):
@@ -311,8 +317,8 @@ class TestSlotLaws:
 
     def test_willie_active_x_mean(self):
         p = MacParams(tau=0.5, kappa=0.5, n_b=1.0)
-        _, laws = pl.slot_laws(p, 0.1, 0.1, 0.01, "willie", cutoff=64)
-        mean = float(np.sum(np.arange(64) * laws[1, 0]))
+        _, laws = pl.slot_laws(p, 0.1, 0.1, 0.01, "willie")
+        mean = float(np.sum(np.arange(laws.shape[-1]) * laws[1, 0]))
         assert mean == pytest.approx(0.5 * 1.0 + 0.5 * 0.5 * 0.01, abs=1e-10)
 
 
@@ -440,12 +446,12 @@ def _warden_laws(alpha, beta, s, p):
     """willie_tv_mc's normalised (q1, q0), with its laws built per key at the
     warden (1 - kappa, kappa n_b) and q1 summed as q0 plus each key's shift."""
     coupling, background = 1.0 - p.kappa, p.kappa * p.n_b
-    cutoff = max(fock.required_cutoff(background + coupling * s, 1e-18) + 16, 32)
+    cutoff = max(rg.required_cutoff(background + coupling * s, 1e-18) + 16, 32)
     weight = {0: (1.0 - alpha, 1.0 - beta), 1: (alpha, beta)}
-    q0 = fock.photon_distribution_thermal(background, cutoff)
+    q0 = rg.photon_distribution_thermal(background, cutoff)
     q1 = q0 + sum(
         weight[x][0] * weight[y][1]
-        * (fock.photon_distribution_thermal(background + coupling * (p.tau * s * x + (1.0 - p.tau) * s * y), cutoff) - q0)
+        * (rg.photon_distribution_thermal(background + coupling * (p.tau * s * x + (1.0 - p.tau) * s * y), cutoff) - q0)
         for x in (0, 1)
         for y in (0, 1)
     )

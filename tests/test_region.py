@@ -151,7 +151,7 @@ class TestAgainstDenseOracle:
             effs = _region_links(p, rng.uniform(0.02, 0.2)) + self.EDGE_LINKS
             for eff, value in zip(effs, rg.link_mis(effs, numerics)):
                 n_env = eff.n_t_eff / (1.0 - eff.kappa_eff) if eff.kappa_eff < 1.0 else 0.0
-                dense = fk.psk_ensemble_mi(eff, psk_order, 12, d_env=fk.required_cutoff(n_env, 1e-15), tail_tol=1e-5)
+                dense = fk.psk_ensemble_mi(eff, psk_order, 12, d_env=rg.required_cutoff(n_env, 1e-15), tail_tol=1e-5)
                 assert abs(value - dense) <= 5e-8
 
 
