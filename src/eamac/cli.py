@@ -73,6 +73,8 @@ SCHEMAS = {
 SWEEP_KEYS = ("tau", "kappa", "n_b", "s", "alpha", "beta", "delta")
 # most rows of a sweep, and most boundary points of a region
 MAX_POINTS = 100_000
+# most Monte Carlo samples of a validate run, about a minute on two workers
+_MAX_SAMPLES = 10**8
 
 FORMATS = {
     "region": ("record", "svg"),
@@ -294,6 +296,8 @@ def cmd_sweep(config, args) -> tuple:
         raise ConfigError(f"count must lie in [1, {MAX_POINTS}], got {config['count']}")
     count = config["count"]
     step = (config["stop"] - config["start"]) / (count - 1) if count > 1 else 0.0
+    if not math.isfinite(step):
+        raise ConfigError(f"start = {config['start']} and stop = {config['stop']} give no finite grid step")
     grid = [config["start"] + i * step for i in range(count)]
     rows = [_sweep_row(config, args, v) for v in grid]
     header = [line if line.startswith("#") else f"# {line}" for line in _header("sweep", config, args)]
@@ -306,6 +310,8 @@ def cmd_validate(config, args) -> tuple:
 
     if args.seed is None:
         raise ConfigError("validate is stochastic; --seed is required")
+    if not 1 <= config["samples"] <= _MAX_SAMPLES:
+        raise ConfigError(f"samples must lie in [1, {_MAX_SAMPLES}], got {config['samples']}")
     results = run_suite(args.seed, samples=config["samples"], workers=args.workers)
     fields = []
     for res in results:

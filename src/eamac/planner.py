@@ -72,7 +72,7 @@ def q_inv(p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"q_inv requires p in (0, 1), got {p}")
-    z = -_STANDARD_NORMAL.inv_cdf(p)
+    z = 0.0 - _STANDARD_NORMAL.inv_cdf(p)  # +0.0 at p = 1/2, where -inv_cdf gives -0.0
     for _ in range(3):
         miss = q_func(z) - p
         density = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
@@ -462,9 +462,10 @@ class McEstimate:
 
 # rows per spawned seed, which fixes the random stream
 _MC_CHUNK = 1 << 16
-# rows drawn and scored at once, which bounds the memory (about 2 MB of
-# counts per worker at the validate cutoff) and leaves the stream alone
+# rows scored at once, which fixes the summation order of f and f^2
 _MC_BLOCK = 1 << 12
+# most bytes of int64 counts one multinomial call holds, whatever the table width
+_MC_DRAW_BYTES = 1 << 19
 
 
 def willie_tv_mc(
@@ -493,11 +494,13 @@ def willie_tv_mc(
     worker count, chunks run on a pool of ``workers`` threads, and
     aggregation is a plain sum in chunk order.  A chunk of m rows draws
     k ~ Binomial(m, 1/2), then k rows from q1 and m - k from q0, which is
-    m exact draws from M.  Rows are drawn and scored in blocks of
-    ``_MC_BLOCK`` rows, which bounds the memory per worker; consecutive
-    block draws from one generator equal a single draw of the whole
-    chunk.  The result therefore depends only on (seed, samples), not on
-    ``workers``.
+    m exact draws from M.  Rows are scored in groups of ``_MC_BLOCK``
+    rows, which fix the summation order, and each group is drawn as
+    consecutive multinomial calls of at most ``_MC_DRAW_BYTES`` of counts,
+    so the count memory per worker does not grow with the law table's
+    width; consecutive draws from one generator equal a single draw of
+    the whole chunk.  The result therefore depends only on (seed,
+    samples), not on ``workers``.
     """
     if seed is None:
         raise ConfigError("willie_tv_mc requires an explicit seed for reproducibility")
@@ -515,6 +518,7 @@ def willie_tv_mc(
 
     chunk_sizes = [min(_MC_CHUNK, samples - start) for start in range(0, samples, _MC_CHUNK)]
     seeds = np.random.SeedSequence(seed).spawn(len(chunk_sizes))
+    draw_rows = max(1, _MC_DRAW_BYTES // (8 * llr.size))  # 8 bytes of count per level
 
     def run_chunk(args):
         chunk_seed, size = args
@@ -522,14 +526,17 @@ def willie_tv_mc(
         from_q1 = int(rng.binomial(size, 0.5))
         total = total_sq = 0.0
         for q, rows in ((q1, from_q1), (q0, size - from_q1)):
-            # multinomial consumes the stream row by row: blocks equal one draw.
+            # multinomial consumes the stream row by row: consecutive draws equal one.
             # einsum casts the counts to float through a small buffer where `@`
-            # would copy the whole block, and the counts are freed as soon as
-            # they are scored, so blocks of varying size (each hypothesis ends in a
-            # partial one) reuse the allocator's space instead of growing it.
+            # would copy them, and each draw's counts are freed as soon as they
+            # are scored, so draws of varying size reuse the allocator's space.
             for start in range(0, rows, _MC_BLOCK):
                 block = min(_MC_BLOCK, rows - start)
-                f = np.abs(np.tanh(0.5 * np.einsum("ij,j->i", rng.multinomial(n, q, size=block), llr)))
+                llr_sums = np.concatenate([
+                    np.einsum("ij,j->i", rng.multinomial(n, q, size=min(draw_rows, block - i)), llr)
+                    for i in range(0, block, draw_rows)
+                ])
+                f = np.abs(np.tanh(0.5 * llr_sums))
                 total += float(f.sum())
                 total_sq += float(f @ f)
         return total, total_sq

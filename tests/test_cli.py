@@ -202,6 +202,13 @@ class TestBudgetAndPlan:
         assert run(["budget", "--config", cfg, "--out", str(out)]) == 0
         assert "budget = 0.0" in out.read_text()
 
+    def test_budget_smallest_delta_writes_positive_zero(self, tmp_path):
+        # (1 - 5e-324) / 2 rounds to 1/2, where the budget was written as -0.0
+        cfg = write_config(tmp_path / "c.cfg", tau=0.5, kappa=0.5, n_b=1.0, n=10, delta=5e-324)
+        out = tmp_path / "b.txt"
+        assert run(["budget", "--config", cfg, "--out", str(out)]) == 0
+        assert "\nbudget = 0.0\n" in out.read_text()
+
     def test_budget_feasibility_line(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.cfg", tau=0.5, kappa=0.5, n_b=1.0, n=10**6, delta=0.1,
@@ -297,11 +304,29 @@ class TestSweep:
         cfg = self._config(tmp_path, vary="n")
         assert run(["sweep", "--config", cfg]) == 2
 
+    def test_overflowing_grid_step_exits_2_naming_start_and_stop(self, tmp_path, capsys):
+        # (stop - start) / (count - 1) is inf, and the first point 0 * inf was nan
+        cfg = self._config(tmp_path, start=-1e308, stop=1e308)
+        assert run(["sweep", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "start" in err and "stop" in err and "nan" not in err
+
 
 class TestValidate:
     def test_requires_seed(self, tmp_path):
         cfg = write_config(tmp_path / "v.cfg", samples=1000)
         assert run(["validate", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("samples", [-1, 0, 10**8 + 1, 10**20])
+    def test_samples_out_of_range_exit_2_before_the_suite(self, tmp_path, capsys, monkeypatch, samples):
+        # 10^20 samples listed 1.5e15 chunk sizes (a MemoryError), 10^10 ran for hours
+        from eamac import validate
+
+        monkeypatch.setattr(validate, "run_suite", lambda *args, **kwargs: pytest.fail("the suite ran"))
+        cfg = write_config(tmp_path / "v.cfg", samples=samples)
+        assert run(["validate", "--config", cfg, "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "samples" in err
 
     def test_report_passes_and_is_deterministic(self, tmp_path):
         cfg = write_config(tmp_path / "v.cfg", samples=50000)
@@ -341,8 +366,15 @@ class TestValidate:
 # extreme finite config values, with in-range draws mixed in; the ints that
 # size work stay small unless they are out of range
 EXTREME_FLOAT = st.sampled_from([0.0, 5e-324, 1e308, -1e308]) | st.floats(1e-6, 1.0)
-SMALL_INT = {"cutoff": 16, "psk_order": 64, "boundary_points": 20, "count": 12, "n": 10**9}
-VALID_CONFIGS = {"region": REGION_BASE, "covert-rect": dict(tau=0.5, kappa=0.5, n_b=1.0, s=0.01), **PLANNER_BASES}
+SMALL_INT = {"cutoff": 16, "psk_order": 64, "boundary_points": 20, "count": 12, "n": 10**9, "samples": 2000}
+VALID_CONFIGS = {
+    "region": REGION_BASE,
+    "covert-rect": dict(tau=0.5, kappa=0.5, n_b=1.0, s=0.01),
+    **PLANNER_BASES,
+    "validate": dict(samples=1000),
+}
+# examples per command: each validate example also runs the suite's fixed checks
+EXAMPLES = {"validate": 15}
 
 
 def key_value(command, key):
@@ -354,7 +386,8 @@ def key_value(command, key):
         value = st.sampled_from([-1, 0, 10**20]) | st.integers(1, SMALL_INT[key])
     else:
         value = st.sampled_from(SWEEP_KEYS + ("n",))
-    return st.tuples(st.just(key), value if default is REQUIRED else value | st.none())
+    # validate's default of 10^6 samples takes a second, so samples is never left out
+    return st.tuples(st.just(key), value if default is REQUIRED or key == "samples" else value | st.none())
 
 
 def extreme_config(command):
@@ -368,7 +401,8 @@ def assert_exits_cleanly(command, config, bits, workdir):
     out = workdir / "out.txt"
     out.unlink(missing_ok=True)
     cfg = write_config(workdir / "c.cfg", **{k: v for k, v in config.items() if v is not None})
-    code = run([command, "--config", cfg, "--out", str(out)] + ["--bits"] * bits)
+    argv = [command, "--config", cfg, "--out", str(out)] + ["--bits"] * bits
+    code = run(argv + ["--seed", "1"] * (command == "validate"))
     assert code in (0, 2, 3, 4)
     if code == 0:
         for line in out.read_text().splitlines():
@@ -387,11 +421,14 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli_property")
 
 
-@pytest.mark.parametrize("command", ["region", "covert-rect", "budget", "plan", "sweep"])
-@settings(max_examples=40, derandomize=True, database=None, deadline=5000)
-@given(data=st.data())
-def test_any_extreme_config_exits_cleanly(workdir, command, data):
-    assert_exits_cleanly(command, data.draw(extreme_config(command)), data.draw(st.booleans()), workdir)
+@pytest.mark.parametrize("command", ["region", "covert-rect", "budget", "plan", "sweep", "validate"])
+def test_any_extreme_config_exits_cleanly(workdir, command):
+    @settings(max_examples=EXAMPLES.get(command, 40), derandomize=True, database=None, deadline=5000)
+    @given(config=extreme_config(command), bits=st.booleans())
+    def exits_cleanly(config, bits):
+        assert_exits_cleanly(command, config, bits, workdir)
+
+    exits_cleanly()
 
 
 @pytest.mark.parametrize(

@@ -19,11 +19,20 @@ def traced_peak_mb(fn):
 
 
 def test_willie_tv_mc_draws_in_small_blocks():
-    # a whole 2^16-row chunk per worker would peak near 90 MB
+    # a whole 2^16-row chunk per worker would peak near 90 MB, a 4096-row draw
+    # of the 60-level table at 5.0 MB; 0.5 MB draws peak at 2.1 MB
     n = 10**4
     p, alpha, beta, s = validate.tv_experiment_params(0.30, n)
     peak = traced_peak_mb(lambda: planner.willie_tv_mc(n, alpha, beta, s, p, samples=10**5, seed=3, workers=2))
-    assert peak < 16.0
+    assert peak < 3.0
+
+
+def test_willie_tv_mc_count_memory_does_not_grow_with_the_table():
+    # at n_b = 100 the warden's table has 2111 levels: a 4096-row draw of it
+    # peaked at 69.4 MB, 0.5 MB draws (31 rows each) at 0.8 MB
+    p = MacParams(tau=0.5, kappa=0.5, n_b=100.0)
+    peak = traced_peak_mb(lambda: planner.willie_tv_mc(100, 0.05, 0.05, 0.05, p, samples=8192, seed=1))
+    assert peak < 3.0
 
 
 def test_gaussian_fock_entropy_never_builds_the_pair_density():

@@ -13,11 +13,17 @@ from eamac.channel import MacParams
 from eamac.errors import ConfigError, DomainError, InfeasibleError
 
 P_CANON = MacParams(tau=0.5, kappa=0.5, n_b=1.0)
+# the warden's background kappa n_b = 50 widens its law table to about 2100 levels
+P_WIDE = MacParams(tau=0.5, kappa=0.5, n_b=100.0)
 
 
 class TestQInv:
     def test_symmetry_point(self):
         assert pl.q_inv(0.5) == pytest.approx(0.0, abs=1e-12)
+
+    def test_symmetry_point_is_positive_zero(self):
+        # negating inv_cdf(0.5) = 0.0 gave -0.0
+        assert math.copysign(1.0, pl.q_inv(0.5)) == 1.0
 
     def test_unit_quantile(self):
         assert pl.q_inv(0.1586553) == pytest.approx(1.0, abs=1e-6)
@@ -86,6 +92,11 @@ class TestQAgainstMpmath:
 class TestCovertBudget:
     def test_zero_delta_zero_budget(self):
         assert pl.covert_budget(100, 0.0, P_CANON) == 0.0
+
+    def test_smallest_delta_gives_positive_zero(self):
+        # (1 - 5e-324) / 2 rounds to 1/2, where the budget wrote -0.0
+        budget = pl.covert_budget(10, 5e-324, P_CANON)
+        assert budget == 0.0 and math.copysign(1.0, budget) == 1.0
 
     def test_worked_value(self):
         budget = pl.covert_budget(10**6, 0.1, P_CANON)
@@ -412,10 +423,15 @@ class TestWillieTv:
         assert serial == threaded
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("samples", [1, 4095, 4097, 65537, 70000])
-    def test_mc_stream_matches_whole_chunk_draws(self, samples, workers):
-        # blocks must not change the stream: one draw per chunk is the reference
-        args = (1000, 0.05, 0.05, 0.05, P_CANON)
+    @pytest.mark.parametrize(
+        "samples, p",
+        [(1, P_CANON), (4095, P_CANON), (4097, P_CANON), (65537, P_CANON), (70000, P_CANON), (1000, P_WIDE)],
+        ids=["1", "4095", "4097", "65537", "70000", "wide-1000"],
+    )
+    def test_mc_stream_matches_whole_chunk_draws(self, samples, p, workers):
+        # blocks must not change the stream: one draw per chunk is the reference;
+        # the wide table (2111 levels) draws 31 rows per multinomial call
+        args = (1000, 0.05, 0.05, 0.05, p)
         expected = _whole_chunk_tv_mc(*args, samples=samples, seed=2718)
         assert pl.willie_tv_mc(*args, samples=samples, seed=2718, workers=workers) == expected
 
