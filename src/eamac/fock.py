@@ -9,10 +9,13 @@ exponentiated per whole sector of conserved total photon number
 thermal-loss channel, where it mixes the mode with a truncated thermal
 environment.  Its amplitudes are kept per sector, indexed by the two
 inputs and one output: photon conservation fixes the other output, so
-no 4-index tensor is built.  Real states stay real; only phase
-rotations make them complex.  The states stay dense, but no step holds a
-temporary beyond them: ``psk_ensemble_mi`` at cutoff 24 peaks at about
-three 576 x 576 densities (8 MB).  The product path (``region``,
+no 4-index tensor is built.  The channel is their Gram over the
+environment, masked to photon conservation (``_masked_gram``); a TMSV's
+conditional state is that Gram with the TMSV's amplitudes on the input
+axis, so no superoperator product is formed.  Real states stay real; only
+phase rotations make them complex.  The states stay dense, but no step
+holds a temporary beyond them: ``psk_ensemble_mi`` at cutoff 24 holds at
+most two 576 x 576 densities (6.4 MB peak).  The product path (``region``,
 ``planner`` and the CLI's commands other than validate) never imports
 this module.
 
@@ -199,27 +202,45 @@ def _beamsplitter_amplitudes(t: float, d_in: int, d_env: int, d_out: int) -> np.
     return a
 
 
+def _thermal_loss_amplitudes(kappa: float, n_env: float, d_in: int, d_out: int, d_env: int) -> np.ndarray:
+    """t[e, x, n] = sqrt(p_e) <x, n + e - x|U|n, e>: the beamsplitter of
+    transmissivity kappa (``_beamsplitter_amplitudes``) weighted by the
+    thermal law p of the environment, truncated at d_env and renormalized."""
+    p_env = rg.photon_distribution_thermal(n_env, d_env)
+    return _beamsplitter_amplitudes(kappa, d_in, d_env, d_out) * np.sqrt(p_env / p_env.sum())[:, None, None]
+
+
+def _masked_gram(amps: np.ndarray) -> np.ndarray:
+    """G[(x, n), (y, m)] = sum_e amps[e, x, n] amps[e, y, m] where x - n = y - m, else 0.
+
+    With the amplitudes of ``_thermal_loss_amplitudes`` this is the
+    thermal-loss channel in natural order: G[(x, n), (y, m)] =
+    sum_{e', e} p_e <x, e'|U|n, e> <m, e|U^dag|y, e'>, since photon
+    conservation fixes e' = n + e - x = m + e - y, so the sum runs over e
+    alone and the mask keeps the equal e'.  The mask is applied in place,
+    one output level x at a time, so only the Gram is held.
+    """
+    d_env, d_out, d_in = amps.shape
+    flat = amps.reshape(d_env, -1)
+    gram = flat.T @ flat
+    n = np.arange(d_in)
+    diff = (np.arange(d_out)[:, None] - n).ravel()
+    for x, rows in enumerate(gram.reshape(d_out, d_in, -1)):
+        np.copyto(rows, 0.0, where=(x - n)[:, None] != diff)
+    return gram
+
+
 def _thermal_loss_superop(kappa: float, n_env: float, d_in: int, d_out: int, d_env: int) -> np.ndarray:
     """Matrix K with vec(rho') = K vec(rho) for the thermal-loss channel.
 
-    K[(x, y), (n, m)] = sum_{e', e} p_e <x, e'|U|n, e> <m, e|U^dag|y, e'>
-    with U the beamsplitter of transmissivity kappa and p the thermal law
-    of the environment, truncated at d_env and renormalized.  Photon
-    conservation fixes e' = n + e - x = m + e - y, so with the per-sector
-    amplitudes t[e, x, n] = sqrt(p_e) <x, n + e - x|U|n, e>
-    (``_beamsplitter_amplitudes``) K is the Gram sum over e alone, kept
-    where x - n = y - m.  Only the output and one Gram of its size are
-    ever held.  The environment output absorbs every signal photon, so
-    the only truncation losses are the environment input tail and signal
-    levels spilling past d_out; both show up in the output trace.  Real
-    because U is real.
+    K[(x, y), (n, m)] is ``_masked_gram``'s G[(x, n), (y, m)] for the
+    environment-weighted amplitudes, with the axes transposed.  The
+    environment output absorbs every signal photon, so the only truncation
+    losses are the environment input tail and signal levels spilling past
+    d_out; both show up in the output trace.  Real because U is real.
     """
-    p_env = rg.photon_distribution_thermal(n_env, d_env)
-    amps = _beamsplitter_amplitudes(kappa, d_in, d_env, d_out) * np.sqrt(p_env / p_env.sum())[:, None, None]
-    flat = amps.reshape(d_env, -1)
-    gram = (flat.T @ flat).reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
-    x, y, n, m = np.ogrid[:d_out, :d_out, :d_in, :d_in]
-    return np.where(x - n == y - m, gram, 0.0).reshape(d_out * d_out, d_in * d_in)
+    gram = _masked_gram(_thermal_loss_amplitudes(kappa, n_env, d_in, d_out, d_env))
+    return gram.reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3).reshape(d_out * d_out, d_in * d_in)
 
 
 def _env_cutoff_for(n_env: float, tail_tol: float, d_env) -> int:
@@ -244,24 +265,21 @@ def thermal_loss_fock(
 ) -> FockDensity:
     """Thermal-loss channel on one mode of ``state``: mix with a thermal(n_b)
     environment on a beamsplitter of transmissivity ``kappa`` and trace the
-    environment out.  A FockVector enters through its amplitudes, so its
-    density is never built whole."""
+    environment out, as the superoperator applied to the mode's (ket, bra)
+    axes.  A FockVector enters as its density; ``conditional_output_density``
+    builds a TMSV's output without this product."""
     if not 0.0 <= kappa <= 1.0:
         raise DomainError(f"kappa must lie in [0, 1], got {kappa}")
     if n_b < 0.0:
         raise DomainError(f"n_b must be >= 0, got {n_b}")
     if not 0 <= mode < state.modes:
         raise ShapeError(f"mode {mode} out of range for {state.modes} modes")
+    if isinstance(state, FockVector):
+        state = state.to_density()
     d, modes = state.cutoff, state.modes
     d_env = _env_cutoff_for(n_b, tail_tol, d_env)
     superop = _thermal_loss_superop(kappa, n_b, d, d, d_env)
-
-    # the superoperator acts on the mode's (ket, bra) axes, moved to the front
-    if isinstance(state, FockVector):
-        amps = np.moveaxis(state.amplitudes, mode, 0).reshape(d, 1, -1, 1)
-        operand = (amps * amps.conj().reshape(1, d, 1, -1)).reshape(d * d, -1)
-    else:
-        operand = np.moveaxis(state.as_tensor(), (mode, modes + mode), (0, 1)).reshape(d * d, -1)
+    operand = np.moveaxis(state.as_tensor(), (mode, modes + mode), (0, 1)).reshape(d * d, -1)
     out = superop @ operand
     del superop, operand  # released before the output copy
     dim = d**modes
@@ -282,11 +300,12 @@ def phase_average_fock(rho: FockDensity, psk_order, mode: int = 0) -> FockDensit
     2 (n - m) = 0 (mod L); an L of at least twice the cutoff keeps only
     n = m, the continuous average.  This is a pinching, computed exactly.
     """
+    rg._require_count("psk_order", psk_order)
     if not 0 <= mode < rho.modes:
         raise ShapeError(f"mode {mode} out of range for {rho.modes} modes")
     n = np.arange(rho.cutoff)
     delta = n[:, None] - n[None, :]
-    keep = np.mod(2 * delta, int(psk_order)) == 0
+    keep = np.mod(2 * delta, psk_order) == 0
     shape = [1] * (2 * rho.modes)
     shape[mode] = rho.cutoff
     shape[rho.modes + mode] = rho.cutoff
@@ -304,17 +323,24 @@ def conditional_output_density(
     """(B, idler) state of the point-to-point link for the zero-phase symbol.
 
     TMSV(n_s) with its signal sent through thermal loss of transmissivity
-    kappa_eff and environment mean n_t_eff / (1 - kappa_eff).  Noise at
-    kappa_eff = 1 has no finite thermal environment, so the dense route
-    rejects it.
+    kappa_eff and environment mean n_t_eff / (1 - kappa_eff).  The TMSV is
+    sum_k c_k |k, k>, so the state is rho[(x, k), (y, l)] =
+    c_k c_l K[(x, y), (k, l)] with K the channel's superoperator: the masked
+    Gram of the environment-weighted beamsplitter amplitudes with c
+    weighting their input axis (``_masked_gram``), and no superoperator
+    product.  Noise at kappa_eff = 1 has no finite thermal environment, so
+    the dense route rejects it.
     """
+    rg._require_count("cutoff", cutoff)
     psi = tmsv_fock(eff.n_s, cutoff, tail_tol)
     if eff.kappa_eff >= 1.0:
         if eff.n_t_eff > 0.0:
             raise DomainError(f"kappa_eff = 1 with n_t_eff = {eff.n_t_eff} has no thermal environment")
         return psi.to_density()
     n_env = eff.n_t_eff / (1.0 - eff.kappa_eff)
-    return thermal_loss_fock(psi, eff.kappa_eff, n_env, d_env=d_env, mode=0, tail_tol=tail_tol)
+    d_env = _env_cutoff_for(n_env, tail_tol, d_env)
+    amps = _thermal_loss_amplitudes(eff.kappa_eff, n_env, cutoff, cutoff, d_env) * np.diagonal(psi.amplitudes)
+    return FockDensity(cutoff, 2, _masked_gram(amps))
 
 
 def psk_ensemble_mi(
@@ -335,9 +361,13 @@ def psk_ensemble_mi(
 
 
 def _psk_ensemble_mi_and_tail(eff, psk_order, cutoff, d_env, tail_tol) -> tuple[float, float]:
-    """``psk_ensemble_mi`` and the trace deficit of its conditional state, from one build of that state."""
-    if psk_order < 1:
-        raise DomainError(f"psk_order must be >= 1, got {psk_order}")
+    """``psk_ensemble_mi`` and the trace deficit of its conditional state, from one build of that state.
+
+    At most two densities are held at once: the conditional state is
+    dropped once its entropy is taken and its pinching is built.
+    """
+    rg._require_count("psk_order", psk_order)
+    rg._require_count("cutoff", cutoff)
     rg._check_output_cutoff(eff, cutoff, tail_tol)
     rho0 = conditional_output_density(eff, cutoff, d_env=d_env, tail_tol=tail_tol)
     deficit = rho0.tail()
@@ -348,8 +378,9 @@ def _psk_ensemble_mi_and_tail(eff, psk_order, cutoff, d_env, tail_tol) -> tuple[
     if psk_order == 1:
         return 0.0, deficit
     s_cond = entropy_fock(rho0)
-    s_avg = entropy_fock(phase_average_fock(rho0, psk_order, mode=0))
-    return s_avg - s_cond, deficit
+    pinched = phase_average_fock(rho0, psk_order, mode=0)
+    del rho0
+    return entropy_fock(pinched) - s_cond, deficit
 
 
 def mac_joint_fock(

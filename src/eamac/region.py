@@ -50,6 +50,12 @@ DEFAULT_TAIL_TOL = 1e-8
 MAX_CUTOFF = 512
 
 
+def _require_count(name: str, value) -> None:
+    """Reject a ``value`` that is not an integer >= 1."""
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RegionNumerics:
     """Fock-space settings for the mutual-information evaluations.
@@ -65,8 +71,7 @@ class RegionNumerics:
     def __post_init__(self):
         if not (isinstance(self.cutoff, (int, np.integer)) and 1 <= self.cutoff <= MAX_CUTOFF):
             raise DomainError(f"cutoff must be an integer in [1, {MAX_CUTOFF}], got {self.cutoff!r}")
-        if not (isinstance(self.psk_order, (int, np.integer)) and self.psk_order >= 1):
-            raise DomainError(f"psk_order must be an integer >= 1, got {self.psk_order!r}")
+        _require_count("psk_order", self.psk_order)
         if not (isinstance(self.tail_tol, Real) and math.isfinite(self.tail_tol) and 0.0 < self.tail_tol < 1.0):
             raise DomainError(f"tail_tol must be a finite real in (0, 1), got {self.tail_tol!r}")
 
@@ -179,14 +184,15 @@ BLOCK_BATCH = 1 << 20
 
 
 @lru_cache(maxsize=8)
-def _binomial_basis(size: int, d_in: int) -> np.ndarray:
-    """Read-only rows [ln C(r, m) (-inf for m > r), m, r - m, 1] over r < size, m < d_in, flattened."""
+def _binomial_basis(size: int, d_in: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rows [ln C(r, m), m, r - m, 1] over the m <= r of r < size, m < d_in,
+    and their flat indices r d_in + m; the m > r entries, whose laws are 0, are left out."""
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(size)])
-    r, m = np.ogrid[:size, :d_in]
-    log_comb = np.where(m <= r, log_fact[r] - log_fact[m] - log_fact[np.abs(r - m)], -np.inf)
-    basis = np.array(np.broadcast_arrays(log_comb, m, r - m, 1.0), dtype=float).reshape(4, -1)
-    basis.flags.writeable = False
-    return basis
+    live = np.flatnonzero(np.arange(size)[:, None] >= np.arange(d_in))
+    r, m = np.divmod(live, d_in)
+    basis = np.array([log_fact[r] - log_fact[m] - log_fact[r - m], m, r - m, np.ones(live.size)])
+    basis.flags.writeable = live.flags.writeable = False
+    return basis, live
 
 
 def _log(y: float) -> float:
@@ -212,13 +218,18 @@ def _kraus_laws(kappa, n_t, d_in: int, d_out: int) -> tuple[np.ndarray, np.ndarr
     coefficients [1, ln a, ln b, ln c], from math on its link's two floats,
     times one cached basis [ln C(r, m), m, r - m, 1] (``_binomial_basis``) and
     one exp give both laws of every link, the amplifier as its transpose.
+    Only the m <= r entries are exponentiated, so every exponent is finite;
+    the others stay 0.
     Arrays of B kappas and n_ts give laws stacked in front, (B, d, d).
     """
     links = list(zip(np.ravel(kappa).tolist(), np.ravel(n_t).tolist()))
     rows = [(1.0, _log(kap / (1.0 + noise)), _log((1.0 + noise - kap) / (1.0 + noise)), 0.0) for kap, noise in links]
     rows += [(1.0, -math.log1p(noise), _log(noise / (1.0 + noise)), -math.log1p(noise)) for _, noise in links]
     size = max(d_in, d_out)
-    law = np.exp(np.array(rows) @ _binomial_basis(size, d_in)).reshape(2, *np.shape(kappa), size, d_in)
+    basis, live = _binomial_basis(size, d_in)
+    law = np.zeros((len(rows), size * d_in))
+    law[:, live] = np.exp(np.array(rows) @ basis)
+    law = law.reshape(2, *np.shape(kappa), size, d_in)
     return law[0, ..., :d_in, :], law[1, ..., :d_out, :].swapaxes(-1, -2)
 
 

@@ -213,7 +213,7 @@ class TestThermalLoss:
 
     @pytest.mark.parametrize("modes, mode", [(1, 0), (2, 0), (2, 1), (3, 2)])
     def test_vector_input_is_bitwise_its_density(self, modes, mode):
-        # the amplitudes give the moved density entry by entry, with the same products
+        # a vector enters as its density
         rng = np.random.default_rng(modes + mode)
         amps = rng.normal(size=(5,) * modes) + 1j * rng.normal(size=(5,) * modes)
         psi = fk.FockVector(5, modes, amps / np.linalg.norm(amps))
@@ -320,6 +320,33 @@ class TestNonFiniteInputs:
             entry(tail_tol)
 
 
+class TestIntegerArguments:
+    """A non-integer psk_order or cutoff raises a DomainError naming it, the rule of RegionNumerics."""
+
+    EFF = ch.EffectiveChannel(0.3, 0.2, 0.1)
+
+    @pytest.mark.parametrize("psk_order", [2.5, math.nan])
+    def test_psk_ensemble_mi_psk_order(self, psk_order):
+        # 2.5 once ran as int(2.5) and NaN ended in a bare ValueError
+        with pytest.raises(DomainError, match=f"psk_order must be an integer >= 1, got {psk_order}"):
+            fk.psk_ensemble_mi(self.EFF, psk_order, 12)
+
+    @pytest.mark.parametrize("psk_order", [2.5, math.nan])
+    def test_phase_average_fock_psk_order(self, psk_order):
+        rho = fk.thermal_fock(0.3, 8)
+        with pytest.raises(DomainError, match=f"psk_order must be an integer >= 1, got {psk_order}"):
+            fk.phase_average_fock(rho, psk_order)
+
+    def test_psk_ensemble_mi_cutoff(self):
+        # once a bare TypeError from the TMSV build
+        with pytest.raises(DomainError, match="cutoff must be an integer >= 1, got 12.5"):
+            fk.psk_ensemble_mi(self.EFF, 4, 12.5)
+
+    def test_conditional_output_density_cutoff(self):
+        with pytest.raises(DomainError, match="cutoff must be an integer >= 1, got 12.5"):
+            fk.conditional_output_density(self.EFF, 12.5)
+
+
 class TestInformationFunctionals:
     def test_rounding_below_zero_adds_no_entropy(self):
         assert rg.spectral_entropy(np.array([0.5, 0.5, -1e-12])) == rg.spectral_entropy(np.array([0.5, 0.5]))
@@ -409,6 +436,47 @@ def _kraus_superop(kappa, n_t, d):
     lose = [np.diag(np.sqrt(np.diagonal(loss, -j)), j) for j in range(d)]
     add = [np.diag(np.sqrt(np.diagonal(amp, i)), -i) for i in range(d)]
     return sum(np.kron(b @ a, b @ a) for b in add for a in lose)
+
+
+class TestConditionalGram:
+    """The link's conditional state, read off the masked Gram, against the superoperator product."""
+
+    @staticmethod
+    def assert_matches_product(eff, cutoff, d_env=None, tail_tol=1e-5):
+        gram = fk.conditional_output_density(eff, cutoff, d_env=d_env, tail_tol=tail_tol)
+        n_env = eff.n_t_eff / (1.0 - eff.kappa_eff)
+        psi = fk.tmsv_fock(eff.n_s, cutoff, tail_tol)
+        product = fk.thermal_loss_fock(psi.to_density(), eff.kappa_eff, n_env, d_env=d_env, tail_tol=tail_tol)
+        assert np.abs(gram.matrix - product.matrix).max() <= 1e-15
+
+    def test_seeded_criterion7_links(self):
+        for eff in _criterion7_links(31, 8):
+            self.assert_matches_product(eff, 12)
+
+    @pytest.mark.parametrize(
+        "eff",
+        [ch.EffectiveChannel(0.0, 0.5, 0.2), ch.EffectiveChannel(0.4, 0.0, 0.2)],
+        ids=["kappa_eff=0", "n_env=0"],
+    )
+    def test_edges(self, eff):
+        self.assert_matches_product(eff, 12)
+
+    def test_explicit_environment_cutoff(self):
+        eff = ch.EffectiveChannel(0.45, 0.35, 0.15)
+        self.assert_matches_product(eff, 10, d_env=rg.required_cutoff(0.35 / 0.55, 1e-5) + 7)
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=2000)
+    @given(
+        kappa_eff=st.floats(0.0, 0.9),
+        n_env=st.floats(0.0, 2.0),
+        n_s=st.floats(0.0, 0.5),
+        cutoff=st.integers(2, 12),
+    )
+    def test_matches_the_product_on_random_links(self, kappa_eff, n_env, n_s, cutoff):
+        # a loose tail budget lets every cutoff hold the TMSV; the environment keeps 1e-8 of its tail
+        eff = ch.EffectiveChannel(kappa_eff, n_env * (1.0 - kappa_eff), n_s)
+        d_env = rg.required_cutoff(eff.n_t_eff / (1.0 - kappa_eff), 1e-8)
+        self.assert_matches_product(eff, cutoff, d_env=d_env, tail_tol=0.5)
 
 
 class TestPhaseAveragedSpectrum:

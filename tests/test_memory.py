@@ -43,18 +43,19 @@ def test_gaussian_fock_entropy_never_builds_the_pair_density():
 
 def test_psk_ensemble_mi_at_the_largest_grid_environment():
     # the criterion-7 corner whose link needs the most environment levels (19 at tail_tol 1e-5);
-    # each 576 x 576 density is 2.7 MB: the peak holds about three of them (8.0 MB measured),
-    # where the dense 4-index beamsplitter tensor and full-size temporaries took 15.9 MB
+    # each 576 x 576 density is 2.7 MB: the conditional state read off the masked Gram and no
+    # more than two densities at once peak at 6.4 MB, where the superoperator product held
+    # three (8.0 MB) and the dense 4-index beamsplitter tensor with full-size temporaries 15.9 MB
     p, m = MacParams(tau=0.95, kappa=0.1, n_b=1.2), ModulationConfig(n_s=0.3)
     eff = effective_params(p, m, "x", False)
     assert rg.required_cutoff(eff.n_t_eff / (1.0 - eff.kappa_eff), 1e-5) == 19
     peak = traced_peak_mb(lambda: fock.psk_ensemble_mi(eff, 64, 24, tail_tol=1e-5))
-    assert peak < 10.0
+    assert peak < 7.0
 
 
 @pytest.mark.parametrize("cutoff, n_env", [(24, 1.2), (24, 2.0), (32, 2.0)])
 def test_thermal_loss_superop_holds_about_two_outputs(cutoff, n_env):
-    # the output and one Gram of its size (2.2 outputs measured); the dense 4-index build took 3.4
+    # the output and the masked Gram it is copied from (2.0 outputs measured); the dense 4-index build took 3.4
     d_env = rg.required_cutoff(n_env, 1e-8)
     superop = fock._thermal_loss_superop(0.3, n_env, cutoff, cutoff, d_env)
     peak = traced_peak_mb(lambda: fock._thermal_loss_superop(0.3, n_env, cutoff, cutoff, d_env))
