@@ -14,10 +14,14 @@ environment, masked to photon conservation (``_masked_gram``); a TMSV's
 conditional state is that Gram with the TMSV's amplitudes on the input
 axis, so no superoperator product is formed.  Real states stay real; only
 phase rotations make them complex.  The states stay dense, but no step
-holds a temporary beyond them: ``psk_ensemble_mi`` at cutoff 24 holds at
-most two 576 x 576 densities (6.4 MB peak).  The product path (``region``,
-``planner`` and the CLI's commands other than validate) never imports
-this module.
+holds a temporary beyond them: ``psk_ensemble_mi`` at cutoff 24 holds one
+576 x 576 density, pinched in place once its entropy is taken (3.8 MB
+peak).  ``entropy_fock`` diagonalizes one connected component of the
+matrix's own nonzero pattern at a time.  The blocks come from the zeros
+alone, never from the photon-number keys the region's spectrum is built
+on, so the oracle stays an independent route.  The product path
+(``region``, ``planner`` and the CLI's commands other than validate)
+never imports this module.
 
 Truncation bookkeeping: each constructor takes a tail budget
 ``tail_tol`` and raises TruncationError (naming the required cutoff)
@@ -34,8 +38,11 @@ from .channel import EffectiveChannel, MacParams
 from .errors import DomainError, PhysicalityError, ShapeError, TruncationError
 from . import region as rg
 
-# entries of one slab of FockDensity's Hermitian check
+# entries of one slab of rows, read by FockDensity's Hermitian check and by _components
 HERMITIAN_SLAB = 1 << 16
+# environment levels the dense oracle builds at most: the per-sector exponentials
+# take about 13 s at 512 levels and grow as the fourth power
+MAX_ENV_CUTOFF = 512
 
 __all__ = [
     "FockVector",
@@ -53,6 +60,14 @@ __all__ = [
 ]
 
 
+def _require_shape(state) -> None:
+    """Reject a state whose ``cutoff`` is not an integer >= 1 or whose ``modes``
+    is not an integer >= 0 (a trace over every mode leaves zero modes)."""
+    rg._require_count("cutoff", state.cutoff)
+    if not (isinstance(state.modes, (int, np.integer)) and state.modes >= 0):
+        raise DomainError(f"modes must be an integer >= 0, got {state.modes!r}")
+
+
 @dataclass(frozen=True)
 class FockVector:
     """Pure state on ``modes`` modes, amplitudes indexed by photon numbers."""
@@ -62,6 +77,7 @@ class FockVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        _require_shape(self)
         # real amplitudes stay real: real products and spectra cost less
         amps = np.asarray(self.amplitudes, dtype=complex if np.iscomplexobj(self.amplitudes) else float)
         object.__setattr__(self, "amplitudes", amps.reshape((self.cutoff,) * self.modes))
@@ -99,6 +115,7 @@ class FockDensity:
     matrix: np.ndarray
 
     def __post_init__(self):
+        _require_shape(self)
         dim = self.cutoff**self.modes
         mat = np.asarray(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         if mat.shape != (dim, dim):
@@ -138,12 +155,14 @@ def tmsv_fock(n_s: float, cutoff: int, tail_tol: float = rg.DEFAULT_TAIL_TOL) ->
     """Two-mode squeezed vacuum, amplitudes sqrt(n_s^k / (n_s+1)^(k+1)) on |k,k>."""
     if not 0.0 <= n_s < math.inf:
         raise DomainError(f"n_s must be finite and >= 0, got {n_s}")
+    rg._require_count("cutoff", cutoff)  # the law is built before the state checks it
     rg._check_tmsv_cutoff(n_s, cutoff, tail_tol)
     return FockVector(cutoff, 2, np.diag(np.sqrt(rg.photon_distribution_thermal(n_s, cutoff))))
 
 
 def thermal_fock(n_mean: float, cutoff: int) -> FockDensity:
     """Single-mode thermal state, diagonal geometric distribution."""
+    rg._require_count("cutoff", cutoff)  # the law is built before the state checks it
     return FockDensity(cutoff, 1, np.diag(rg.photon_distribution_thermal(n_mean, cutoff)))
 
 
@@ -245,6 +264,12 @@ def _thermal_loss_superop(kappa: float, n_env: float, d_in: int, d_out: int, d_e
 
 def _env_cutoff_for(n_env: float, tail_tol: float, d_env) -> int:
     need = rg.required_cutoff(n_env, tail_tol)
+    if need > MAX_ENV_CUTOFF:
+        raise TruncationError(
+            f"thermal environment of mean {n_env:g} needs {need} levels for tail {tail_tol:g}; "
+            f"the dense oracle builds at most {MAX_ENV_CUTOFF}",
+            required_cutoff=need,
+        )
     if d_env is None:
         return need
     if d_env < need:
@@ -287,9 +312,71 @@ def thermal_loss_fock(
     return FockDensity(d, modes, out.reshape(dim, dim))
 
 
+def _components(mat: np.ndarray) -> list:
+    """Index arrays of the connected components of a Hermitian ``mat``'s nonzero pattern.
+
+    An index whose row holds nothing off the diagonal is a component of its
+    own; every other component is grown breadth first from its lowest
+    index.  Rows are read in slabs of about HERMITIAN_SLAB entries.  Only
+    the zeros of ``mat`` decide the blocks, never the photon numbers of its
+    basis.
+    """
+    dim = len(mat)
+    step = max(1, HERMITIAN_SLAB // dim)
+    slabs = range(0, dim, step)
+    row_nonzeros = np.concatenate([np.count_nonzero(mat[first : first + step], axis=1) for first in slabs])
+    alone = row_nonzeros <= (np.diagonal(mat) != 0)
+    components = list(np.flatnonzero(alone)[:, None])
+    reached = alone.copy()
+    for seed in np.flatnonzero(~alone):
+        if reached[seed]:
+            continue
+        reached[seed] = True
+        members = frontier = np.array([seed])
+        while frontier.size:
+            hit = np.zeros(dim, dtype=bool)
+            for first in range(0, frontier.size, step):
+                hit |= (mat[frontier[first : first + step]] != 0).any(axis=0)
+            frontier = np.flatnonzero(hit & ~reached)
+            reached[frontier] = True
+            members = np.concatenate((members, frontier))
+        components.append(np.sort(members))
+    return components
+
+
 def entropy_fock(rho: FockDensity) -> float:
-    """Von Neumann entropy in nats from the eigenvalue spectrum."""
-    return rg.spectral_entropy(np.linalg.eigvalsh(rho.matrix))
+    """Von Neumann entropy in nats from the eigenvalue spectrum.
+
+    A density that is block diagonal under a permutation is diagonalized
+    one block at a time (``_components``), equal-size blocks in one stacked
+    ``eigvalsh`` call; a matrix with one component goes to ``eigvalsh``
+    whole.
+    """
+    mat = rho.matrix
+    components = _components(mat)
+    if len(components) == 1:
+        return rg.spectral_entropy(np.linalg.eigvalsh(mat))
+    spectra = []
+    for size in sorted({len(c) for c in components}):
+        idx = np.stack([c for c in components if len(c) == size])
+        spectra.append(np.linalg.eigvalsh(mat[idx[:, :, None], idx[:, None, :]]).ravel())
+    return rg.spectral_entropy(np.concatenate(spectra))
+
+
+def _pinch(rho: FockDensity, psk_order, mode: int) -> None:
+    """Zero, in place, the coherences of ``rho`` on ``mode`` between photon
+    numbers n and m with 2 (n - m) != 0 (mod psk_order).  ``rho.matrix``
+    must be C-contiguous, as both callers build it, so that ``as_tensor``
+    is a view of it."""
+    rg._require_count("psk_order", psk_order)
+    if not 0 <= mode < rho.modes:
+        raise ShapeError(f"mode {mode} out of range for {rho.modes} modes")
+    n = np.arange(rho.cutoff)
+    keep = np.mod(2 * (n[:, None] - n), psk_order) == 0
+    shape = [1] * (2 * rho.modes)
+    shape[mode] = shape[rho.modes + mode] = rho.cutoff
+    tensor = rho.as_tensor()
+    tensor *= keep.astype(float).reshape(shape)
 
 
 def phase_average_fock(rho: FockDensity, psk_order, mode: int = 0) -> FockDensity:
@@ -298,20 +385,12 @@ def phase_average_fock(rho: FockDensity, psk_order, mode: int = 0) -> FockDensit
     The constellation is theta_k = 2 pi k / L under exp(i 2 theta n_hat),
     so a coherence between photon numbers n and m survives iff
     2 (n - m) = 0 (mod L); an L of at least twice the cutoff keeps only
-    n = m, the continuous average.  This is a pinching, computed exactly.
+    n = m, the continuous average.  This is a pinching, computed exactly
+    on a copy of ``rho``.
     """
-    rg._require_count("psk_order", psk_order)
-    if not 0 <= mode < rho.modes:
-        raise ShapeError(f"mode {mode} out of range for {rho.modes} modes")
-    n = np.arange(rho.cutoff)
-    delta = n[:, None] - n[None, :]
-    keep = np.mod(2 * delta, psk_order) == 0
-    shape = [1] * (2 * rho.modes)
-    shape[mode] = rho.cutoff
-    shape[rho.modes + mode] = rho.cutoff
-    mask = keep.astype(float).reshape(shape)
-    dim = rho.cutoff**rho.modes
-    return FockDensity(rho.cutoff, rho.modes, (rho.as_tensor() * mask).reshape(dim, dim))
+    pinched = FockDensity(rho.cutoff, rho.modes, rho.matrix.copy())
+    _pinch(pinched, psk_order, mode)
+    return pinched
 
 
 def conditional_output_density(
@@ -331,7 +410,6 @@ def conditional_output_density(
     product.  Noise at kappa_eff = 1 has no finite thermal environment, so
     the dense route rejects it.
     """
-    rg._require_count("cutoff", cutoff)
     psi = tmsv_fock(eff.n_s, cutoff, tail_tol)
     if eff.kappa_eff >= 1.0:
         if eff.n_t_eff > 0.0:
@@ -363,8 +441,8 @@ def psk_ensemble_mi(
 def _psk_ensemble_mi_and_tail(eff, psk_order, cutoff, d_env, tail_tol) -> tuple[float, float]:
     """``psk_ensemble_mi`` and the trace deficit of its conditional state, from one build of that state.
 
-    At most two densities are held at once: the conditional state is
-    dropped once its entropy is taken and its pinching is built.
+    One density is held: once the conditional state's entropy is taken,
+    that same matrix, private to this call, is pinched in place.
     """
     rg._require_count("psk_order", psk_order)
     rg._require_count("cutoff", cutoff)
@@ -378,9 +456,8 @@ def _psk_ensemble_mi_and_tail(eff, psk_order, cutoff, d_env, tail_tol) -> tuple[
     if psk_order == 1:
         return 0.0, deficit
     s_cond = entropy_fock(rho0)
-    pinched = phase_average_fock(rho0, psk_order, mode=0)
-    del rho0
-    return entropy_fock(pinched) - s_cond, deficit
+    _pinch(rho0, psk_order, mode=0)
+    return entropy_fock(rho0) - s_cond, deficit
 
 
 def mac_joint_fock(

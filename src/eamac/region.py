@@ -51,8 +51,8 @@ MAX_CUTOFF = 512
 
 
 def _require_count(name: str, value) -> None:
-    """Reject a ``value`` that is not an integer >= 1."""
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
+    """Reject a ``value`` that is not an integer >= 1; a bool is not a count."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1):
         raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
 
 

@@ -56,6 +56,32 @@ class TestConfigHandling:
         cfg = write_config(tmp_path / "c.cfg", **REGION_BASE)
         assert run(["region", "--config", cfg, "--seed", "-1"]) == 2
 
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path):
+        plain = write_config(tmp_path / "plain.cfg", **REGION_BASE)
+        noted = tmp_path / "noted.cfg"
+        body = "".join(f"  {k} = {v}\n\n" for k, v in REGION_BASE.items())
+        noted.write_text(f"# canonical region\n\n{body}   \n  # trailing note\n")
+        outs = [tmp_path / "plain.txt", tmp_path / "noted.txt"]
+        for cfg, out in zip((plain, str(noted)), outs):
+            assert run(["region", "--config", cfg, "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_line_without_equals_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("# header\ntau = 0.5\nkappa 0.5\n")
+        assert run(["region", "--config", str(cfg)]) == 2
+        assert f"config error: {cfg}:3: expected 'key = value', got 'kappa 0.5'" in capsys.readouterr().err
+
+    def test_unconvertible_value_exits_2_naming_the_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", **{**PLAN_BASE, "n": "ten"})
+        assert run(["plan", "--config", cfg]) == 2
+        assert "config error: config key 'n': invalid literal for int() with base 10: 'ten'" in capsys.readouterr().err
+
+    def test_zero_workers_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", **REGION_BASE)
+        assert run(["region", "--config", cfg, "--workers", "0"]) == 2
+        assert "config error: --workers must be >= 1, got 0" in capsys.readouterr().err
+
 
 class TestRegionCommand:
     def test_record_output(self, tmp_path):
@@ -72,6 +98,15 @@ class TestRegionCommand:
         assert run(["region", "--config", cfg, "--out", str(out)]) == 0
         text = out.read_text()
         assert "vertex_0 = 0.0, 0.0" in text and "vertex_1" not in text
+
+    def test_no_signal_boundary_is_empty(self, tmp_path):
+        # the only vertex is the origin, so the boundary chain is empty
+        cfg = write_config(tmp_path / "c.cfg", **{**REGION_BASE, "n_s": 0.0, "boundary_points": 5})
+        out = tmp_path / "r.txt"
+        assert run(["region", "--config", cfg, "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "config.boundary_points = 5" in text and "vertex_0 = 0.0, 0.0" in text
+        assert "boundary_0" not in text and "vertex_1" not in text
 
     def test_single_sender_zero_y_bound(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", **{**REGION_BASE, "tau": 1.0})

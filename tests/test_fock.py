@@ -12,7 +12,7 @@ from eamac import channel as ch
 from eamac import fock as fk
 from eamac import gaussian as g
 from eamac import region as rg
-from eamac.errors import DomainError, PhysicalityError, TruncationError
+from eamac.errors import DomainError, EamacError, PhysicalityError, TruncationError
 
 
 class TestTmsvFock:
@@ -346,6 +346,74 @@ class TestIntegerArguments:
         with pytest.raises(DomainError, match="cutoff must be an integer >= 1, got 12.5"):
             fk.conditional_output_density(self.EFF, 12.5)
 
+    @pytest.mark.parametrize(
+        "build, value",
+        [
+            (lambda: fk.thermal_fock(0.1, 0), 0),  # once a ZeroDivisionError from the Hermitian check
+            (lambda: fk.tmsv_fock(0.1, 2.5, tail_tol=0.5), 2.5),  # once a TypeError from reshape
+            (lambda: fk.thermal_fock(0.1, math.nan), math.nan),
+            (lambda: fk.FockDensity(0, 1, np.zeros((0, 0))), 0),
+            (lambda: fk.FockVector(3.0, 1, np.ones(3)), 3.0),
+            (lambda: fk.tmsv_fock(0.0, True), True),  # once a TypeError from reshape
+        ],
+    )
+    def test_state_cutoff(self, build, value):
+        with pytest.raises(DomainError, match=f"cutoff must be an integer >= 1, got {value}"):
+            build()
+
+    @pytest.mark.parametrize("modes", [-1, 1.5])
+    def test_state_modes(self, modes):
+        # a scalar once reshaped to a state of -1 modes
+        with pytest.raises(DomainError, match=f"modes must be an integer >= 0, got {modes}"):
+            fk.FockVector(3, modes, np.ones(1))
+
+    def test_environment_beyond_the_oracle_is_a_truncation_error(self):
+        # kappa_eff near 1 with noise: the environment mean is 1e8, and its
+        # cutoff of 1.8e9 levels was once allocated and exponentiated
+        eff = ch.EffectiveChannel(1.0 - 1e-9, 0.1, 0.1)
+        need = rg.required_cutoff(eff.n_t_eff / (1.0 - eff.kappa_eff), 1e-8)
+        with pytest.raises(TruncationError, match=f"needs {need} levels") as err:
+            fk.psk_ensemble_mi(eff, 4, 12)
+        assert err.value.required_cutoff == need
+
+
+VALID_MEANS = st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, 5e-324, 1e-300, 1e-12, 5.0, 1e6, 1e300]))
+EXTREME_MEANS = st.one_of(VALID_MEANS, st.sampled_from([math.inf, -math.inf, math.nan, -1e-9]))
+EXTREME_CUTOFFS = st.one_of(st.integers(1, 48), st.sampled_from([0, -2, 2.5, 3.0, math.nan, math.inf, True]))
+
+
+class TestExtremeInputs:
+    """Every oracle call ends in a finite result or an EamacError, whatever the cutoff and means."""
+
+    @staticmethod
+    def finite_or_eamac_error(call):
+        try:
+            value = call()
+        except EamacError:
+            return
+        assert np.isfinite(value).all()
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(mean=EXTREME_MEANS, cutoff=EXTREME_CUTOFFS, tail_tol=st.sampled_from([1e-12, 1e-5, 0.5]))
+    def test_states_and_entropies(self, mean, cutoff, tail_tol):
+        self.finite_or_eamac_error(lambda: fk.tmsv_fock(mean, cutoff, tail_tol).amplitudes)
+        self.finite_or_eamac_error(lambda: fk.thermal_fock(mean, cutoff).matrix)
+        self.finite_or_eamac_error(lambda: fk.entropy_fock(fk.thermal_fock(mean, cutoff)))
+        self.finite_or_eamac_error(lambda: fk.entropy_fock(fk.tmsv_fock(mean, cutoff, tail_tol).partial_trace([0])))
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        kappa_eff=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-300, 1.0 - 1e-12, 1.0])),
+        n_t_eff=VALID_MEANS,
+        n_s=VALID_MEANS,
+        psk_order=st.one_of(st.integers(1, 30), st.sampled_from([0, -1, 2.5, math.nan, 10**6])),
+        cutoff=st.one_of(st.integers(1, 12), st.sampled_from([0, -2, 2.5, math.nan, math.inf])),
+        tail_tol=st.sampled_from([1e-12, 1e-5, 0.5]),
+    )
+    def test_psk_ensemble_mi(self, kappa_eff, n_t_eff, n_s, psk_order, cutoff, tail_tol):
+        eff = ch.EffectiveChannel(kappa_eff, n_t_eff, n_s)
+        self.finite_or_eamac_error(lambda: fk.psk_ensemble_mi(eff, psk_order, cutoff, tail_tol=tail_tol))
+
 
 class TestInformationFunctionals:
     def test_rounding_below_zero_adds_no_entropy(self):
@@ -354,6 +422,70 @@ class TestInformationFunctionals:
     def test_pure_state_entropy_zero(self):
         psi = fk.tmsv_fock(0.5, 24)
         assert fk.entropy_fock(psi.to_density()) == pytest.approx(0.0, abs=1e-10)
+
+
+def _hidden_blocks(sizes, seed, is_complex):
+    """A trace-one Hermitian PSD matrix, block diagonal with dense random blocks of
+    ``sizes`` under a random permutation, and the blocks' index sets."""
+    rng = np.random.default_rng(seed)
+    dim = sum(sizes)
+    mat = np.zeros((dim, dim), dtype=complex if is_complex else float)
+    perm = rng.permutation(dim)
+    blocks, first = [], 0
+    for size in sizes:
+        a = rng.normal(size=(size, size)) + (1j * rng.normal(size=(size, size)) if is_complex else 0.0)
+        idx = perm[first : first + size]
+        mat[np.ix_(idx, idx)] = a @ a.conj().T
+        blocks.append(sorted(idx.tolist()))
+        first += size
+    return mat / np.trace(mat).real, blocks
+
+
+class TestBlockEntropy:
+    """entropy_fock diagonalizes by connected component of the zero pattern; the dense eigvalsh is the reference."""
+
+    @staticmethod
+    def dense_entropy(mat):
+        return rg.spectral_entropy(np.linalg.eigvalsh(mat))
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 7), min_size=1, max_size=10),
+        seed=st.integers(0, 2**32 - 1),
+        is_complex=st.booleans(),
+    )
+    def test_matches_the_dense_spectrum_on_hidden_blocks(self, sizes, seed, is_complex):
+        mat, blocks = _hidden_blocks(sizes, seed, is_complex)
+        assert sorted(c.tolist() for c in fk._components(mat)) == sorted(blocks)
+        value = fk.entropy_fock(fk.FockDensity(len(mat), 1, mat))
+        assert abs(value - self.dense_entropy(mat)) <= 1e-13
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_a_dense_matrix_is_one_whole_eigensolve(self, is_complex):
+        mat, _ = _hidden_blocks([36], 5, is_complex)
+        assert fk.entropy_fock(fk.FockDensity(6, 2, mat)) == self.dense_entropy(mat)
+
+    def test_a_diagonal_matrix_is_one_by_one_blocks(self):
+        diag = np.random.default_rng(6).dirichlet(np.ones(49))
+        diag[[3, 17]] = 0.0
+        mat = np.diag(diag)
+        assert len(fk._components(mat)) == 49
+        value = fk.entropy_fock(fk.FockDensity(7, 2, mat))
+        assert abs(value - self.dense_entropy(mat)) <= 1e-13
+
+    @pytest.mark.parametrize("psk_order", [3, 8, 48])
+    def test_link_states_match_the_dense_spectrum(self, psk_order):
+        eff = ch.EffectiveChannel(0.35, 0.3, 0.2)
+        rho = fk.conditional_output_density(eff, 12, tail_tol=1e-5)
+        for state in (rho, fk.phase_average_fock(rho, psk_order)):
+            assert abs(fk.entropy_fock(state) - self.dense_entropy(state.matrix)) <= 1e-13
+
+    def test_phase_average_leaves_its_input_alone(self):
+        rho = fk.conditional_output_density(ch.EffectiveChannel(0.35, 0.3, 0.2), 8, tail_tol=1e-4)
+        before = rho.matrix.copy()
+        pinched = fk.phase_average_fock(rho, 4)
+        assert np.array_equal(rho.matrix, before)
+        assert not np.array_equal(pinched.matrix, before)
 
 
 class TestPskEnsembleMi:

@@ -6,7 +6,7 @@ import pytest
 
 from eamac import fock, planner, validate
 from eamac import region as rg
-from eamac.channel import MacParams, ModulationConfig, effective_params
+from eamac.channel import EffectiveChannel, MacParams, ModulationConfig, effective_params
 
 
 def traced_peak_mb(fn):
@@ -43,14 +43,23 @@ def test_gaussian_fock_entropy_never_builds_the_pair_density():
 
 def test_psk_ensemble_mi_at_the_largest_grid_environment():
     # the criterion-7 corner whose link needs the most environment levels (19 at tail_tol 1e-5);
-    # each 576 x 576 density is 2.7 MB: the conditional state read off the masked Gram and no
-    # more than two densities at once peak at 6.4 MB, where the superoperator product held
-    # three (8.0 MB) and the dense 4-index beamsplitter tensor with full-size temporaries 15.9 MB
+    # each 576 x 576 density is 2.7 MB: one density, pinched in place and diagonalized one
+    # block at a time, peaks at 3.8 MB, where a pinched copy and whole-matrix eigensolves
+    # peaked at 6.4 MB, the superoperator product at 8.0 MB and the dense 4-index
+    # beamsplitter tensor with full-size temporaries at 15.9 MB
     p, m = MacParams(tau=0.95, kappa=0.1, n_b=1.2), ModulationConfig(n_s=0.3)
     eff = effective_params(p, m, "x", False)
     assert rg.required_cutoff(eff.n_t_eff / (1.0 - eff.kappa_eff), 1e-5) == 19
     peak = traced_peak_mb(lambda: fock.psk_ensemble_mi(eff, 64, 24, tail_tol=1e-5))
-    assert peak < 7.0
+    assert peak < 4.5
+
+
+def test_psk_ensemble_mi_at_the_fixture_link():
+    # the golden record's link at cutoff 48: its 2304 x 2304 density is 40.5 MiB and is the
+    # only one held (42.1 MiB peak); a pinched copy and whole-matrix eigensolves took 82.0 MiB
+    eff = EffectiveChannel(0.25, 0.525, 0.1)
+    peak = traced_peak_mb(lambda: fock.psk_ensemble_mi(eff, 64, 48, tail_tol=1e-12))
+    assert peak * 1e6 / 2**20 < 55.0
 
 
 @pytest.mark.parametrize("cutoff, n_env", [(24, 1.2), (24, 2.0), (32, 2.0)])

@@ -131,6 +131,13 @@ class TestLinkMis:
                 rg.link_mis(effs, numerics)
             assert str(batch.value) == str(alone.value)
 
+    def test_deficit_past_the_output_check_is_caught_after_the_batch(self):
+        # the output check lets an output tail of up to 5 tail_tol through; this link's is
+        # 4.55 tail_tol, so only the 4 tail_tol deficit check after the batch rejects it
+        numerics = rg.RegionNumerics(cutoff=24, psk_order=64, tail_tol=1e-5)
+        with pytest.raises(TruncationError, match="output trace deficit 4.547e-05 exceeds budget"):
+            rg.link_mis([EffectiveChannel(0.98, 1.2, 0.75)], numerics)
+
 
 class TestAgainstDenseOracle:
     """The region's four link MIs against the dense Fock route (fock.psk_ensemble_mi)."""
