@@ -16,13 +16,12 @@ and the conditioned (B, idler) covariance is the rebuilt covariance of
 the conditioned effective link, ``effective_cov(effective_params(...))``.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .gaussian import GaussianState, schur_condition_heterodyne
+from .errors import check_choice, check_real
+from .gaussian import MAX_PHOTONS, GaussianState, schur_condition_heterodyne
 
 __all__ = [
     "MacParams",
@@ -38,12 +37,7 @@ __all__ = [
 ]
 
 
-def _require_finite(params, *names):
-    """NaN passes every range comparison, so finiteness is checked first."""
-    for name in names:
-        value = getattr(params, name)
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
+_SENDERS = ("x", "y")
 
 
 @dataclass(frozen=True)
@@ -55,13 +49,9 @@ class MacParams:
     n_b: float
 
     def __post_init__(self):
-        _require_finite(self, "tau", "kappa", "n_b")
-        if not 0.0 <= self.tau <= 1.0:
-            raise DomainError(f"tau must lie in [0, 1], got {self.tau}")
-        if not 0.0 < self.kappa < 1.0:
-            raise DomainError(f"kappa must lie in (0, 1), got {self.kappa}")
-        if self.n_b <= 0.0:
-            raise DomainError(f"n_b must be positive, got {self.n_b}")
+        check_real("tau", self.tau, 0, 1)
+        check_real("kappa", self.kappa, 0, 1, "()")
+        check_real("n_b", self.n_b, 0, ends="(]")
 
     @property
     def n_t(self) -> float:
@@ -70,11 +60,10 @@ class MacParams:
     def receiver(self, name: str) -> tuple[float, float]:
         """(kappa_r, background): the signal coupling and thermal background at
         receiver "bob" (kappa, n_t) or at the warden "willie" (1 - kappa, kappa n_b)."""
+        check_choice("receiver", name, ("bob", "willie"))
         if name == "bob":
             return self.kappa, self.n_t
-        if name == "willie":
-            return 1.0 - self.kappa, self.kappa * self.n_b
-        raise DomainError(f"receiver must be 'bob' or 'willie', got {name!r}")
+        return 1.0 - self.kappa, self.kappa * self.n_b
 
 
 @dataclass(frozen=True)
@@ -84,9 +73,7 @@ class ModulationConfig:
     n_s: float
 
     def __post_init__(self):
-        _require_finite(self, "n_s")
-        if self.n_s < 0.0:
-            raise DomainError(f"n_s must be >= 0, got {self.n_s}")
+        check_real("n_s", self.n_s, 0)
 
 
 @dataclass(frozen=True)
@@ -98,13 +85,9 @@ class EffectiveChannel:
     n_s: float
 
     def __post_init__(self):
-        _require_finite(self, "kappa_eff", "n_t_eff", "n_s")
-        if not 0.0 <= self.kappa_eff <= 1.0:
-            raise DomainError(f"kappa_eff must lie in [0, 1], got {self.kappa_eff}")
-        if self.n_t_eff < 0.0:
-            raise DomainError(f"n_t_eff must be >= 0, got {self.n_t_eff}")
-        if self.n_s < 0.0:
-            raise DomainError(f"n_s must be >= 0, got {self.n_s}")
+        check_real("kappa_eff", self.kappa_eff, 0, 1)
+        check_real("n_t_eff", self.n_t_eff, 0)
+        check_real("n_s", self.n_s, 0)
 
 
 def _s_param(n_s: float) -> float:
@@ -117,6 +100,7 @@ def _c_q(n_s: float) -> float:
 
 def rotation_block(theta: float) -> np.ndarray:
     """Correlation rotation block [[cos, sin], [sin, -cos]] (symmetric, det -1)."""
+    check_real("theta", theta)
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, s], [s, -c]])
 
@@ -133,8 +117,7 @@ def _output_idler_cov(out_var: float, idler_var: float, crosses) -> np.ndarray:
 
 def tmsv_cov(n_s: float) -> np.ndarray:
     """4x4 covariance of a two-mode squeezed vacuum with ``n_s`` photons/mode."""
-    if n_s < 0.0:
-        raise DomainError(f"n_s must be >= 0, got {n_s}")
+    check_real("n_s", n_s, 0, MAX_PHOTONS)
     return _output_idler_cov(_s_param(n_s), _s_param(n_s), [_c_q(n_s) * rotation_block(0.0)])
 
 
@@ -181,8 +164,7 @@ def conditioned_cov(p: MacParams, m: ModulationConfig, sender: str, theta: float
 
 def unconditioned_cov(p: MacParams, m: ModulationConfig, sender: str, theta: float = 0.0) -> np.ndarray:
     """4x4 marginal covariance of (B, idler) with the other idler discarded."""
-    if sender not in ("x", "y"):
-        raise DomainError(f"sender must be 'x' or 'y', got {sender!r}")
+    check_choice("sender", sender, _SENDERS)
     joint = bob_joint_cov(p, m, theta, theta)
     idx = [0, 1, 2, 3] if sender == "x" else [0, 1, 4, 5]
     return joint[np.ix_(idx, idx)]
@@ -190,6 +172,7 @@ def unconditioned_cov(p: MacParams, m: ModulationConfig, sender: str, theta: flo
 
 def conditioned_cov_oracle(p: MacParams, m: ModulationConfig, sender: str, theta: float = 0.0) -> np.ndarray:
     """Same reduction as conditioned_cov via the generic Schur complement."""
+    check_choice("sender", sender, _SENDERS)
     phi = theta  # the measured idler's phase does not survive conditioning
     joint = GaussianState(np.zeros(6), bob_joint_cov(p, m, theta, phi))
     measured = [2] if sender == "x" else [1]
@@ -206,12 +189,8 @@ def effective_params(p: MacParams, m: ModulationConfig, sender: str, conditioned
     n_t_eff = n_t; this is the variance-matched value, fixed by requiring
     the rebuilt covariance to equal the conditioned block.
     """
-    if sender == "x":
-        own, other = p.tau, 1.0 - p.tau
-    elif sender == "y":
-        own, other = 1.0 - p.tau, p.tau
-    else:
-        raise DomainError(f"sender must be 'x' or 'y', got {sender!r}")
+    check_choice("sender", sender, _SENDERS)
+    own, other = (p.tau, 1.0 - p.tau) if sender == "x" else (1.0 - p.tau, p.tau)
     kappa_eff = p.kappa * own
     if conditioned:
         n_t_eff = p.n_t

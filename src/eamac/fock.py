@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import EffectiveChannel, MacParams
-from .errors import DomainError, PhysicalityError, ShapeError, TruncationError
+from .errors import DomainError, PhysicalityError, ShapeError, TruncationError, check_count, check_real
 from . import region as rg
 
 # entries of one slab of rows, read by FockDensity's Hermitian check and by _components
@@ -60,14 +60,6 @@ __all__ = [
 ]
 
 
-def _require_shape(state) -> None:
-    """Reject a state whose ``cutoff`` is not an integer >= 1 or whose ``modes``
-    is not an integer >= 0 (a trace over every mode leaves zero modes)."""
-    rg._require_count("cutoff", state.cutoff)
-    if not (isinstance(state.modes, (int, np.integer)) and state.modes >= 0):
-        raise DomainError(f"modes must be an integer >= 0, got {state.modes!r}")
-
-
 @dataclass(frozen=True)
 class FockVector:
     """Pure state on ``modes`` modes, amplitudes indexed by photon numbers."""
@@ -77,7 +69,8 @@ class FockVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        _require_shape(self)
+        check_count("cutoff", self.cutoff)
+        check_count("modes", self.modes, 0)  # a trace over every mode leaves zero modes
         # real amplitudes stay real: real products and spectra cost less
         amps = np.asarray(self.amplitudes, dtype=complex if np.iscomplexobj(self.amplitudes) else float)
         object.__setattr__(self, "amplitudes", amps.reshape((self.cutoff,) * self.modes))
@@ -115,7 +108,8 @@ class FockDensity:
     matrix: np.ndarray
 
     def __post_init__(self):
-        _require_shape(self)
+        check_count("cutoff", self.cutoff)
+        check_count("modes", self.modes, 0)
         dim = self.cutoff**self.modes
         mat = np.asarray(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         if mat.shape != (dim, dim):
@@ -153,16 +147,15 @@ class FockDensity:
 
 def tmsv_fock(n_s: float, cutoff: int, tail_tol: float = rg.DEFAULT_TAIL_TOL) -> FockVector:
     """Two-mode squeezed vacuum, amplitudes sqrt(n_s^k / (n_s+1)^(k+1)) on |k,k>."""
-    if not 0.0 <= n_s < math.inf:
-        raise DomainError(f"n_s must be finite and >= 0, got {n_s}")
-    rg._require_count("cutoff", cutoff)  # the law is built before the state checks it
+    check_real("n_s", n_s, 0)
+    check_count("cutoff", cutoff)  # the law is built before the state checks it
     rg._check_tmsv_cutoff(n_s, cutoff, tail_tol)
     return FockVector(cutoff, 2, np.diag(np.sqrt(rg.photon_distribution_thermal(n_s, cutoff))))
 
 
 def thermal_fock(n_mean: float, cutoff: int) -> FockDensity:
     """Single-mode thermal state, diagonal geometric distribution."""
-    rg._require_count("cutoff", cutoff)  # the law is built before the state checks it
+    check_count("cutoff", cutoff)  # the law is built before the state checks it
     return FockDensity(cutoff, 1, np.diag(rg.photon_distribution_thermal(n_mean, cutoff)))
 
 
@@ -170,8 +163,8 @@ def phase_rotate_fock(state, theta: float, mode: int = 0):
     """Apply exp(i 2 theta n_hat) on one mode of a vector or density."""
     if not isinstance(state, (FockVector, FockDensity)):
         raise ShapeError(f"expected FockVector or FockDensity, got {type(state).__name__}")
-    if not 0 <= mode < state.modes:
-        raise ShapeError(f"mode {mode} out of range for {state.modes} modes")
+    check_real("theta", theta)
+    check_count("mode", mode, 0, state.modes - 1)
     if not theta:  # the identity; a real state stays real
         return state
     phases = np.exp(2j * theta * np.arange(state.cutoff))
@@ -293,12 +286,11 @@ def thermal_loss_fock(
     environment out, as the superoperator applied to the mode's (ket, bra)
     axes.  A FockVector enters as its density; ``conditional_output_density``
     builds a TMSV's output without this product."""
-    if not 0.0 <= kappa <= 1.0:
-        raise DomainError(f"kappa must lie in [0, 1], got {kappa}")
-    if n_b < 0.0:
-        raise DomainError(f"n_b must be >= 0, got {n_b}")
-    if not 0 <= mode < state.modes:
-        raise ShapeError(f"mode {mode} out of range for {state.modes} modes")
+    check_real("kappa", kappa, 0, 1)
+    check_real("n_b", n_b, 0)
+    check_count("mode", mode, 0, state.modes - 1)
+    if d_env is not None:
+        check_count("d_env", d_env)
     if isinstance(state, FockVector):
         state = state.to_density()
     d, modes = state.cutoff, state.modes
@@ -368,9 +360,8 @@ def _pinch(rho: FockDensity, psk_order, mode: int) -> None:
     numbers n and m with 2 (n - m) != 0 (mod psk_order).  ``rho.matrix``
     must be C-contiguous, as both callers build it, so that ``as_tensor``
     is a view of it."""
-    rg._require_count("psk_order", psk_order)
-    if not 0 <= mode < rho.modes:
-        raise ShapeError(f"mode {mode} out of range for {rho.modes} modes")
+    check_count("psk_order", psk_order)
+    check_count("mode", mode, 0, rho.modes - 1)
     n = np.arange(rho.cutoff)
     keep = np.mod(2 * (n[:, None] - n), psk_order) == 0
     shape = [1] * (2 * rho.modes)
@@ -410,6 +401,8 @@ def conditional_output_density(
     product.  Noise at kappa_eff = 1 has no finite thermal environment, so
     the dense route rejects it.
     """
+    if d_env is not None:
+        check_count("d_env", d_env)
     psi = tmsv_fock(eff.n_s, cutoff, tail_tol)
     if eff.kappa_eff >= 1.0:
         if eff.n_t_eff > 0.0:
@@ -444,8 +437,8 @@ def _psk_ensemble_mi_and_tail(eff, psk_order, cutoff, d_env, tail_tol) -> tuple[
     One density is held: once the conditional state's entropy is taken,
     that same matrix, private to this call, is pinched in place.
     """
-    rg._require_count("psk_order", psk_order)
-    rg._require_count("cutoff", cutoff)
+    check_count("psk_order", psk_order)
+    check_count("cutoff", cutoff)
     rg._check_output_cutoff(eff, cutoff, tail_tol)
     rho0 = conditional_output_density(eff, cutoff, d_env=d_env, tail_tol=tail_tol)
     deficit = rho0.tail()

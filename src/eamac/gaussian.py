@@ -12,10 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EamacError, PhysicalityError, ShapeError, ChannelValidityError
+from .errors import DomainError, EamacError, PhysicalityError, ShapeError, ChannelValidityError, check_count, check_real
 
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
+# largest mean photon number n of a covariance: its entries, up to 2 sqrt(n (n + 1)), fit in a float
+MAX_PHOTONS = 1e154
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -60,8 +62,8 @@ def vacuum_state(n_modes: int) -> GaussianState:
 
 def thermal_cov(nbar, n_modes: int = 1) -> np.ndarray:
     """Covariance of an ``n_modes``-fold thermal state with mean photon ``nbar``."""
-    if nbar < 0:
-        raise DomainError(f"mean photon number must be >= 0, got {nbar}")
+    check_real("nbar", nbar, 0, MAX_PHOTONS)
+    check_count("n_modes", n_modes)
     return (2.0 * nbar + 1.0) * np.eye(2 * n_modes)
 
 
@@ -129,8 +131,7 @@ def beamsplitter_symplectic(t: float) -> np.ndarray:
 
     Blocks [[sqrt(t) I, sqrt(1-t) I], [-sqrt(1-t) I, sqrt(t) I]].
     """
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"transmissivity must lie in [0, 1], got {t}")
+    check_real("t", t, 0, 1)
     c = np.sqrt(t) * np.eye(2)
     s = np.sqrt(1.0 - t) * np.eye(2)
     return np.block([[c, s], [-s, c]])

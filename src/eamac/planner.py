@@ -15,7 +15,6 @@ willie_tv_mc measure classically.
 """
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -23,8 +22,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .channel import MacParams
-from .errors import ConfigError, DomainError, InfeasibleError
-from .gaussian import g_entropy
+from .errors import ConfigError, DomainError, InfeasibleError, check_choice, check_count, check_real
+from .gaussian import _g
 from .region import _low_photon_coefficients, photon_distribution_thermal, required_cutoff
 
 __all__ = [
@@ -59,6 +58,7 @@ _STANDARD_NORMAL = NormalDist()
 
 def q_func(z: float) -> float:
     """Standard normal upper-tail probability Q(z)."""
+    check_real("z", z)
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
@@ -70,8 +70,7 @@ def q_inv(p: float) -> float:
     implements it; up to three Halley steps on Q(z) - p, with Q' = -phi and
     Q'' = z phi, then pin the round trip to the erfc evaluation itself.
     """
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"q_inv requires p in (0, 1), got {p}")
+    check_real("p", p, 0, 1, "()")
     z = 0.0 - _STANDARD_NORMAL.inv_cdf(p)  # +0.0 at p = 1/2, where -inv_cdf gives -0.0
     for _ in range(3):
         miss = q_func(z) - p
@@ -86,10 +85,8 @@ def q_inv(p: float) -> float:
 def covert_budget(n: int, delta: float, p: MacParams) -> float:
     """Largest admissible weighted power (alpha tau + beta (1-tau)) s at
     block length n and detection budget delta."""
-    if not n >= 1:  # NaN too
-        raise DomainError(f"n must be >= 1, got {n}")
-    if not 0.0 <= delta < 1.0:
-        raise DomainError(f"delta must lie in [0, 1), got {delta}")
+    check_real("n", n, 1)
+    check_real("delta", delta, 0, 1, "[)")
     if delta == 0.0:
         return 0.0
     budget = _willie_coeff(p) * q_inv((1.0 - delta) / 2.0) / math.sqrt(n)
@@ -106,26 +103,32 @@ def _willie_coeff(p: MacParams) -> float:
 
 def _leading_tv(n: float, power: float, p: MacParams) -> float:
     """Leading detection advantage 1 - 2 Q(sqrt(n) power / c) at weighted power ``power``."""
+    check_real("the warden's background kappa n_b", p.receiver("willie")[1], 0, ends="(]")
     return 1.0 - 2.0 * q_func(math.sqrt(n) * power / _willie_coeff(p))
 
 
 def _chi2_rate(p: MacParams, receiver: str, weight: float) -> float:
     """Leading chi-square divergence weight kappa_r^2 / (2 b (1+b)) at ``receiver``,
-    whose signal coupling is kappa_r and thermal background b."""
+    whose signal coupling is kappa_r and thermal background b; a background that
+    rounds to 0, or a weight that overflows the rate, is a DomainError."""
     kappa_r, b = p.receiver(receiver)
-    return weight * kappa_r**2 / (2.0 * b * (1.0 + b))
+    return check_real("leading divergence", weight * kappa_r**2 / (2.0 * b * (1.0 + b)) if b > 0.0 else math.inf)
 
 
 def weighted_power(alpha: float, beta: float, s: float, p: MacParams) -> float:
-    """The quantity the warden's test responds to: (alpha tau + beta (1-tau)) s."""
-    return (alpha * p.tau + beta * (1.0 - p.tau)) * s
+    """The quantity the warden's test responds to: (alpha tau + beta (1-tau)) s; alpha and
+    beta are on-probabilities, or schedule constants above 1 that can overflow it."""
+    check_real("alpha", alpha, 0)
+    check_real("beta", beta, 0)
+    check_real("s", s, 0)
+    return check_real("weighted power", (alpha * p.tau + beta * (1.0 - p.tau)) * s)
 
 
 def covert_feasibility(n: int, alpha: float, beta: float, s: float, p: MacParams, delta: float):
     """(power, budget, feasible): the weighted power, the covert budget at (n, delta),
     and whether power <= budget up to a relative 1e-12 slack for the budget's rounding."""
-    _check_fractions(alpha, beta)
-    _check_power(s)
+    check_real("alpha", alpha, 0, 1)
+    check_real("beta", beta, 0, 1)
     power = weighted_power(alpha, beta, s, p)
     budget = covert_budget(n, delta, p)
     return power, budget, power <= budget * (1.0 + 1e-12)
@@ -179,6 +182,10 @@ def layer1_throughput(n: int, alpha: float, beta: float, s: float, p: MacParams)
     marginals, the key-stuffed ceilings at the warden (1 - kappa, kappa n_b).
     ``build_plan`` checks the budget.
     """
+    check_real("n", n, 1)
+    check_real("alpha", alpha, 0, 1)
+    check_real("beta", beta, 0, 1)
+    check_real("s", s, 0, 1)
     # this product order fixes the printed digits of plan and sweep
     x_weight = n * alpha * p.tau**2 * s**2
     y_weight = n * beta * (1.0 - p.tau) ** 2 * s**2
@@ -188,15 +195,16 @@ def layer1_throughput(n: int, alpha: float, beta: float, s: float, p: MacParams)
 
 def layer2_throughput(n: int, alpha: float, beta: float, s: float, p: MacParams, mu_bar: float) -> Layer2Rates:
     """Modulation-layer rates (1-mu_bar) scaled, plus TMSV pair counts."""
-    if not 0.0 < mu_bar < 1.0:
-        raise DomainError(f"mu_bar must lie in (0, 1), got {mu_bar}")
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"s must lie in (0, 1) for the -s log s expansion, got {s}")
+    check_real("n", n, 1)
+    check_real("alpha", alpha, 0, 1)
+    check_real("beta", beta, 0, 1)
+    check_real("mu_bar", mu_bar, 0, 1, "()")
+    check_real("s", s, 0, 1, "()")  # the -s log s expansion
     scale = (1.0 - mu_bar) * n * (-s * math.log(s))
     coeff_x, coeff_y = _low_photon_coefficients(p)
     l_x = math.ceil(n * alpha * (1.0 - mu_bar))
     l_y = math.ceil(n * beta * (1.0 - mu_bar))
-    ent_per_pair = g_entropy(s)
+    ent_per_pair = _g(s)
     return Layer2Rates(
         log_m_x2=scale * coeff_x * alpha,
         log_m_y2=scale * coeff_y * beta,
@@ -245,11 +253,8 @@ def build_plan(
 
 def _resolve_plan(n, alpha, beta, s, p, delta, epsilon, mu_bar, feasibility=None) -> CovertPlan:
     """``build_plan``, reusing the (power, budget, feasible) of ``covert_feasibility`` when given."""
-    for name, value in (("alpha", alpha), ("beta", beta), ("s", s), ("mu_bar", mu_bar)):
-        if not 0.0 < value < 1.0:
-            raise DomainError(f"{name} must lie in (0, 1), got {value}")
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
+    for name, value in (("alpha", alpha), ("beta", beta), ("s", s), ("mu_bar", mu_bar), ("epsilon", epsilon)):
+        check_real(name, value, 0, 1, "()")
     power, budget, feasible = feasibility or covert_feasibility(n, alpha, beta, s, p, delta)
     if not feasible:
         raise InfeasibleError(
@@ -281,8 +286,10 @@ def scaling_plan(
     ``mu_bar`` defaults to 1/log n, which vanishes while keeping the
     light-codeword probability negligible (mu_bar^2 n alpha_n -> infinity).
     """
-    if not 0.0 < gamma < 0.5:
-        raise DomainError(f"gamma must lie in (0, 1/2), got {gamma}")
+    check_real("n", n, 1, ends="(]")
+    check_real("gamma", gamma, 0, 0.5, "()")
+    for name, value in (("alpha", alpha), ("beta", beta), ("s", s)):
+        check_real(name, value, 0)
     alpha_n = alpha * n ** (gamma - 0.5)
     beta_n = beta * n ** (gamma - 0.5)
     s_n = s * n ** (-gamma)
@@ -313,10 +320,9 @@ def scaling_limits(
     entangled-nats consumption by sqrt(n) log n.  When ``delta`` is
     given, (alpha tau + beta (1-tau)) s must equal the covert budget
     constant for that delta; otherwise the implied delta is derived from
-    exact equality.
+    exact equality.  The schedule's constants alpha and beta may exceed 1.
     """
-    if not 0.0 < gamma < 0.5:
-        raise DomainError(f"gamma must lie in (0, 1/2), got {gamma}")
+    check_real("gamma", gamma, 0, 0.5, "()")
     power = weighted_power(alpha, beta, s, p)
     if delta is not None:
         target = covert_budget(1, delta, p)
@@ -328,8 +334,6 @@ def scaling_limits(
             )
         implied = delta
     else:
-        _check_power(s)
-        # the schedule's constants alpha, beta may exceed 1, so no [0, 1] check here
         implied = _leading_tv(1, power, p)
         if not 0.0 < implied < 1.0:
             raise InfeasibleError(
@@ -337,8 +341,8 @@ def scaling_limits(
             )
     coeff_x, coeff_y = _low_photon_coefficients(p)
     return ScalingLimits(
-        layer1_x=_chi2_rate(p, "bob", alpha * p.tau**2 * s**2),
-        layer1_y=_chi2_rate(p, "bob", beta * (1.0 - p.tau) ** 2 * s**2),
+        layer1_x=_chi2_rate(p, "bob", alpha * p.tau**2 * (s * s)),
+        layer1_y=_chi2_rate(p, "bob", beta * (1.0 - p.tau) ** 2 * (s * s)),
         layer2_x=gamma * coeff_x * alpha * s,
         layer2_y=gamma * coeff_y * beta * s,
         ent_nats_x=gamma * alpha * s,
@@ -357,27 +361,8 @@ class RelEntStats:
 
 
 _MARGINALS = ("joint", "x", "y")
-
-
-def _check_power(s: float) -> None:
-    """Reject a per-slot power s that is NaN, negative or infinite, naming it."""
-    if not 0.0 <= s < math.inf:
-        raise DomainError(f"s must be {'finite' if s >= 0.0 else '>= 0'}, got {s}")
-
-
-def _check_fractions(alpha: float, beta: float) -> None:
-    """Reject a sender's on-probability alpha or beta outside [0, 1] (NaN too), naming it."""
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not 0.0 <= value <= 1.0:
-            raise DomainError(f"{name} must lie in [0, 1], got {value}")
-
-
-def _check_count(name: str, value) -> None:
-    """Reject a count that is not an integer >= 1 (2.5, NaN, None too), naming it."""
-    if not isinstance(value, numbers.Integral):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise DomainError(f"{name} must be >= 1, got {value}")
+# most photon levels of a slot law table, about 32 MB for its four laws
+_MAX_LAW_LEVELS = 1 << 20
 
 
 def relent_leading(p: MacParams, alpha: float, beta: float, s: float, receiver: str, marginal: str) -> RelEntStats:
@@ -388,17 +373,17 @@ def relent_leading(p: MacParams, alpha: float, beta: float, s: float, receiver: 
     the x marginal and the beta term for y.  V equals 2 D at this order.
     Valid as an approximation only for small alpha, beta, s.
     """
-    if marginal not in _MARGINALS:
-        raise DomainError(f"marginal must be one of {_MARGINALS}, got {marginal!r}")
-    _check_fractions(alpha, beta)
-    _check_power(s)
+    check_choice("marginal", marginal, _MARGINALS)
+    check_real("alpha", alpha, 0, 1)
+    check_real("beta", beta, 0, 1)
+    check_real("s", s, 0)
     x_weight, y_weight = alpha * p.tau**2, beta * (1.0 - p.tau) ** 2
     weight, order = {
         "joint": (x_weight + y_weight, "O((alpha+beta)*s^4)"),
         "x": (x_weight, "O(alpha*s^4)"),
         "y": (y_weight, "O(beta*s^4)"),
     }[marginal]
-    d = _chi2_rate(p, receiver, weight * s**2)
+    d = _chi2_rate(p, receiver, weight * (s * s))  # s * s is inf, where s**2 raises, past 1e154
     return RelEntStats(d=d, v=2.0 * d, r_order=order)
 
 
@@ -409,13 +394,16 @@ def slot_laws(p: MacParams, alpha: float, beta: float, s: float, receiver: str):
     (kappa_r, b) = p.receiver(receiver).  The cutoff keeps the tail of mean
     b + kappa_r s below 1e-18, plus 16 levels, and is at least 32: then no
     willie_tv_mc draw over n * samples slots is likely to reach it."""
-    _check_fractions(alpha, beta)
-    _check_power(s)
+    check_real("alpha", alpha, 0, 1)
+    check_real("beta", beta, 0, 1)
+    check_real("s", s, 0)
     kappa_r, background = p.receiver(receiver)
+    check_real(f"background at {receiver}", background, 0, ends="(]")  # a zero law has no log-likelihood
     weights = np.outer([1.0 - alpha, alpha], [1.0 - beta, beta])
     x, y = np.ogrid[:2, :2]
     means = background + kappa_r * (p.tau * s * x + (1.0 - p.tau) * s * y)
     cutoff = max(required_cutoff(background + kappa_r * s, 1e-18) + 16, 32)
+    check_count("slot law cutoff", cutoff, 32, _MAX_LAW_LEVELS)
     return weights, photon_distribution_thermal(means, cutoff)
 
 
@@ -427,16 +415,17 @@ def relent_exact(p: MacParams, alpha: float, beta: float, s: float, receiver: st
     the table mixed over the axes the marginal averages out (both for
     joint, x for x, y for y), weighted by the table's weights.
     """
-    if marginal not in _MARGINALS:
-        raise DomainError(f"marginal must be one of {_MARGINALS}, got {marginal!r}")
+    check_choice("marginal", marginal, _MARGINALS)
     weights, laws = slot_laws(p, alpha, beta, s, receiver)
     # (axes the reference mixes over, axes summed out of its mixing weights)
     mixed, summed = {"joint": ((0, 1), ()), "x": ((0,), (1,)), "y": ((1,), (0,))}[marginal]
     share = weights.sum(axis=summed, keepdims=True)
     ref = np.broadcast_to((share[..., None] * laws).sum(axis=mixed, keepdims=True), laws.shape)
     live = weights != 0.0
-    law, w = laws[live], weights[live]
-    llr = np.log(law) - np.log(ref[live])
+    law, ref, w = laws[live], ref[live], weights[live]
+    # a level that a tiny mean or weight underflows to 0 adds nothing above rounding
+    pos = (law > 0.0) & (ref > 0.0)
+    llr = np.log(law, out=np.zeros(law.shape), where=pos) - np.log(ref, out=np.zeros(law.shape), where=pos)
     d = float(sum(w * np.sum(law * llr, axis=-1), 0.0))
     v = float(sum(w * np.sum(law * (llr - d) ** 2, axis=-1), 0.0))
     return RelEntStats(d=d, v=v, r_order="exact")
@@ -444,10 +433,9 @@ def relent_exact(p: MacParams, alpha: float, beta: float, s: float, receiver: st
 
 def willie_tv_leading(n: int, alpha: float, beta: float, s: float, p: MacParams) -> float:
     """Leading term of the warden's detection advantage (trace distance)."""
-    if not n >= 1:  # NaN too
-        raise DomainError(f"n must be >= 1, got {n}")
-    _check_fractions(alpha, beta)
-    _check_power(s)
+    check_real("n", n, 1)
+    check_real("alpha", alpha, 0, 1)
+    check_real("beta", beta, 0, 1)
     return _leading_tv(n, weighted_power(alpha, beta, s, p), p)
 
 
@@ -504,9 +492,9 @@ def willie_tv_mc(
     """
     if seed is None:
         raise ConfigError("willie_tv_mc requires an explicit seed for reproducibility")
-    _check_count("n", n)
-    _check_count("samples", samples)
-    _check_count("workers", workers)
+    check_count("n", n, 1, 2**63 - 1)  # multinomial draws int64 counts
+    check_count("samples", samples)
+    check_count("workers", workers)
     weights, laws = slot_laws(p, alpha, beta, s, "willie")
     q0 = laws[0, 0]
     # q1 is q0 plus the weighted shifts of the other keys, so it equals q0
@@ -550,8 +538,10 @@ def willie_tv_mc(
 
 def chernoff_truncation(n: int, alpha: float, beta: float, mu_bar: float) -> float:
     """Chernoff bound on the probability either sender's codeword is atypically light."""
-    if not 0.0 < mu_bar < 1.0:
-        raise DomainError(f"mu_bar must lie in (0, 1), got {mu_bar}")
+    check_real("n", n, 1)
+    check_real("alpha", alpha, 0, 1)
+    check_real("beta", beta, 0, 1)
+    check_real("mu_bar", mu_bar, 0, 1, "()")
     return 2.0 * math.exp(-0.5 * mu_bar**2 * n * alpha) + 2.0 * math.exp(-0.5 * mu_bar**2 * n * beta)
 
 
@@ -561,9 +551,10 @@ def second_order_rate(n: int, stats: RelEntStats, eps: float, direction: str = "
     ``direction="lower"`` is the achievability sign (minus);
     ``direction="upper"`` the resolvability ceiling (plus).
     """
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    if direction not in ("lower", "upper"):
-        raise DomainError(f"direction must be 'lower' or 'upper', got {direction!r}")
+    check_real("n", n, 1)
+    check_real("stats.d", stats.d)
+    check_real("stats.v", stats.v, 0)
+    check_real("eps", eps, 0, 1, "()")
+    check_choice("direction", direction, ("lower", "upper"))
     sign = -1.0 if direction == "lower" else 1.0
-    return n * stats.d + sign * math.sqrt(n * stats.v) * q_inv(eps**2)
+    return check_real("second-order rate", n * stats.d + sign * math.sqrt(n * stats.v) * q_inv(eps**2))

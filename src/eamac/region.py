@@ -17,12 +17,11 @@ with one exp for all their Kraus laws.  The dense Fock route
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Real
 
 import numpy as np
 
 from .channel import EffectiveChannel, MacParams, ModulationConfig, effective_params
-from .errors import DomainError, NumericalError, PhysicalityError, TruncationError
+from .errors import DomainError, NumericalError, PhysicalityError, TruncationError, check_count, check_real
 from .gaussian import _g
 
 __all__ = [
@@ -50,12 +49,6 @@ DEFAULT_TAIL_TOL = 1e-8
 MAX_CUTOFF = 512
 
 
-def _require_count(name: str, value) -> None:
-    """Reject a ``value`` that is not an integer >= 1; a bool is not a count."""
-    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1):
-        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 @dataclass(frozen=True)
 class RegionNumerics:
     """Fock-space settings for the mutual-information evaluations.
@@ -69,11 +62,9 @@ class RegionNumerics:
     tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self):
-        if not (isinstance(self.cutoff, (int, np.integer)) and 1 <= self.cutoff <= MAX_CUTOFF):
-            raise DomainError(f"cutoff must be an integer in [1, {MAX_CUTOFF}], got {self.cutoff!r}")
-        _require_count("psk_order", self.psk_order)
-        if not (isinstance(self.tail_tol, Real) and math.isfinite(self.tail_tol) and 0.0 < self.tail_tol < 1.0):
-            raise DomainError(f"tail_tol must be a finite real in (0, 1), got {self.tail_tol!r}")
+        check_count("cutoff", self.cutoff, 1, MAX_CUTOFF)
+        check_count("psk_order", self.psk_order)
+        check_real("tail_tol", self.tail_tol, 0, 1, "()")
 
 
 @dataclass(frozen=True)
@@ -117,12 +108,10 @@ def noise_condition_ok(eff: EffectiveChannel) -> bool:
 
 def required_cutoff(n_mean: float, tail_tol: float) -> int:
     """Smallest d with thermal/TMSV tail (n/(n+1))^d <= tail_tol, for tail_tol in (0, 1)."""
-    if not 0.0 < tail_tol < 1.0:  # NaN too
-        raise DomainError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    check_real("tail_tol", tail_tol, 0, 1, "()")
+    check_real("mean photon number", n_mean)
     if n_mean <= 0.0:
         return 1
-    if not n_mean < math.inf:  # NaN too
-        raise DomainError(f"mean photon number must be finite, got {n_mean}")
     # ln(n / (n + 1)) without rounding n / (n + 1) to 1 above n = 2^53
     need = math.log(tail_tol) / -math.log1p(1.0 / n_mean)
     if need == math.inf:
@@ -131,9 +120,7 @@ def required_cutoff(n_mean: float, tail_tol: float) -> int:
 
 
 def _check_tmsv_cutoff(n_s: float, cutoff: int, tail_tol: float) -> None:
-    """Reject a cutoff below 1, or one that leaves the TMSV tail (n_s / (n_s + 1))^cutoff above ``tail_tol``."""
-    if cutoff < 1:
-        raise DomainError(f"cutoff must be >= 1, got {cutoff}")
+    """Reject a cutoff that leaves the TMSV tail (n_s / (n_s + 1))^cutoff above ``tail_tol``."""
     need = required_cutoff(n_s, tail_tol)
     if cutoff < need:
         raise TruncationError(
@@ -255,6 +242,8 @@ def phase_averaged_spectra(effs, cutoff: int, psk_order, tail_tol=DEFAULT_TAIL_T
     The trace deficit is 1 minus the summed block traces: the TMSV tail and
     the output levels x >= cutoff.
     """
+    check_count("cutoff", cutoff, 1, MAX_CUTOFF)
+    check_count("psk_order", psk_order)
     for eff in effs:
         _check_output_cutoff(eff, cutoff, tail_tol)
         _check_tmsv_cutoff(eff.n_s, cutoff, tail_tol)
@@ -280,7 +269,7 @@ def phase_averaged_spectra(effs, cutoff: int, psk_order, tail_tol=DEFAULT_TAIL_T
         padded = np.pad(np.sqrt(amp_link[::-1].T), ((0, 0), (0, cutoff - 1)))
         window = np.lib.stride_tricks.sliding_window_view(padded, cutoff, axis=1)
         eigs = []
-        for size in np.unique(sizes):
+        for size in sorted(set(sizes.tolist())):
             heads = starts[sizes == size]
             step = max(1, BLOCK_BATCH // (size * cutoff))
             for first in range(0, heads.size, step):
@@ -396,8 +385,7 @@ def covert_rectangle(p: MacParams, s: float) -> RateRegion:
     Per-sender bound kappa tau / (1 + (1 - kappa) n_b) * s ln(1/s)
     (tau -> 1 - tau for the second sender).
     """
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"signal photon number must lie in (0, 1), got {s}")
+    check_real("s", s, 0, 1, "()")
     gain = -s * np.log(s)
     coeff_x, coeff_y = _low_photon_coefficients(p)
     x_bound = float(coeff_x * gain)

@@ -473,6 +473,10 @@ def test_any_extreme_config_exits_cleanly(workdir, command):
         ("region", {**REGION_BASE, "boundary_points": 10**20}),
         # b (1 + b) overflowed to a budget of inf with exit 0
         ("budget", dict(tau=0.5, kappa=0.5, n_b=3e154, n=100, delta=0.1)),
+        # an n no float holds once ended in an OverflowError from sqrt(n), exit 1
+        ("budget", dict(PLAN_BASE, n=10**400)),
+        ("plan", dict(PLAN_BASE, n=10**400)),
+        ("sweep", dict(PLAN_BASE, n=10**400, vary="s", start=0.001, stop=0.03, count=3)),
     ],
 )
 def test_extreme_config_examples_exit_2(workdir, command, config):

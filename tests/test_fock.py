@@ -299,7 +299,8 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("n_s", [math.inf, math.nan, -math.inf])
     def test_tmsv_fock(self, n_s):
-        with pytest.raises(DomainError, match=f"n_s must be finite and >= 0, got {n_s}"):
+        bound = "finite" if n_s == math.inf else ">= 0"
+        with pytest.raises(DomainError, match=f"n_s must be {bound}, got {n_s}"):
             fk.tmsv_fock(n_s, 8)
 
     @pytest.mark.parametrize(
@@ -366,6 +367,14 @@ class TestIntegerArguments:
         # a scalar once reshaped to a state of -1 modes
         with pytest.raises(DomainError, match=f"modes must be an integer >= 0, got {modes}"):
             fk.FockVector(3, modes, np.ones(1))
+
+    @pytest.mark.parametrize("d_env", [2.5, True, "8", 0])
+    def test_environment_cutoff(self, d_env):
+        # "8" once ended in a bare TypeError, and 2.5 and True ran as levels
+        with pytest.raises(DomainError, match=f"d_env must be an integer >= 1, got {d_env}"):
+            fk.psk_ensemble_mi(self.EFF, 4, 16, d_env=d_env, tail_tol=1e-5)
+        with pytest.raises(DomainError, match=f"d_env must be an integer >= 1, got {d_env}"):
+            fk.thermal_loss_fock(fk.thermal_fock(0.1, 8), 0.5, 0.1, d_env=d_env, tail_tol=1e-5)
 
     def test_environment_beyond_the_oracle_is_a_truncation_error(self):
         # kappa_eff near 1 with noise: the environment mean is 1e8, and its

@@ -1,16 +1,22 @@
 """Covert planning: budget, layer rates, divergences, detection bounds."""
 
+import dataclasses
+import inspect
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eamac import channel as ch
+from eamac import gaussian as g
 from eamac import planner as pl
 from eamac import region as rg
 from eamac import validate
 from eamac.channel import MacParams
-from eamac.errors import ConfigError, DomainError, InfeasibleError
+from eamac.errors import ConfigError, DomainError, EamacError, InfeasibleError
 
 P_CANON = MacParams(tau=0.5, kappa=0.5, n_b=1.0)
 # the warden's background kappa n_b = 50 widens its law table to about 2100 levels
@@ -391,24 +397,30 @@ class TestWillieTv:
             pl.willie_tv_mc(100, 0.1, 0.1, math.nan, P_CANON, samples=100, seed=1)
 
     def test_mc_rejects_no_workers(self):
-        with pytest.raises(DomainError, match="workers must be >= 1, got 0"):
+        with pytest.raises(DomainError, match="workers must be an integer >= 1, got 0"):
             pl.willie_tv_mc(100, 0.1, 0.1, 0.01, P_CANON, samples=100, seed=1, workers=0)
 
     @pytest.mark.parametrize(
-        "field, value, match",
+        "field, value",
         [
-            ("n", 0, "n must be >= 1, got 0"),
-            ("n", 2.5, "n must be an integer, got 2.5"),
-            ("n", math.nan, "n must be an integer, got nan"),
-            ("samples", 0, "samples must be >= 1, got 0"),
-            ("samples", 2.5, "samples must be an integer, got 2.5"),
-            ("samples", math.nan, "samples must be an integer, got nan"),
-            ("workers", 1.5, "workers must be an integer, got 1.5"),
+            ("n", 0),
+            ("n", 2.5),
+            ("n", math.nan),
+            ("samples", 0),
+            ("samples", 2.5),
+            ("samples", math.nan),
+            ("workers", 1.5),
+            # a bool once ran as the count 1, and n >= 2^63 ended in an OverflowError from multinomial
+            ("n", True),
+            ("n", 2**63),
+            ("samples", True),
+            ("workers", True),
         ],
     )
-    def test_mc_rejects_bad_counts(self, field, value, match):
+    def test_mc_rejects_bad_counts(self, field, value):
+        bound = rf"in \[1, {2**63 - 1}\]" if field == "n" else ">= 1"
         kwargs = {"n": 100, "samples": 100, "workers": 1, field: value}
-        with pytest.raises(DomainError, match=match):
+        with pytest.raises(DomainError, match=f"{field} must be an integer {bound}, got {value}"):
             pl.willie_tv_mc(alpha=0.1, beta=0.1, s=0.01, p=P_CANON, seed=1, **kwargs)
 
     def test_mc_stderr_scaling(self):
@@ -578,3 +590,85 @@ class TestPlanProperties:
         assert len(names) == 9
         assert plan.power <= plan.budget
         assert plan.layer2.l_x == math.ceil(10**6 * 1e-2 * 0.9)
+
+
+# every numeric argument of the library property is one of these or an in-range value
+EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, 0, -1, 5e-324, 1e308, 10**400, True, 2.5])
+IN_RANGE = {
+    "n": st.integers(1, 10**8),
+    "s": st.floats(0.0, 0.5),
+    "gamma": st.floats(0.0, 0.5),
+    "z": st.floats(-40.0, 40.0),
+    "samples": st.integers(1, 64),  # so no Monte Carlo call draws more than 64 rows
+    "workers": st.integers(1, 2),
+    "n_modes": st.integers(1, 3),
+}
+# valid channels, from the canonical one to a subnormal and the largest background
+CHANNELS = st.sampled_from([
+    MacParams(tau=0.5, kappa=0.5, n_b=1.0),
+    MacParams(tau=0.3, kappa=0.8, n_b=0.2),
+    MacParams(tau=0.9, kappa=0.1, n_b=40.0),
+    MacParams(tau=1.0, kappa=1e-9, n_b=5e-324),
+    MacParams(tau=0.0, kappa=1.0 - 1e-9, n_b=1e308),
+])
+NAMES = {
+    "receiver": st.sampled_from(["bob", "willie", "eve", None]),
+    "marginal": st.sampled_from(["joint", "x", "y", "xy"]),
+    "direction": st.sampled_from(["lower", "upper", "both"]),
+    "seed": st.just(7),
+}
+
+
+def numeric(name):
+    """An extreme value or an in-range one; samples and n_modes are never a huge valid count."""
+    if name in ("samples", "workers", "n_modes"):
+        return IN_RANGE[name] | st.sampled_from([0, -1, True, 2.5, math.nan, None])
+    in_range = IN_RANGE.get(name, st.floats(0.0, 1.0))
+    return st.one_of(EXTREMES, in_range, in_range, in_range)  # most examples then pass the checks
+
+
+def arguments(function):
+    """Keyword arguments for ``function``, one strategy per parameter name and annotation."""
+    drawn = {}
+    for name, param in inspect.signature(function).parameters.items():
+        if param.annotation is MacParams:
+            drawn[name] = CHANNELS
+        elif name == "stats":
+            drawn[name] = st.builds(pl.RelEntStats, d=numeric("d"), v=numeric("v"), r_order=st.just("exact"))
+        else:
+            drawn[name] = NAMES[name] if name in NAMES else numeric(name)
+        if param.default is None:
+            drawn[name] = drawn[name] | st.none()
+    return st.fixed_dictionaries(drawn)
+
+
+def assert_finite(value):
+    """Every number in a result, its arrays, tuples and dataclass fields is finite."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            assert_finite(getattr(value, field.name))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            assert_finite(item)
+    elif isinstance(value, np.ndarray):
+        assert np.isfinite(value).all()
+    elif not isinstance(value, (str, dict)):
+        assert math.isfinite(value), value
+
+
+LIBRARY = [getattr(pl, name) for name in pl.__all__ if inspect.isfunction(getattr(pl, name))]
+LIBRARY += [ch.MacParams, ch.ModulationConfig, ch.EffectiveChannel, ch.tmsv_cov, g.thermal_cov]
+
+
+@pytest.mark.parametrize("function", LIBRARY, ids=lambda function: function.__name__)
+def test_library_result_is_finite_or_an_eamac_error(function):
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(kwargs=arguments(function))
+    def finite_or_eamac_error(kwargs):
+        try:
+            result = function(**kwargs)
+        except EamacError:
+            return
+        assert_finite(result)
+
+    finite_or_eamac_error()

@@ -1,5 +1,6 @@
 """The product path never loads the dense Fock oracle: ``eamac.fock`` and
-``eamac.validate`` serve the tests and ``eamac validate`` only.
+``eamac.validate`` serve the tests and ``eamac validate`` only.  A region
+loads no ``numpy.ma`` either, about 0.6 MB that ``np.unique`` imports.
 
 One fresh interpreter runs this file as a script.  It makes the library
 calls and runs the CLI commands below in order, and after each one it
@@ -44,6 +45,7 @@ def probe(workdir) -> dict:
     for psk_order in (64, 8):
         region = rg.achievable_region(P, ModulationConfig(n_s=0.1), rg.RegionNumerics(psk_order=psk_order))
         record(f"achievable_region[{psk_order}]", region.sum_bound > 0.0)
+    record("regions_load_no_numpy_ma", "numpy.ma" not in sys.modules)
     checks = [
         rg.covert_rectangle(P, 1e-3).x_bound > 0.0,
         pl.build_plan(10**6, 1e-2, 1e-2, 1e-2, P, delta=0.1).power > 0.0,
@@ -70,6 +72,11 @@ def report(tmp_path_factory):
 @pytest.mark.parametrize("psk_order", [64, 8])
 def test_achievable_region(report, psk_order):
     assert report[f"achievable_region[{psk_order}]"] == [True, []]
+
+
+def test_regions_load_no_numpy_ma(report):
+    # the finite-PSK branch once grouped its block sizes with np.unique
+    assert report["regions_load_no_numpy_ma"] == [True, []]
 
 
 def test_planner_paths(report):

@@ -35,11 +35,33 @@ class TestRegionNumerics:
             ({"cutoff": 24.5}, "cutoff"),
             ({"cutoff": None}, "cutoff"),
             ({"tail_tol": None}, "tail_tol"),
+            ({"cutoff": True}, "cutoff"),  # once accepted as cutoff 1
+            ({"psk_order": True}, "psk_order"),
         ],
     )
     def test_rejects_out_of_domain(self, kwargs, key):
         with pytest.raises(DomainError, match=key):
             rg.RegionNumerics(**kwargs)
+
+
+class TestPhaseAveragedSpectraArguments:
+    LINKS = [EffectiveChannel(0.3, 0.2, 0.1)]
+
+    @pytest.mark.parametrize(
+        "cutoff, psk_order, key",
+        [
+            (24, 0, "psk_order"),  # once entropy 0.29 with a divide-by-zero warning
+            (24, -2, "psk_order"),  # once equal to psk_order 2
+            (24, 2.5, "psk_order"),  # once a bare TypeError
+            (24, None, "psk_order"),
+            (24.0, 8, "cutoff"),
+            (True, 8, "cutoff"),
+            (rg.MAX_CUTOFF + 1, 8, "cutoff"),
+        ],
+    )
+    def test_counts_raise_a_domain_error_naming_them(self, cutoff, psk_order, key):
+        with pytest.raises(DomainError, match=f"{key} must be an integer"):
+            rg.phase_averaged_spectra(self.LINKS, cutoff, psk_order)
 
 
 def _region_links(p, n_s):
