@@ -73,8 +73,6 @@ SCHEMAS = {
 SWEEP_KEYS = ("tau", "kappa", "n_b", "s", "alpha", "beta", "delta")
 # most rows of a sweep, and most boundary points of a region
 MAX_POINTS = 100_000
-# most Monte Carlo samples of a validate run, about a minute on two workers
-_MAX_SAMPLES = 10**8
 
 FORMATS = {
     "region": ("record", "svg"),
@@ -310,8 +308,8 @@ def cmd_validate(config, args) -> tuple:
 
     if args.seed is None:
         raise ConfigError("validate is stochastic; --seed is required")
-    if not 1 <= config["samples"] <= _MAX_SAMPLES:
-        raise ConfigError(f"samples must lie in [1, {_MAX_SAMPLES}], got {config['samples']}")
+    if not 1 <= config["samples"] <= planner.MAX_SAMPLES:
+        raise ConfigError(f"samples must lie in [1, {planner.MAX_SAMPLES}], got {config['samples']}")
     results = run_suite(args.seed, samples=config["samples"], workers=args.workers)
     fields = []
     for res in results:

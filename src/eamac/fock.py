@@ -149,7 +149,7 @@ def tmsv_fock(n_s: float, cutoff: int, tail_tol: float = rg.DEFAULT_TAIL_TOL) ->
     """Two-mode squeezed vacuum, amplitudes sqrt(n_s^k / (n_s+1)^(k+1)) on |k,k>."""
     check_real("n_s", n_s, 0)
     check_count("cutoff", cutoff)  # the law is built before the state checks it
-    rg._check_tmsv_cutoff(n_s, cutoff, tail_tol)
+    rg._check_tmsv_cutoff(n_s, cutoff, check_real("tail_tol", tail_tol, 0, 1, "()"))
     return FockVector(cutoff, 2, np.diag(np.sqrt(rg.photon_distribution_thermal(n_s, cutoff))))
 
 

@@ -18,10 +18,12 @@ SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
 # largest mean photon number n of a covariance: its entries, up to 2 sqrt(n (n + 1)), fit in a float
 MAX_PHOTONS = 1e154
+MAX_MODES = 1024  # most modes of a state or form built here: a 2048 x 2048 float matrix is 32 MB
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Standard symplectic form, block diagonal in [[0, 1], [-1, 0]]."""
+    check_count("n_modes", n_modes, 1, MAX_MODES)
     return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
@@ -57,13 +59,14 @@ class GaussianState:
 
 
 def vacuum_state(n_modes: int) -> GaussianState:
+    check_count("n_modes", n_modes, 1, MAX_MODES)
     return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
 def thermal_cov(nbar, n_modes: int = 1) -> np.ndarray:
     """Covariance of an ``n_modes``-fold thermal state with mean photon ``nbar``."""
     check_real("nbar", nbar, 0, MAX_PHOTONS)
-    check_count("n_modes", n_modes)
+    check_count("n_modes", n_modes, 1, MAX_MODES)
     return (2.0 * nbar + 1.0) * np.eye(2 * n_modes)
 
 

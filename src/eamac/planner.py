@@ -104,7 +104,8 @@ def _willie_coeff(p: MacParams) -> float:
 def _leading_tv(n: float, power: float, p: MacParams) -> float:
     """Leading detection advantage 1 - 2 Q(sqrt(n) power / c) at weighted power ``power``."""
     check_real("the warden's background kappa n_b", p.receiver("willie")[1], 0, ends="(]")
-    return 1.0 - 2.0 * q_func(math.sqrt(n) * power / _willie_coeff(p))
+    z = check_real("sqrt(n) (alpha tau + beta (1 - tau)) s / c", math.sqrt(n) * power / _willie_coeff(p))
+    return 1.0 - 2.0 * q_func(z)
 
 
 def _chi2_rate(p: MacParams, receiver: str, weight: float) -> float:
@@ -454,6 +455,7 @@ _MC_CHUNK = 1 << 16
 _MC_BLOCK = 1 << 12
 # most bytes of int64 counts one multinomial call holds, whatever the table width
 _MC_DRAW_BYTES = 1 << 19
+MAX_SAMPLES = 10**8  # most Monte Carlo samples of one estimate, about a minute on two workers
 
 
 def willie_tv_mc(
@@ -493,7 +495,7 @@ def willie_tv_mc(
     if seed is None:
         raise ConfigError("willie_tv_mc requires an explicit seed for reproducibility")
     check_count("n", n, 1, 2**63 - 1)  # multinomial draws int64 counts
-    check_count("samples", samples)
+    check_count("samples", samples, 1, MAX_SAMPLES)
     check_count("workers", workers)
     weights, laws = slot_laws(p, alpha, beta, s, "willie")
     q0 = laws[0, 0]
@@ -554,7 +556,7 @@ def second_order_rate(n: int, stats: RelEntStats, eps: float, direction: str = "
     check_real("n", n, 1)
     check_real("stats.d", stats.d)
     check_real("stats.v", stats.v, 0)
-    check_real("eps", eps, 0, 1, "()")
+    eps2 = check_real("eps**2", check_real("eps", eps, 0, 1, "()") ** 2, 0, 1, "()")  # 0 for eps below about 1.6e-162
     check_choice("direction", direction, ("lower", "upper"))
     sign = -1.0 if direction == "lower" else 1.0
-    return check_real("second-order rate", n * stats.d + sign * math.sqrt(n * stats.v) * q_inv(eps**2))
+    return check_real("second-order rate", n * stats.d + sign * math.sqrt(n * stats.v) * q_inv(eps2))

@@ -9,9 +9,9 @@ photon-number spectrum of ``phase_averaged_spectra``: the link's thermal
 loss is pure loss followed by an amplifier with closed-form Kraus laws
 (``_kraus_laws``), so no environment is truncated, and the averaged state
 splits into small blocks by photon difference and phase class, so no dense
-Fock matrix is built.  A region's four links are one batch (``link_mis``)
-with one exp for all their Kraus laws.  The dense Fock route
-(fock.psk_ensemble_mi) is the oracle the tests compare against.
+Fock matrix is built.  A region's four links are one batch (``link_mis``):
+float tail tests, one exp over the Kraus-law grid and an entropy unmasked when
+the spectrum is positive.  The dense Fock route (fock.psk_ensemble_mi) is the tests' oracle.
 """
 
 import math
@@ -120,34 +120,36 @@ def required_cutoff(n_mean: float, tail_tol: float) -> int:
 
 
 def _check_tmsv_cutoff(n_s: float, cutoff: int, tail_tol: float) -> None:
-    """Reject a cutoff that leaves the TMSV tail (n_s / (n_s + 1))^cutoff above ``tail_tol``."""
-    need = required_cutoff(n_s, tail_tol)
-    if cutoff < need:
-        raise TruncationError(
-            f"cutoff {cutoff} keeps TMSV tail above {tail_tol:g}; need d >= {need}",
-            required_cutoff=need,
-        )
+    """Reject a cutoff below ``required_cutoff(n_s, tail_tol)``, decided in float math for checked n_s and tail_tol."""
+    if n_s > 0.0 and math.log(tail_tol) / -math.log1p(1.0 / n_s) > cutoff:
+        need = required_cutoff(n_s, tail_tol)
+        msg = f"cutoff {cutoff} keeps TMSV tail above {tail_tol:g}; need d >= {need}"
+        raise TruncationError(msg, required_cutoff=need)
 
 
 def photon_distribution_thermal(n_mean, cutoff: int) -> np.ndarray:
-    """Geometric photon-number law (n/(n+1))^k / (n+1) for k < cutoff, one row per
-    mean of an array of means; a zero mean gives the vacuum row [1, 0, ...]
-    through 0^0 = 1."""
+    """Geometric photon-number law (n/(n+1))^k / (n+1) for k < cutoff, one row per mean of an
+    array of means; a zero mean gives the vacuum row [1, 0, ...] through 0^0 = 1."""
     n = np.asarray(n_mean, dtype=float)[..., None]
     # two ufunc reductions, which NaN fails, cost about as much as one elementwise sign check
     low, high = np.minimum.reduce(n, axis=None, initial=0.0), np.maximum.reduce(n, axis=None, initial=0.0)
     if not (low >= 0.0 and high < np.inf):
         raise DomainError(f"mean photon number must be {'finite' if low >= 0.0 else '>= 0'}, got {n_mean}")
-    n1 = n + 1.0
-    return (n / n1) ** np.arange(cutoff) / n1
+    return _geometric_law(n, cutoff)
+
+
+def _geometric_law(n: np.ndarray, cutoff: int) -> np.ndarray:
+    """``photon_distribution_thermal`` of checked means n on a trailing axis of length 1."""
+    return (n / (n1 := n + 1.0)) ** np.arange(cutoff) / n1
 
 
 def spectral_entropy(eigs: np.ndarray) -> float | np.ndarray:
     """Entropy -sum lambda ln lambda in nats of a density-matrix spectrum, or of each row of a stack."""
-    if eigs.min() < -1e-10:
-        raise PhysicalityError(f"density matrix has eigenvalue {eigs.min():.3e} < -1e-10")
-    # 0 ln 0 = 0, and a rounding below 0 counts as 0
-    entropy = -(eigs * np.log(eigs, out=np.zeros(eigs.shape), where=eigs > 0.0)).sum(axis=-1)
+    if (low := eigs.min()) < -1e-10:
+        raise PhysicalityError(f"density matrix has eigenvalue {low:.3e} < -1e-10")
+    # 0 ln 0 = 0, and a rounding below 0 counts as 0; a positive spectrum needs no mask
+    logs = np.log(eigs) if low > 0.0 else np.log(eigs, out=np.zeros(eigs.shape), where=eigs > 0.0)
+    entropy = -np.multiply(logs, eigs, out=logs).sum(axis=-1)
     return float(entropy) if entropy.ndim == 0 else entropy
 
 
@@ -171,15 +173,15 @@ BLOCK_BATCH = 1 << 20
 
 
 @lru_cache(maxsize=8)
-def _binomial_basis(size: int, d_in: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only rows [ln C(r, m), m, r - m, 1] over the m <= r of r < size, m < d_in,
-    and their flat indices r d_in + m; the m > r entries, whose laws are 0, are left out."""
+def _binomial_basis(size: int, d_in: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rows [ln C(r, m), m, r - m, 1] over r < size, m < d_in at flat index r d_in + m, 0 where m > r, and
+    ``rows`` rows of the 0/1 indicator of m <= r (a same-shape multiply takes about half a broadcast one's time)."""
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(size)])
-    live = np.flatnonzero(np.arange(size)[:, None] >= np.arange(d_in))
-    r, m = np.divmod(live, d_in)
-    basis = np.array([log_fact[r] - log_fact[m] - log_fact[r - m], m, r - m, np.ones(live.size)])
-    basis.flags.writeable = live.flags.writeable = False
-    return basis, live
+    r, m = np.divmod(np.arange(size * d_in), d_in)
+    lower = np.tile((m <= r).astype(float), (rows, 1))
+    basis = lower[0] * np.array([log_fact[r] - log_fact[m] - log_fact[r - m], m, r - m, np.ones(r.size)])
+    basis.flags.writeable = lower.flags.writeable = False
+    return basis, lower
 
 
 def _log(y: float) -> float:
@@ -205,18 +207,19 @@ def _kraus_laws(kappa, n_t, d_in: int, d_out: int) -> tuple[np.ndarray, np.ndarr
     coefficients [1, ln a, ln b, ln c], from math on its link's two floats,
     times one cached basis [ln C(r, m), m, r - m, 1] (``_binomial_basis``) and
     one exp give both laws of every link, the amplifier as its transpose.
-    Only the m <= r entries are exponentiated, so every exponent is finite;
-    the others stay 0.
+    The m > r entries have exponent 0, so every exponent is finite (an exp
+    of -inf is about four times slower), and the indicator of m <= r zeroes them.
     Arrays of B kappas and n_ts give laws stacked in front, (B, d, d).
     """
-    links = list(zip(np.ravel(kappa).tolist(), np.ravel(n_t).tolist()))
+    pairs = np.array((kappa, n_t), dtype=float)
+    links = list(zip(*pairs.reshape(2, -1).tolist()))
     rows = [(1.0, _log(kap / (1.0 + noise)), _log((1.0 + noise - kap) / (1.0 + noise)), 0.0) for kap, noise in links]
     rows += [(1.0, -math.log1p(noise), _log(noise / (1.0 + noise)), -math.log1p(noise)) for _, noise in links]
     size = max(d_in, d_out)
-    basis, live = _binomial_basis(size, d_in)
-    law = np.zeros((len(rows), size * d_in))
-    law[:, live] = np.exp(np.array(rows) @ basis)
-    law = law.reshape(2, *np.shape(kappa), size, d_in)
+    basis, lower = _binomial_basis(size, d_in, len(rows))
+    law = np.exp(np.array(rows) @ basis)
+    law *= lower
+    law = law.reshape(2, *pairs.shape[1:], size, d_in)
     return law[0, ..., :d_in, :], law[1, ..., :d_out, :].swapaxes(-1, -2)
 
 
@@ -244,17 +247,22 @@ def phase_averaged_spectra(effs, cutoff: int, psk_order, tail_tol=DEFAULT_TAIL_T
     """
     check_count("cutoff", cutoff, 1, MAX_CUTOFF)
     check_count("psk_order", psk_order)
-    for eff in effs:
+    check_real("tail_tol", tail_tol, 0, 1, "()")
+    for i, eff in enumerate(effs):
         _check_output_cutoff(eff, cutoff, tail_tol)
-        _check_tmsv_cutoff(eff.n_s, cutoff, tail_tol)
-    p_k = photon_distribution_thermal([eff.n_s for eff in effs], cutoff)
+        if i == 0 or eff.n_s != effs[i - 1].n_s:  # a region's links share one n_s and one TMSV test
+            _check_tmsv_cutoff(eff.n_s, cutoff, tail_tol)
+    means = [eff.n_s for eff in effs]  # a shared n_s gives one TMSV law row, broadcast over the links
+    p_k = _geometric_law(np.array([[n_s] for n_s in (means[:1] if len(set(means)) == 1 else means)]), cutoff)
     loss, amp = _kraus_laws([eff.kappa_eff for eff in effs], [eff.n_t_eff for eff in effs], cutoff, cutoff)
     # law[i, k, x] is the squared norm of row (x, k) of link i
-    law = p_k[:, :, None] * (loss @ amp)
+    law = loss @ amp
+    law *= p_k[:, :, None]
     deficits = 1.0 - law.sum(axis=(1, 2))
     period = min(psk_order // math.gcd(2, psk_order), cutoff)
     if period == cutoff:
         return law.reshape(len(effs), -1), deficits
+    p_k = np.broadcast_to(p_k, (len(effs), cutoff))
     x, k = np.divmod(np.arange(cutoff**2), cutoff)
     key = (x - k + cutoff - 1) * period + x % period
     order = np.argsort(key, kind="stable")
@@ -308,8 +316,7 @@ def link_mis(effs, numerics: RegionNumerics = RegionNumerics()) -> list:
 
 
 def continuous_phase_mi(eff: EffectiveChannel, numerics: RegionNumerics = RegionNumerics()) -> float:
-    """Mutual information of the uniformly phase-modulated link, in nats:
-    the one-link view of ``link_mis``."""
+    """Mutual information of the uniformly phase-modulated link, in nats: the one-link view of ``link_mis``."""
     return link_mis([eff], numerics)[0]
 
 

@@ -638,6 +638,25 @@ class TestPhaseAveragedSpectrum:
             assert abs(rg.spectral_entropy(eigs) - s_dense) <= 1e-12
             assert abs(deficit - tail_dense) <= 1e-12
 
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        kappa_eff=st.floats(0.0, 0.9),
+        n_env=st.floats(0.0, 2.0),
+        n_s=st.floats(0.0, 0.5),
+        cutoff=st.integers(1, 10),
+        blocks=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_dense_on_random_links(self, kappa_eff, n_env, n_s, cutoff, blocks, data):
+        # psk_order below 2 cutoff mostly takes the Gram blocks, from 2 cutoff on always the
+        # 1 x 1 spectrum; a loose tail budget lets every cutoff hold the TMSV and the output
+        psk_order = data.draw(st.integers(1, 2 * cutoff - 1) if blocks else st.integers(2 * cutoff, 4 * cutoff))
+        eff = ch.EffectiveChannel(kappa_eff, n_env * (1.0 - kappa_eff), n_s)
+        (eigs,), (deficit,) = rg.phase_averaged_spectra([eff], cutoff, psk_order, tail_tol=0.5)
+        s_dense, tail_dense = _dense_spectrum_entropy(eff, cutoff, psk_order, 0.5)
+        assert abs(rg.spectral_entropy(eigs) - s_dense) <= 1e-12
+        assert deficit >= 0.0 and abs(deficit - tail_dense) <= 1e-12
+
     @pytest.mark.parametrize("psk_order", [4, 6, 8, 64])
     def test_batch_matches_dense_psk_ensemble_mi(self, psk_order):
         # cutoff 14: L in {4, 6, 8} gives Gram blocks (L < 2d), L = 64 the 1 x 1 branch

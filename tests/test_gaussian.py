@@ -110,6 +110,18 @@ class TestSymplecticEigenvalues:
             )
 
 
+class TestModeCounts:
+    # a count past the top once reached np.eye or np.kron: "array is too big" or a vast allocation
+    @pytest.mark.parametrize("n_modes", [0, g.MAX_MODES + 1, 10**9, True, 2.0])
+    @pytest.mark.parametrize(
+        "build", [g.symplectic_form, g.vacuum_state, lambda n_modes: g.thermal_cov(0.1, n_modes)],
+        ids=["symplectic_form", "vacuum_state", "thermal_cov"],
+    )
+    def test_rejected_before_any_allocation(self, build, n_modes):
+        with pytest.raises(DomainError, match=rf"n_modes must be an integer in \[1, {g.MAX_MODES}\], got {n_modes}"):
+            build(n_modes)
+
+
 class TestEntropyFromCov:
     def test_vacuum_zero(self):
         assert g.entropy_from_cov(np.eye(2)) == 0.0

@@ -371,6 +371,18 @@ class TestWillieTv:
         with pytest.raises(DomainError, match=match):
             pl.willie_tv_leading(n, 0.1, 0.1, s, P_CANON)
 
+    def test_leading_names_n_and_s_when_their_statistic_overflows(self):
+        # sqrt(n) times the weighted power is inf, which q_func once reported as its own z
+        match = r"sqrt\(n\) \(alpha tau \+ beta \(1 - tau\)\) s / c must be finite, got inf"
+        with pytest.raises(DomainError, match=match):
+            pl.willie_tv_leading(1e300, 1.0, 1.0, 1e300, P_CANON)
+
+    def test_mc_rejects_samples_past_the_top_before_any_work(self):
+        # the check runs before the chunk list, whose length grows with samples
+        match = rf"samples must be an integer in \[1, {pl.MAX_SAMPLES}\], got {pl.MAX_SAMPLES + 1}"
+        with pytest.raises(DomainError, match=match):
+            pl.willie_tv_mc(100, 0.1, 0.1, 0.01, P_CANON, samples=pl.MAX_SAMPLES + 1, seed=1)
+
     @pytest.mark.parametrize("value", [math.nan, -0.1, 1.5])
     @pytest.mark.parametrize("field", ["alpha", "beta"])
     def test_leading_evaluators_reject_bad_fractions(self, field, value):
@@ -418,7 +430,7 @@ class TestWillieTv:
         ],
     )
     def test_mc_rejects_bad_counts(self, field, value):
-        bound = rf"in \[1, {2**63 - 1}\]" if field == "n" else ">= 1"
+        bound = {"n": rf"in \[1, {2**63 - 1}\]", "samples": rf"in \[1, {pl.MAX_SAMPLES}\]"}.get(field, ">= 1")
         kwargs = {"n": 100, "samples": 100, "workers": 1, field: value}
         with pytest.raises(DomainError, match=f"{field} must be an integer {bound}, got {value}"):
             pl.willie_tv_mc(alpha=0.1, beta=0.1, s=0.01, p=P_CANON, seed=1, **kwargs)
@@ -540,6 +552,12 @@ class TestSecondOrderRate:
     def test_zero_variance_gives_nd(self):
         stats = pl.RelEntStats(d=2e-6, v=0.0, r_order="test")
         assert pl.second_order_rate(100, stats, 0.3) == 100 * stats.d
+
+    def test_eps_whose_square_underflows_is_named(self):
+        # eps**2 = 0 once reached q_inv, which reported it as its own p
+        stats = pl.RelEntStats(d=2e-6, v=4e-6, r_order="test")
+        with pytest.raises(DomainError, match=r"eps\*\*2 must lie in \(0, 1\), got 0.0"):
+            pl.second_order_rate(100, stats, eps=5e-324)
 
     def test_worked_value(self):
         stats = pl.RelEntStats(d=8.3333e-9, v=1.6667e-8, r_order="test")

@@ -161,6 +161,55 @@ class TestLinkMis:
             rg.link_mis([EffectiveChannel(0.98, 1.2, 0.75)], numerics)
 
 
+class TestTailChecks:
+    """The pre-batch tail tests refuse exactly where required_cutoff says, with its message and value."""
+
+    @pytest.mark.parametrize(
+        "n_s, tail_tol",
+        [(1.0, 2.0**-10), (0.3, 1e-5), (0.05, 1e-8), (0.823, 1e-8), (2.0, 1e-3), (4.0, 1e-6), (1e-3, 0.5),
+         (0.1, 1e-12)],
+    )
+    def test_tmsv_tail(self, n_s, tail_tol):
+        # kappa_eff = n_t_eff = 0 leaves the output in vacuum, so only the TMSV tail is tested
+        need = rg.required_cutoff(n_s, tail_tol)
+        for cutoff in (need - 1, need):
+            if cutoff < 1:
+                continue
+            links = [EffectiveChannel(0.0, 0.0, n_s)] * 2
+            if cutoff == need:
+                rg.phase_averaged_spectra(links, cutoff, 64, tail_tol)
+                fk.tmsv_fock(n_s, cutoff, tail_tol)
+                continue
+            message = f"cutoff {cutoff} keeps TMSV tail above {tail_tol:g}; need d >= {need}"
+            with pytest.raises(TruncationError) as batch:
+                rg.phase_averaged_spectra(links, cutoff, 64, tail_tol)
+            with pytest.raises(TruncationError) as oracle:
+                fk.tmsv_fock(n_s, cutoff, tail_tol)
+            for refused in (batch, oracle):
+                assert str(refused.value) == message and refused.value.required_cutoff == need
+
+    @pytest.mark.parametrize(
+        "kappa_eff, n_t_eff, tail_tol",
+        [(0.5, 2.0, 1e-8), (0.9, 0.05, 1e-5), (0.2, 0.7, 1e-10), (0.98, 1.2, 1e-5), (0.0, 3.0, 1e-3)],
+    )
+    def test_output_tail(self, kappa_eff, n_t_eff, tail_tol):
+        # n_s = 1e-6 keeps the TMSV tail inside every cutoff; the output test allows a tail of 5 tail_tol
+        link = EffectiveChannel(kappa_eff, n_t_eff, 1e-6)
+        mean = kappa_eff * 1e-6 + n_t_eff
+        passes = next(d for d in range(1, rg.MAX_CUTOFF) if (mean / (mean + 1.0)) ** d <= 5.0 * tail_tol)
+        need = rg.required_cutoff(mean, tail_tol)
+        with pytest.raises(TruncationError) as refused:
+            rg.phase_averaged_spectra([link], passes - 1, 64, tail_tol)
+        message = f"cutoff {passes - 1} keeps the output tail (mean {mean:.6g}) above {tail_tol:g}; need d >= {need}"
+        assert str(refused.value) == message and refused.value.required_cutoff == need
+        rg.phase_averaged_spectra([link], passes, 64, tail_tol)
+
+    def test_output_tail_inside_the_window_reaches_the_batch(self):
+        # 4.55 tail_tol passes the output test; the deficit check after the batch refuses it
+        (_,), (deficit,) = rg.phase_averaged_spectra([EffectiveChannel(0.98, 1.2, 0.75)], 24, 64, 1e-5)
+        assert 4e-5 < deficit <= 5e-5
+
+
 class TestAgainstDenseOracle:
     """The region's four link MIs against the dense Fock route (fock.psk_ensemble_mi)."""
 
