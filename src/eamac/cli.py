@@ -43,9 +43,9 @@ SCHEMAS = {
     "region": {
         **_CHANNEL,
         "n_s": (float, REQUIRED),
-        "cutoff": (int, 24),
-        "psk_order": (int, 64),
-        "tail_tol": (float, 1e-8),
+        "cutoff": (int, rg.RegionNumerics.cutoff),
+        "psk_order": (int, rg.RegionNumerics.psk_order),
+        "tail_tol": (float, rg.RegionNumerics.tail_tol),
         "boundary_points": (int, 0),
     },
     "covert-rect": {**_CHANNEL, "s": (float, REQUIRED)},
@@ -172,15 +172,13 @@ def _boundary_polyline(reg, count: int) -> list:
         return chain
     lengths = [math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(chain[:-1], chain[1:])]
     total = sum(lengths)
-    if total == 0.0:
-        return [chain[0]]
     points = []
     for i in range(count):
         target = total * i / (count - 1) if count > 1 else 0.0
         acc = 0.0
         for (a, b), seg in zip(zip(chain[:-1], chain[1:]), lengths):
             if target <= acc + seg or (a, b) == (chain[-2], chain[-1]):
-                frac = 0.0 if seg == 0.0 else min(max((target - acc) / seg, 0.0), 1.0)
+                frac = min(max((target - acc) / seg, 0.0), 1.0)
                 points.append((a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1])))
                 break
             acc += seg

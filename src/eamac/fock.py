@@ -25,7 +25,8 @@ never imports this module.
 
 Truncation bookkeeping: each constructor takes a tail budget
 ``tail_tol`` and raises TruncationError (naming the required cutoff)
-when the cutoff cannot hold the state's tail within budget.  The
+when the cutoff cannot hold the state's tail within budget, through the
+product's own rule (``region._check_tail`` and ``region._check_deficit``).  The
 achieved tail of a state is always available as ``state.tail()``.
 """
 
@@ -149,7 +150,7 @@ def tmsv_fock(n_s: float, cutoff: int, tail_tol: float = rg.DEFAULT_TAIL_TOL) ->
     """Two-mode squeezed vacuum, amplitudes sqrt(n_s^k / (n_s+1)^(k+1)) on |k,k>."""
     check_real("n_s", n_s, 0)
     check_count("cutoff", cutoff)  # the law is built before the state checks it
-    rg._check_tmsv_cutoff(n_s, cutoff, check_real("tail_tol", tail_tol, 0, 1, "()"))
+    rg._check_tail("TMSV tail", n_s, cutoff, check_real("tail_tol", tail_tol, 0, 1, "()"))
     return FockVector(cutoff, 2, np.diag(np.sqrt(rg.photon_distribution_thermal(n_s, cutoff))))
 
 
@@ -265,11 +266,7 @@ def _env_cutoff_for(n_env: float, tail_tol: float, d_env) -> int:
         )
     if d_env is None:
         return need
-    if d_env < need:
-        raise TruncationError(
-            f"environment cutoff {d_env} keeps thermal tail above {tail_tol:g}; need {need}",
-            required_cutoff=need,
-        )
+    rg._check_tail("the environment tail (mean {mean:.6g})", n_env, d_env, tail_tol)
     return int(d_env)
 
 
@@ -439,13 +436,12 @@ def _psk_ensemble_mi_and_tail(eff, psk_order, cutoff, d_env, tail_tol) -> tuple[
     """
     check_count("psk_order", psk_order)
     check_count("cutoff", cutoff)
-    rg._check_output_cutoff(eff, cutoff, tail_tol)
+    check_real("tail_tol", tail_tol, 0, 1, "()")
+    # the product's output test (region.phase_averaged_spectra), before any Fock work
+    rg._check_tail("the output tail (mean {mean:.6g})", eff.kappa_eff * eff.n_s + eff.n_t_eff, cutoff, tail_tol, 5.0)
     rho0 = conditional_output_density(eff, cutoff, d_env=d_env, tail_tol=tail_tol)
     deficit = rho0.tail()
-    if deficit > 4.0 * tail_tol:
-        raise TruncationError(
-            f"output trace deficit {deficit:.3e} exceeds budget {4.0 * tail_tol:g}; raise the cutoff"
-        )
+    rg._check_deficit(deficit, tail_tol)
     if psk_order == 1:
         return 0.0, deficit
     s_cond = entropy_fock(rho0)

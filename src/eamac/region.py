@@ -11,7 +11,9 @@ loss is pure loss followed by an amplifier with closed-form Kraus laws
 splits into small blocks by photon difference and phase class, so no dense
 Fock matrix is built.  A region's four links are one batch (``link_mis``):
 float tail tests, one exp over the Kraus-law grid and an entropy unmasked when
-the spectrum is positive.  The dense Fock route (fock.psk_ensemble_mi) is the tests' oracle.
+the spectrum is positive.  The dense Fock route (fock.psk_ensemble_mi) is the tests' oracle,
+and both refuse a truncation by one rule: ``_check_tail`` for each cutoff's geometric
+tail and ``_check_deficit`` for the 4 tail_tol trace-deficit budget.
 """
 
 import math
@@ -112,19 +114,31 @@ def required_cutoff(n_mean: float, tail_tol: float) -> int:
     check_real("mean photon number", n_mean)
     if n_mean <= 0.0:
         return 1
-    # ln(n / (n + 1)) without rounding n / (n + 1) to 1 above n = 2^53
-    need = math.log(tail_tol) / -math.log1p(1.0 / n_mean)
+    need = _tail_length(n_mean, tail_tol)
     if need == math.inf:
         raise DomainError(f"mean photon number {n_mean} is too large for any cutoff")
     return max(1, math.ceil(need))
 
 
-def _check_tmsv_cutoff(n_s: float, cutoff: int, tail_tol: float) -> None:
-    """Reject a cutoff below ``required_cutoff(n_s, tail_tol)``, decided in float math for checked n_s and tail_tol."""
-    if n_s > 0.0 and math.log(tail_tol) / -math.log1p(1.0 / n_s) > cutoff:
-        need = required_cutoff(n_s, tail_tol)
-        msg = f"cutoff {cutoff} keeps TMSV tail above {tail_tol:g}; need d >= {need}"
+def _tail_length(n_mean: float, tol: float) -> float:
+    """Real d with (n/(n+1))^d = tol for n > 0, not rounding n / (n + 1) to 1 above n = 2^53."""
+    return math.log(tol) / -math.log1p(1.0 / n_mean)
+
+
+def _check_tail(what: str, mean: float, cutoff: int, tail_tol: float, allowance: float = 1.0) -> None:
+    """The one truncation rule, for the product and the oracle: reject, in float math on checked
+    arguments, a cutoff whose geometric tail (m/(m+1))^cutoff of mean m exceeds allowance tail_tol.
+    The error names ``required_cutoff(mean, tail_tol)`` and ``what``, formatted with the mean."""
+    if mean > 0.0 and _tail_length(mean, allowance * tail_tol) > cutoff:
+        need = required_cutoff(mean, tail_tol)
+        msg = f"cutoff {cutoff} keeps {what.format(mean=mean)} above {tail_tol:g}; need d >= {need}"
         raise TruncationError(msg, required_cutoff=need)
+
+
+def _check_deficit(deficit: float, tail_tol: float) -> None:
+    """Reject a state whose trace deficit exceeds its budget of 4 tail_tol."""
+    if deficit > 4.0 * tail_tol:
+        raise TruncationError(f"output trace deficit {deficit:.3e} exceeds budget {4.0 * tail_tol:g}; raise the cutoff")
 
 
 def photon_distribution_thermal(n_mean, cutoff: int) -> np.ndarray:
@@ -151,20 +165,6 @@ def spectral_entropy(eigs: np.ndarray) -> float | np.ndarray:
     logs = np.log(eigs) if low > 0.0 else np.log(eigs, out=np.zeros(eigs.shape), where=eigs > 0.0)
     entropy = -np.multiply(logs, eigs, out=logs).sum(axis=-1)
     return float(entropy) if entropy.ndim == 0 else entropy
-
-
-def _check_output_cutoff(eff: EffectiveChannel, cutoff: int, tail_tol: float) -> None:
-    """Reject, before any Fock work, a cutoff too small for the B output.
-
-    The B marginal is thermal with mean m = kappa_eff n_s + n_t_eff, so by
-    data processing the output trace deficit is at least
-    (m / (m + 1))^cutoff - tail_tol: beyond 5 tail_tol the 4 tail_tol
-    deficit check would fail after the full build."""
-    m = eff.kappa_eff * eff.n_s + eff.n_t_eff
-    if m > 0.0 and (m / (m + 1.0)) ** cutoff > 5.0 * tail_tol:
-        need = required_cutoff(m, tail_tol)
-        msg = f"cutoff {cutoff} keeps the output tail (mean {m:.6g}) above {tail_tol:g}; need d >= {need}"
-        raise TruncationError(msg, required_cutoff=need)
 
 
 # block-row entries built per batch of equal-size blocks; this bounds the
@@ -227,8 +227,8 @@ def phase_averaged_spectra(effs, cutoff: int, psk_order, tail_tol=DEFAULT_TAIL_T
     """Spectra and trace deficits of the PSK phase-averaged (B, idler) states of links.
 
     Row i of the ``(len(effs), cutoff**2)`` spectra and entry i of the
-    deficits belong to ``effs[i]``, whose output-cutoff and TMSV-tail checks
-    run in link order before any Fock work.  Each state is the oracle's
+    deficits belong to ``effs[i]``, whose output and TMSV tails meet
+    ``_check_tail`` in link order before any Fock work.  Each state is the oracle's
     fock.phase_average_fock(fock.conditional_output_density(eff, cutoff), psk_order),
     never built densely, and with no environment cutoff: the channel is
     pure loss then an amplifier (``_kraus_laws``), whose Kraus operators
@@ -249,9 +249,12 @@ def phase_averaged_spectra(effs, cutoff: int, psk_order, tail_tol=DEFAULT_TAIL_T
     check_count("psk_order", psk_order)
     check_real("tail_tol", tail_tol, 0, 1, "()")
     for i, eff in enumerate(effs):
-        _check_output_cutoff(eff, cutoff, tail_tol)
+        # the B marginal is thermal with mean kappa_eff n_s + n_t_eff, so by data processing the
+        # output trace deficit is at least its tail minus tail_tol: a tail beyond 5 tail_tol would
+        # fail the 4 tail_tol deficit check (``_check_deficit``) after the full build
+        _check_tail("the output tail (mean {mean:.6g})", eff.kappa_eff * eff.n_s + eff.n_t_eff, cutoff, tail_tol, 5.0)
         if i == 0 or eff.n_s != effs[i - 1].n_s:  # a region's links share one n_s and one TMSV test
-            _check_tmsv_cutoff(eff.n_s, cutoff, tail_tol)
+            _check_tail("TMSV tail", eff.n_s, cutoff, tail_tol)
     means = [eff.n_s for eff in effs]  # a shared n_s gives one TMSV law row, broadcast over the links
     p_k = _geometric_law(np.array([[n_s] for n_s in (means[:1] if len(set(means)) == 1 else means)]), cutoff)
     loss, amp = _kraus_laws([eff.kappa_eff for eff in effs], [eff.n_t_eff for eff in effs], cutoff, cutoff)
@@ -295,9 +298,9 @@ def link_mis(effs, numerics: RegionNumerics = RegionNumerics()) -> list:
     spectrum, minus the closed-form conditional entropy; equal to the dense
     Fock route to rounding once its environment tail is negligible.  Links
     with n_s = 0 or kappa_eff = 0 are 0.0 without any check; the others are
-    checked in link order, the cutoff rules before the batch and the
-    4 tail_tol deficit and the -1e-9 floor (above which values clamp to 0)
-    after it.
+    checked in link order, the output tail (allowed 5 tail_tol) and TMSV
+    tail by ``_check_tail`` before the batch, and ``_check_deficit`` and the
+    -1e-9 floor (above which values clamp to 0) after it.
     """
     live = [i for i, eff in enumerate(effs) if eff.n_s > 0.0 and eff.kappa_eff > 0.0]
     values = [0.0] * len(effs)
@@ -306,8 +309,7 @@ def link_mis(effs, numerics: RegionNumerics = RegionNumerics()) -> list:
     links = [effs[i] for i in live]
     spectra, deficits = phase_averaged_spectra(links, numerics.cutoff, numerics.psk_order, numerics.tail_tol)
     for i, deficit, entropy in zip(live, deficits.tolist(), spectral_entropy(spectra).tolist()):
-        if deficit > 4.0 * numerics.tail_tol:
-            raise TruncationError(f"output trace deficit {deficit:.3e} exceeds budget; raise the cutoff")
+        _check_deficit(deficit, numerics.tail_tol)
         value = entropy - conditional_entropy_term(effs[i])
         if value < -1e-9:
             raise TruncationError(f"mutual information {value:.3e} below -1e-9; numerics inconsistent")

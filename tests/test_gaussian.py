@@ -122,6 +122,33 @@ class TestModeCounts:
             build(n_modes)
 
 
+VACUUM = g.vacuum_state(1)
+TWO_MODES = g.GaussianState(np.zeros(4), np.diag([3.0, 3.0, 2.0, 2.0]))
+
+
+class TestShapeErrors:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: g.GaussianState(np.zeros(3), np.eye(2)), r"mean has length \(3,\), expected \(2,\)"),
+            (lambda: g.apply_gaussian_channel(VACUUM, np.eye(3), np.eye(2)), r"X must be 2m' x 2, got \(3, 3\)"),
+            (lambda: g.apply_gaussian_channel(VACUUM, np.eye(2), np.eye(4)), r"Y must be 2 x 2, got \(4, 4\)"),
+            (
+                lambda: g.schur_condition_heterodyne(TWO_MODES, [2], np.zeros(2)),
+                r"mode indices \[2\] out of range for 2 modes",
+            ),
+            (
+                lambda: g.schur_condition_heterodyne(TWO_MODES, [1], np.zeros(3)),
+                r"outcome has shape \(3,\), expected \(2,\)",
+            ),
+        ],
+        ids=["state_mean", "channel_x", "channel_y", "heterodyne_mode", "heterodyne_outcome"],
+    )
+    def test_names_the_mismatched_shape(self, call, message):
+        with pytest.raises(ShapeError, match=message):
+            call()
+
+
 class TestEntropyFromCov:
     def test_vacuum_zero(self):
         assert g.entropy_from_cov(np.eye(2)) == 0.0

@@ -1,6 +1,7 @@
 """Rate-region assembly, conditional entropy formula, covert rectangle."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -13,7 +14,7 @@ from eamac import fock as fk
 from eamac import gaussian as g
 from eamac import region as rg
 from eamac.channel import EffectiveChannel, MacParams, ModulationConfig, effective_cov, effective_params
-from eamac.errors import DomainError, EamacError, NumericalError, TruncationError
+from eamac.errors import DomainError, EamacError, NumericalError, PhysicalityError, TruncationError
 
 # unit-test numerics: small cutoff, budget matched to its tail size
 FAST = rg.RegionNumerics(cutoff=16, psk_order=64, tail_tol=1e-7)
@@ -210,6 +211,47 @@ class TestTailChecks:
         assert 4e-5 < deficit <= 5e-5
 
 
+class TestRefusalParity:
+    """The product (link_mis) and the oracle (fock.psk_ensemble_mi) refuse a link through one rule:
+    the same message and required_cutoff, at TestTailChecks's points."""
+
+    @staticmethod
+    def refusals(eff, cutoff, tail_tol):
+        with pytest.raises(TruncationError) as product:
+            rg.link_mis([eff], rg.RegionNumerics(cutoff=cutoff, psk_order=64, tail_tol=tail_tol))
+        with pytest.raises(TruncationError) as oracle:
+            fk.psk_ensemble_mi(eff, 64, cutoff, tail_tol=tail_tol)
+        return product.value, oracle.value
+
+    @pytest.mark.parametrize(
+        "n_s, tail_tol",
+        [(1.0, 2.0**-10), (0.3, 1e-5), (0.05, 1e-8), (0.823, 1e-8), (2.0, 1e-3), (4.0, 1e-6), (0.1, 1e-12)],
+    )
+    def test_tmsv_tail(self, n_s, tail_tol):
+        # kappa_eff = 0.5 with no noise halves the output mean, so the TMSV test refuses first
+        need = rg.required_cutoff(n_s, tail_tol)
+        product, oracle = self.refusals(EffectiveChannel(0.5, 0.0, n_s), need - 1, tail_tol)
+        assert str(product) == str(oracle) == f"cutoff {need - 1} keeps TMSV tail above {tail_tol:g}; need d >= {need}"
+        assert product.required_cutoff == oracle.required_cutoff == need
+
+    # link_mis gives kappa_eff = 0 a value of 0 unchecked, so TestTailChecks's (0.0, 3.0) point is left out
+    @pytest.mark.parametrize(
+        "kappa_eff, n_t_eff, tail_tol", [(0.5, 2.0, 1e-8), (0.9, 0.05, 1e-5), (0.2, 0.7, 1e-10), (0.98, 1.2, 1e-5)]
+    )
+    def test_output_tail(self, kappa_eff, n_t_eff, tail_tol):
+        mean = kappa_eff * 1e-6 + n_t_eff
+        passes = next(d for d in range(1, rg.MAX_CUTOFF) if (mean / (mean + 1.0)) ** d <= 5.0 * tail_tol)
+        product, oracle = self.refusals(EffectiveChannel(kappa_eff, n_t_eff, 1e-6), passes - 1, tail_tol)
+        assert str(product) == str(oracle) and str(product).startswith(f"cutoff {passes - 1} keeps the output tail")
+        assert product.required_cutoff == oracle.required_cutoff == rg.required_cutoff(mean, tail_tol)
+
+    def test_deficit(self):
+        # both tail tests pass; the product's deficit is 4.919e-4 and the oracle's 4.361e-4
+        product, oracle = self.refusals(EffectiveChannel(0.7, 1.5, 0.2), 16, 1e-4)
+        message = r"output trace deficit 4\.\d{3}e-04 exceeds budget 0\.0004; raise the cutoff"
+        assert re.fullmatch(message, str(product)) and re.fullmatch(message, str(oracle))
+
+
 class TestAgainstDenseOracle:
     """The region's four link MIs against the dense Fock route (fock.psk_ensemble_mi)."""
 
@@ -299,6 +341,31 @@ class TestRegenerateFixtures:
             assert fresh[name].keys() == rec.keys()
             for key, value in rec.items():
                 assert fresh[name][key] == pytest.approx(value, abs=rec["tolerance"]), (name, key)
+
+
+class TestSpectralEntropy:
+    @pytest.mark.parametrize("eigs", [[1.0, -1e-9], [[1.0, 0.0], [1.0 + 1e-9, -1e-9]]], ids=["spectrum", "stack"])
+    def test_eigenvalue_below_rounding_is_unphysical(self, eigs):
+        with pytest.raises(PhysicalityError, match=r"density matrix has eigenvalue -1\.000e-09 < -1e-10"):
+            rg.spectral_entropy(np.array(eigs))
+
+
+class TestLoadFixtures:
+    @pytest.mark.parametrize("version", [0, 2])
+    def test_other_version_is_refused(self, tmp_path, version):
+        path = tmp_path / "golden.txt"
+        path.write_text(f"version = {version}\n[record]\nvalue = 1.0\n")
+        with pytest.raises(ValueError, match=f"fixture file version {version} != {fixtures.VERSION}"):
+            fixtures.load_fixtures(path)
+
+    @pytest.mark.parametrize(
+        "text, value", [("24", 24), ("0.25", 0.25), ("1e-8", 1e-8), ("psk", "psk"), ("1.2.3", "1.2.3")]
+    )
+    def test_value_is_int_float_or_string(self, tmp_path, text, value):
+        path = tmp_path / "golden.txt"
+        path.write_text(f"version = {fixtures.VERSION}\n[record]\nkey = {text}\n")
+        parsed = fixtures.load_fixtures(path)["record"]["key"]
+        assert parsed == value and type(parsed) is type(value)
 
 
 class TestContinuousPhaseMi:
