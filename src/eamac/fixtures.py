@@ -62,7 +62,7 @@ def regenerate(path=None) -> dict:
 
     produced = 48
     tight = 1e-12
-    numerics = rg.RegionNumerics(cutoff=produced, psk_order=2 * produced, tail_tol=tight)
+    numerics = rg.RegionNumerics(cutoff=produced, psk_order=produced, tail_tol=tight)
     psk_mi, tail = fock._psk_ensemble_mi_and_tail(eff_unc, 64, produced, None, tight)
     records = {
         "psk_mi_unconditioned": {
@@ -100,19 +100,10 @@ def regenerate(path=None) -> dict:
         "tolerance": 5e-7,
     }
 
-    # entropy change due to the coherences psk_order 64 keeps at produced
-    s_avg = [
-        rg.spectral_entropy(rg.phase_averaged_spectra([eff_unc], produced, order, tight)[0][0])
-        for order in (64, 128)
-    ]
     lines = [
         "# Golden oracle records: parameters, working cutoff, provenance, value.",
         "# Regenerate with eamac.fixtures.regenerate(); values are computed at",
         "# produced_cutoff (double the working cutoff) with tail budget 1e-12.",
-        "# psk_mi_unconditioned uses psk_order 64 < 2 * produced_cutoff, so it",
-        "# keeps coherences with |x - y| = 32 that the working cutoff cannot hold.",
-        "# Its phase-averaged entropy minus the psk_order 128 one, from the",
-        f"# loss-then-amplifier Kraus-law spectrum at produced_cutoff: {s_avg[0] - s_avg[1]!r}.",
         f"version = {VERSION}",
     ]
     for name, rec in records.items():

@@ -161,14 +161,15 @@ def thermal_fock(n_mean: float, cutoff: int) -> FockDensity:
 
 
 def phase_rotate_fock(state, theta: float, mode: int = 0):
-    """Apply exp(i 2 theta n_hat) on one mode of a vector or density."""
+    """Apply exp(i theta n_hat) on one mode of a vector or density; theta is
+    the phase of ``channel.rotation_block(theta)``, one convention for both routes."""
     if not isinstance(state, (FockVector, FockDensity)):
         raise ShapeError(f"expected FockVector or FockDensity, got {type(state).__name__}")
     check_real("theta", theta)
     check_count("mode", mode, 0, state.modes - 1)
     if not theta:  # the identity; a real state stays real
         return state
-    phases = np.exp(2j * theta * np.arange(state.cutoff))
+    phases = np.exp(1j * theta * np.arange(state.cutoff))
     shape = [1] * state.modes
     shape[mode] = state.cutoff
     if isinstance(state, FockVector):
@@ -354,13 +355,13 @@ def entropy_fock(rho: FockDensity) -> float:
 
 def _pinch(rho: FockDensity, psk_order, mode: int) -> None:
     """Zero, in place, the coherences of ``rho`` on ``mode`` between photon
-    numbers n and m with 2 (n - m) != 0 (mod psk_order).  ``rho.matrix``
+    numbers n and m with n - m != 0 (mod psk_order).  ``rho.matrix``
     must be C-contiguous, as both callers build it, so that ``as_tensor``
     is a view of it."""
     check_count("psk_order", psk_order)
     check_count("mode", mode, 0, rho.modes - 1)
     n = np.arange(rho.cutoff)
-    keep = np.mod(2 * (n[:, None] - n), psk_order) == 0
+    keep = np.mod(n[:, None] - n, psk_order) == 0
     shape = [1] * (2 * rho.modes)
     shape[mode] = shape[rho.modes + mode] = rho.cutoff
     tensor = rho.as_tensor()
@@ -370,9 +371,9 @@ def _pinch(rho: FockDensity, psk_order, mode: int) -> None:
 def phase_average_fock(rho: FockDensity, psk_order, mode: int = 0) -> FockDensity:
     """Average ``rho`` over the PSK phase ensemble applied to one mode.
 
-    The constellation is theta_k = 2 pi k / L under exp(i 2 theta n_hat),
-    so a coherence between photon numbers n and m survives iff
-    2 (n - m) = 0 (mod L); an L of at least twice the cutoff keeps only
+    The constellation is the L phases theta_k = 2 pi k / L under
+    exp(i theta n_hat), so a coherence between photon numbers n and m
+    survives iff n - m = 0 (mod L); an L of at least the cutoff keeps only
     n = m, the continuous average.  This is a pinching, computed exactly
     on a copy of ``rho``.
     """

@@ -47,7 +47,7 @@ DEFAULT_TAIL_TOL = 1e-8
 # asking for more memory than the machine has.  At 512, which holds a TMSV
 # with n_s up to about 25 within the default tail budget, one link MI takes
 # about 1.2 s and 100 MB peak with psk_order 64, and 0.07 s with a
-# psk_order of at least twice the cutoff.
+# psk_order of at least the cutoff.
 MAX_CUTOFF = 512
 
 
@@ -55,8 +55,9 @@ MAX_CUTOFF = 512
 class RegionNumerics:
     """Fock-space settings for the mutual-information evaluations.
 
-    ``psk_order`` of at least twice the cutoff makes the discrete phase
-    average equal the continuous one on the truncated space.
+    ``psk_order`` is the number L >= 2 of PSK phases 2 pi k / L; an L of
+    at least the cutoff makes the discrete phase average equal the
+    continuous one on the truncated space.
     """
 
     cutoff: int = 24
@@ -65,7 +66,7 @@ class RegionNumerics:
 
     def __post_init__(self):
         check_count("cutoff", self.cutoff, 1, MAX_CUTOFF)
-        check_count("psk_order", self.psk_order)
+        check_count("psk_order", self.psk_order, 2)
         check_real("tail_tol", self.tail_tol, 0, 1, "()")
 
 
@@ -235,11 +236,10 @@ def phase_averaged_spectra(effs, cutoff: int, psk_order, tail_tol=DEFAULT_TAIL_T
     A_j remove and B_i add photons.  So |k, k> (signal, idler) reaches
     |x, k> through the pairs (i, j) with i - j = x - k, and entries of the
     output couple (x, k) and (y, l) only when x - k = y - l.  The phase
-    average keeps them only when 2 (x - y) = 0 (mod L), i.e. x = y modulo
-    L / gcd(2, L).  The state is therefore a direct sum of Gram blocks
-    V_B V_B^T, one per (x - k, x mod L / gcd(2, L)), with the row
-    V[(x, k), j] = sqrt(p_k) <x|B_i A_j|k>, i = x - k + j, indexed by the
-    j <= k < cutoff photons lost.  For L / gcd(2, L) >= cutoff every block
+    average keeps them only when x = y (mod L).  The state is therefore a
+    direct sum of Gram blocks V_B V_B^T, one per (x - k, x mod L), with the
+    row V[(x, k), j] = sqrt(p_k) <x|B_i A_j|k>, i = x - k + j, indexed by
+    the j <= k < cutoff photons lost.  For L >= cutoff every block
     is 1 x 1 and the spectrum is p_k P(x|k) with P = loss @ amp, one
     batched product for all links, and p_k the TMSV's geometric law.
     The trace deficit is 1 minus the summed block traces: the TMSV tail and
@@ -262,7 +262,7 @@ def phase_averaged_spectra(effs, cutoff: int, psk_order, tail_tol=DEFAULT_TAIL_T
     law = loss @ amp
     law *= p_k[:, :, None]
     deficits = 1.0 - law.sum(axis=(1, 2))
-    period = min(psk_order // math.gcd(2, psk_order), cutoff)
+    period = min(psk_order, cutoff)
     if period == cutoff:
         return law.reshape(len(effs), -1), deficits
     p_k = np.broadcast_to(p_k, (len(effs), cutoff))

@@ -66,13 +66,13 @@ class TestVectorPartialTrace:
 class TestPhaseRotate:
     def test_identity_angles(self):
         v = fk.FockVector(4, 1, np.array([0.5, 0.5, 0.5, 0.5], dtype=complex))
-        for theta in (0.0, math.pi):
+        for theta in (0.0, 2 * math.pi):
             out = fk.phase_rotate_fock(v, theta)
             np.testing.assert_allclose(out.amplitudes, v.amplitudes, atol=1e-12)
 
-    def test_half_pi_flips_single_photon(self):
+    def test_pi_flips_single_photon(self):
         v = fk.FockVector(3, 1, np.array([0.0, 1.0, 0.0], dtype=complex))
-        out = fk.phase_rotate_fock(v, math.pi / 2)
+        out = fk.phase_rotate_fock(v, math.pi)
         np.testing.assert_allclose(out.amplitudes[1], -1.0, atol=1e-12)
 
     def test_density_rotation_matches_vector_rotation(self):
@@ -648,9 +648,9 @@ class TestPhaseAveragedSpectrum:
         data=st.data(),
     )
     def test_matches_dense_on_random_links(self, kappa_eff, n_env, n_s, cutoff, blocks, data):
-        # psk_order below 2 cutoff mostly takes the Gram blocks, from 2 cutoff on always the
-        # 1 x 1 spectrum; a loose tail budget lets every cutoff hold the TMSV and the output
-        psk_order = data.draw(st.integers(1, 2 * cutoff - 1) if blocks else st.integers(2 * cutoff, 4 * cutoff))
+        # psk_order below the cutoff takes the Gram blocks (cutoff 1 has none), from the cutoff on
+        # the 1 x 1 spectrum; a loose tail budget lets every cutoff hold the TMSV and the output
+        psk_order = data.draw(st.integers(1, max(cutoff - 1, 1)) if blocks else st.integers(cutoff, 4 * cutoff))
         eff = ch.EffectiveChannel(kappa_eff, n_env * (1.0 - kappa_eff), n_s)
         (eigs,), (deficit,) = rg.phase_averaged_spectra([eff], cutoff, psk_order, tail_tol=0.5)
         s_dense, tail_dense = _dense_spectrum_entropy(eff, cutoff, psk_order, 0.5)
@@ -815,6 +815,14 @@ class TestMacJointFock:
         got_mean, got_cov = fk.moments_from_fock(state)
         np.testing.assert_allclose(got_mean, mean, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_cov, sym - np.outer(mean, mean), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("theta, phi", [(0.37, 1.1), (2.9, -0.8)])
+    def test_rotated_moments_match_rotated_joint_covariance(self, theta, phi):
+        # theta and phi are channel.rotation_block's phases in both routes
+        rotated = fk.mac_joint_fock(self.p, self.n_s, self.d, theta=theta, phi=phi, tail_tol=1e-6)
+        _, cov = fk.moments_from_fock(rotated)
+        ref = ch.bob_joint_cov(self.p, ch.ModulationConfig(n_s=self.n_s), theta, phi)
+        np.testing.assert_allclose(cov, ref, atol=5e-5)
 
     def test_signal_rotation_equals_idler_rotation(self):
         rotated = fk.mac_joint_fock(self.p, self.n_s, self.d, theta=0.37, phi=1.1, tail_tol=1e-6)

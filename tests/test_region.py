@@ -38,6 +38,7 @@ class TestRegionNumerics:
             ({"tail_tol": None}, "tail_tol"),
             ({"cutoff": True}, "cutoff"),  # once accepted as cutoff 1
             ({"psk_order": True}, "psk_order"),
+            ({"psk_order": 1}, "psk_order"),  # once an all-zero region
         ],
     )
     def test_rejects_out_of_domain(self, kwargs, key):
@@ -381,6 +382,14 @@ class TestContinuousPhaseMi:
         numerics = rg.RegionNumerics(cutoff=int(rec["cutoff"]), psk_order=64)
         assert rg.continuous_phase_mi(eff, numerics) == pytest.approx(rec["value"], abs=rec["tolerance"])
 
+    def test_eight_phases_reach_the_continuous_average(self):
+        # the canonical x link at cutoff 24: psk_order L is L phases, so 8 already
+        # matches the continuous average while 3 falls measurably short
+        eff = EffectiveChannel(0.25, 0.5, 0.1)
+        mi = {order: rg.link_mis([eff], rg.RegionNumerics(cutoff=24, psk_order=order))[0] for order in (3, 8, 24)}
+        assert abs(mi[8] - mi[24]) <= 1e-12
+        assert mi[24] - mi[3] > 1e-5
+
     def test_conditioning_never_hurts(self):
         p = MacParams(tau=0.6, kappa=0.5, n_b=0.8)
         m = ModulationConfig(n_s=0.15)
@@ -428,6 +437,14 @@ class TestAchievableRegion:
             bounds.append((reg.x_bound, reg.y_bound, reg.sum_bound))
         for a, b in zip(bounds, bounds[1:]):
             assert all(hi >= lo - 1e-12 for lo, hi in zip(a, b))
+
+    def test_monotone_in_psk_order(self):
+        # more phases never shrink the canonical region's x bound, up to rounding once they
+        # reach the continuous average
+        p, m = MacParams(tau=0.5, kappa=0.5, n_b=1.0), ModulationConfig(n_s=0.1)
+        bounds = [rg.achievable_region(p, m, rg.RegionNumerics(psk_order=order)).x_bound for order in range(2, 13)]
+        assert bounds[0] > 0.0
+        assert all(hi >= lo - 1e-15 for lo, hi in zip(bounds, bounds[1:])), bounds
 
     def test_noise_condition_violation_flags_but_computes(self):
         # low-noise channel: the convergence condition fails, values still come out
