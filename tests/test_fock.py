@@ -659,7 +659,7 @@ class TestPhaseAveragedSpectrum:
 
     @pytest.mark.parametrize("psk_order", [4, 6, 8, 64])
     def test_batch_matches_dense_psk_ensemble_mi(self, psk_order):
-        # cutoff 14: L in {4, 6, 8} gives Gram blocks (L < 2d), L = 64 the 1 x 1 branch
+        # cutoff 14: L in {4, 6, 8} gives Gram blocks (L < d), L = 64 the 1 x 1 branch
         links = _criterion7_links(7, 5) + [ch.EffectiveChannel(0.4, 0.3, 0.0), ch.EffectiveChannel(0.3, 0.0, 0.2)]
         spectra, deficits = rg.phase_averaged_spectra(links, 14, psk_order, tail_tol=1e-5)
         entropies = rg.spectral_entropy(spectra)
