@@ -15,7 +15,6 @@ willie_tv_mc measure classically.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -530,6 +529,8 @@ def willie_tv_mc(
                 total += float(f.sum())
                 total_sq += float(f @ f)
         return total, total_sq
+
+    from concurrent.futures import ThreadPoolExecutor  # loads logging too: about 7 ms that importing eamac.cli skips
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(run_chunk, zip(seeds, chunk_sizes)))

@@ -10,8 +10,9 @@ loss is pure loss followed by an amplifier with closed-form Kraus laws
 (``_kraus_laws``), so no environment is truncated, and the averaged state
 splits into small blocks by photon difference and phase class, so no dense
 Fock matrix is built.  A region's four links are one batch (``link_mis``):
-float tail tests, one exp over the Kraus-law grid and an entropy unmasked when
-the spectrum is positive.  The dense Fock route (fock.psk_ensemble_mi) is the tests' oracle,
+float tail tests, one exp over the Kraus-law grid (the loss rows carry the TMSV
+photon law in their exponents) and an entropy unmasked when the spectrum is
+positive.  The dense Fock route (fock.psk_ensemble_mi) is the tests' oracle,
 and both refuse a truncation by one rule: ``_check_tail`` for each cutoff's geometric
 tail and ``_check_deficit`` for the 4 tail_tol trace-deficit budget.
 """
@@ -150,11 +151,6 @@ def photon_distribution_thermal(n_mean, cutoff: int) -> np.ndarray:
     low, high = np.minimum.reduce(n, axis=None, initial=0.0), np.maximum.reduce(n, axis=None, initial=0.0)
     if not (low >= 0.0 and high < np.inf):
         raise DomainError(f"mean photon number must be {'finite' if low >= 0.0 else '>= 0'}, got {n_mean}")
-    return _geometric_law(n, cutoff)
-
-
-def _geometric_law(n: np.ndarray, cutoff: int) -> np.ndarray:
-    """``photon_distribution_thermal`` of checked means n on a trailing axis of length 1."""
     return (n / (n1 := n + 1.0)) ** np.arange(cutoff) / n1
 
 
@@ -191,7 +187,7 @@ def _log(y: float) -> float:
     return math.log(y) if y > 0.0 else -1e6
 
 
-def _kraus_laws(kappa, n_t, d_in: int, d_out: int) -> tuple[np.ndarray, np.ndarray]:
+def _kraus_laws(kappa, n_t, d_in: int, d_out: int, n_s=None) -> tuple[np.ndarray, np.ndarray]:
     """Photon-number laws of thermal loss as pure loss, then an amplifier.
 
     Thermal loss of transmissivity kappa and added noise n_t is pure loss
@@ -205,23 +201,30 @@ def _kraus_laws(kappa, n_t, d_in: int, d_out: int) -> tuple[np.ndarray, np.ndarr
     (i = x - m photons added) of Ivan, Sabapathy & Simon, PRA 84, 042311
     (2011), all nonnegative.  Both are C(r, m) c a^m b^(r - m) over r >= m,
     (a, b, c) = (eta, 1 - eta, 1) and (1/G, 1 - 1/G, 1/G): each law's
-    coefficients [1, ln a, ln b, ln c], from math on its link's two floats,
+    coefficients [1, ln a, ln b, ln c], from math on its link's floats,
     times one cached basis [ln C(r, m), m, r - m, 1] (``_binomial_basis``) and
     one exp give both laws of every link, the amplifier as its transpose.
+    Given the links' TMSV means n_s, ``loss[k, m]`` is weighted by the TMSV's
+    photon law p_k = (1 - q) q^k, q = n_s / (1 + n_s): as k = m + (k - m), that is
+    (a, b, c) = (eta q, (1 - eta) q, 1 - q) in the same exp.
     The m > r entries have exponent 0, so every exponent is finite (an exp
     of -inf is about four times slower), and the indicator of m <= r zeroes them.
-    Arrays of B kappas and n_ts give laws stacked in front, (B, d, d).
+    Arrays of B kappas, n_ts (and n_ss) give laws stacked in front, (B, d, d).
     """
-    pairs = np.array((kappa, n_t), dtype=float)
-    links = list(zip(*pairs.reshape(2, -1).tolist()))
-    rows = [(1.0, _log(kap / (1.0 + noise)), _log((1.0 + noise - kap) / (1.0 + noise)), 0.0) for kap, noise in links]
-    rows += [(1.0, -math.log1p(noise), _log(noise / (1.0 + noise)), -math.log1p(noise)) for _, noise in links]
+    columns = np.array((kappa, n_t) if n_s is None else (kappa, n_t, n_s), dtype=float)
+    kappas, noises, *means = columns.reshape(len(columns), -1).tolist()
+    weights = [(_log(n / (1.0 + n)), -math.log1p(n)) for n in means[0]] if means else [(0.0, 0.0)] * len(kappas)
+    coefficients = []
+    for kap, noise, (ln_q, ln_p) in zip(kappas, noises, weights):
+        gain, ln_g = 1.0 + noise, -math.log1p(noise)
+        coefficients += [1.0, _log(kap / gain) + ln_q, _log((gain - kap) / gain) + ln_q, ln_p]
+        coefficients += [1.0, ln_g, _log(noise / gain), ln_g]
     size = max(d_in, d_out)
-    basis, lower = _binomial_basis(size, d_in, len(rows))
-    law = np.exp(np.array(rows) @ basis)
+    basis, lower = _binomial_basis(size, d_in, 2 * len(kappas))
+    law = np.exp(np.array(coefficients, dtype=float).reshape(-1, 4) @ basis)
     law *= lower
-    law = law.reshape(2, *pairs.shape[1:], size, d_in)
-    return law[0, ..., :d_in, :], law[1, ..., :d_out, :].swapaxes(-1, -2)
+    law = law.reshape(*columns.shape[1:], 2, size, d_in)
+    return law[..., 0, :d_in, :], law[..., 1, :d_out, :].swapaxes(-1, -2)
 
 
 def phase_averaged_spectra(effs, cutoff: int, psk_order, tail_tol=DEFAULT_TAIL_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -239,9 +242,9 @@ def phase_averaged_spectra(effs, cutoff: int, psk_order, tail_tol=DEFAULT_TAIL_T
     average keeps them only when x = y (mod L).  The state is therefore a
     direct sum of Gram blocks V_B V_B^T, one per (x - k, x mod L), with the
     row V[(x, k), j] = sqrt(p_k) <x|B_i A_j|k>, i = x - k + j, indexed by
-    the j <= k < cutoff photons lost.  For L >= cutoff every block
-    is 1 x 1 and the spectrum is p_k P(x|k) with P = loss @ amp, one
-    batched product for all links, and p_k the TMSV's geometric law.
+    the j <= k < cutoff photons lost and p_k the TMSV's photon law, which
+    ``_kraus_laws`` folds into the loss law.  For L >= cutoff every block is
+    1 x 1 and the spectrum is p_k P(x|k) = (p loss) @ amp, one batched product.
     The trace deficit is 1 minus the summed block traces: the TMSV tail and
     the output levels x >= cutoff.
     """
@@ -255,17 +258,14 @@ def phase_averaged_spectra(effs, cutoff: int, psk_order, tail_tol=DEFAULT_TAIL_T
         _check_tail("the output tail (mean {mean:.6g})", eff.kappa_eff * eff.n_s + eff.n_t_eff, cutoff, tail_tol, 5.0)
         if i == 0 or eff.n_s != effs[i - 1].n_s:  # a region's links share one n_s and one TMSV test
             _check_tail("TMSV tail", eff.n_s, cutoff, tail_tol)
-    means = [eff.n_s for eff in effs]  # a shared n_s gives one TMSV law row, broadcast over the links
-    p_k = _geometric_law(np.array([[n_s] for n_s in (means[:1] if len(set(means)) == 1 else means)]), cutoff)
-    loss, amp = _kraus_laws([eff.kappa_eff for eff in effs], [eff.n_t_eff for eff in effs], cutoff, cutoff)
-    # law[i, k, x] is the squared norm of row (x, k) of link i
-    law = loss @ amp
-    law *= p_k[:, :, None]
-    deficits = 1.0 - law.sum(axis=(1, 2))
+    kappa, n_t, n_s = zip(*[(eff.kappa_eff, eff.n_t_eff, eff.n_s) for eff in effs])
+    loss, amp = _kraus_laws(kappa, n_t, cutoff, cutoff, n_s)
+    # law[i, (k, x)] is the squared norm of row (x, k) of link i
+    law = (loss @ amp).reshape(len(effs), -1)
+    deficits = 1.0 - law.sum(axis=-1)
     period = min(psk_order, cutoff)
     if period == cutoff:
-        return law.reshape(len(effs), -1), deficits
-    p_k = np.broadcast_to(p_k, (len(effs), cutoff))
+        return law, deficits
     x, k = np.divmod(np.arange(cutoff**2), cutoff)
     key = (x - k + cutoff - 1) * period + x % period
     order = np.argsort(key, kind="stable")
@@ -273,9 +273,9 @@ def phase_averaged_spectra(effs, cutoff: int, psk_order, tail_tol=DEFAULT_TAIL_T
     sizes = np.diff(np.append(starts, order.size))
     k, j = np.ogrid[:cutoff, :cutoff]
     spectra = []
-    for p_link, loss_link, amp_link in zip(p_k, loss, amp):
+    for loss_link, amp_link in zip(loss, amp):
         # row (x, k) is scale[k, j] sqrt(amp[k - j, x]) over the photons lost j <= k
-        scale = np.sqrt(p_link[:, None] * np.where(j <= k, loss_link[k, np.maximum(k - j, 0)], 0.0))
+        scale = np.sqrt(np.where(j <= k, loss_link[k, np.maximum(k - j, 0)], 0.0))
         # window[x, cutoff - 1 - k, j] = sqrt(amp[k - j, x]), zero for j > k
         padded = np.pad(np.sqrt(amp_link[::-1].T), ((0, 0), (0, cutoff - 1)))
         window = np.lib.stride_tricks.sliding_window_view(padded, cutoff, axis=1)
