@@ -500,3 +500,13 @@ def test_cli_loads_no_scipy(tmp_path):
     ])
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["[]", "[]"]
+
+
+def test_cli_import_loads_no_thread_pool():
+    # planner imports its thread pool where willie_tv_mc runs one; a fresh interpreter,
+    # since the test process has loaded both modules already
+    src_dir = str(Path(eamac.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, eamac.cli; print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["[]"]

@@ -657,6 +657,42 @@ class TestPhaseAveragedSpectrum:
         assert abs(rg.spectral_entropy(eigs) - s_dense) <= 1e-12
         assert deficit >= 0.0 and abs(deficit - tail_dense) <= 1e-12
 
+    @staticmethod
+    def unweighted_reference(effs, cutoff, psk_order):
+        """Each link's spectrum and deficit from its unweighted laws times the TMSV photon law,
+        the Gram blocks (x - k, x mod L) built entry by entry."""
+        period = min(psk_order, cutoff)
+        spectra, deficits = [], []
+        for eff in effs:
+            loss, amp = rg._kraus_laws(eff.kappa_eff, eff.n_t_eff, cutoff, cutoff)
+            p_k = rg.photon_distribution_thermal(eff.n_s, cutoff)
+            deficits.append(1.0 - (p_k[:, None] * (loss @ amp)).sum())
+            blocks = {}
+            for x, k in itertools.product(range(cutoff), repeat=2):
+                row = [math.sqrt(p_k[k] * loss[k, k - j] * amp[k - j, x]) for j in range(k + 1)]
+                blocks.setdefault((x - k, x % period), []).append(row + [0.0] * (cutoff - k - 1))
+            eigs = [np.linalg.eigvalsh(np.array(v) @ np.array(v).T) for v in blocks.values()]
+            spectra.append(np.sort(np.concatenate(eigs)))
+        return spectra, deficits
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        links=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 3.0), st.floats(0.0, 1.0)), min_size=1, max_size=3),
+        cutoff=st.integers(1, 9),
+        blocks=st.booleans(),
+        data=st.data(),
+    )
+    def test_both_branches_match_unweighted_laws(self, links, cutoff, blocks, data):
+        # psk_order below the cutoff takes the Gram blocks, from the cutoff on the 1 x 1 spectrum;
+        # tail_tol 0.5 lets cutoff 1 hold an n_s of 1, and the links of a batch may differ in n_s
+        psk_order = data.draw(st.integers(1, max(cutoff - 1, 1)) if blocks else st.integers(cutoff, 4 * cutoff))
+        effs = [ch.EffectiveChannel(*link) for link in links]
+        spectra, deficits = rg.phase_averaged_spectra(effs, cutoff, psk_order, tail_tol=0.5)
+        expected, expected_deficits = self.unweighted_reference(effs, cutoff, psk_order)
+        for row, want in zip(spectra, expected):
+            assert np.abs(np.sort(row) - want).max() <= 1e-14
+        assert np.abs(deficits - expected_deficits).max() <= 1e-14
+
     @pytest.mark.parametrize("psk_order", [4, 6, 8, 64])
     def test_batch_matches_dense_psk_ensemble_mi(self, psk_order):
         # cutoff 14: L in {4, 6, 8} gives Gram blocks (L < d), L = 64 the 1 x 1 branch
@@ -767,6 +803,32 @@ class TestKrausLaws:
         direct_amp = [[law(x, m, gain ** -(m + 1), 1.0 - 1.0 / gain) for x in range(d_out)] for m in range(d_in)]
         assert np.abs(loss - direct_loss).max() <= 1e-13
         assert np.abs(amp - direct_amp).max() <= 1e-13
+
+    @staticmethod
+    def assert_weight_is_the_photon_law(kappa, n_t, n_s, d=24):
+        weighted, amp_weighted = rg._kraus_laws(kappa, n_t, d, d, n_s)
+        loss, amp = rg._kraus_laws(kappa, n_t, d, d)
+        expected = rg.photon_distribution_thermal(n_s, d)[:, None] * loss
+        assert np.isfinite(weighted).all() and (weighted >= 0.0).all()
+        np.testing.assert_array_equal(weighted > 0.0, expected > 0.0)
+        # 1e-15 relative on entries near 1; an exp's rounding grows with its exponent, -ln(entry)
+        nonzero = expected > 0.0
+        error = np.abs(weighted - expected)[nonzero] / expected[nonzero]
+        assert (error <= 1e-15 * (1.0 - np.log(expected[nonzero]))).all()
+        np.testing.assert_array_equal(amp_weighted, amp)
+
+    def test_tmsv_weight_is_the_photon_law_on_seeded_links(self):
+        for eff in _criterion7_links(27, 12):
+            self.assert_weight_is_the_photon_law(eff.kappa_eff, eff.n_t_eff, eff.n_s)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "kappa, n_t, n_s",
+        [(1.0, 0.0, 0.2), (0.4, 0.0, 0.2), (0.4, 0.3, 1e-12), (0.4, 0.3, 20.0)],
+        ids=["eta=1", "n_t=0", "n_s=1e-12", "n_s=20"],
+    )
+    def test_tmsv_weight_is_the_photon_law_at_edges(self, kappa, n_t, n_s):
+        self.assert_weight_is_the_photon_law(kappa, n_t, n_s)
 
     def test_kappa_one_keeps_the_noise(self):
         # the noise at kappa_eff = 1 is an amplifier after no loss, continuous with kappa_eff < 1
