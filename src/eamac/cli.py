@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__, planner, region as rg
 from .channel import MacParams, ModulationConfig
-from .errors import ConfigError, DomainError, EamacError, InfeasibleError, ShapeError
+from .errors import ConfigError, DomainError, EamacError, InfeasibleError, ShapeError, check_real
 
 LN2 = math.log(2.0)
 REQUIRED = object()
@@ -241,10 +241,10 @@ def cmd_covert_rect(config, args) -> tuple:
 def cmd_budget(config, args) -> tuple:
     p = _mac_params(config)
     missing = [k for k in ("alpha", "beta", "s") if config[k] is None]
+    if 0 < len(missing) < 3:
+        raise ConfigError(f"budget needs all of alpha, beta, s or none; missing {', '.join(missing)}")
     if missing:
         fields = [("budget", planner.covert_budget(config["n"], config["delta"], p))]
-        if len(missing) < 3:
-            raise ConfigError(f"budget needs all of alpha, beta, s or none; missing {', '.join(missing)}")
     else:
         power, budget, feasible = planner.covert_feasibility(
             config["n"], config["alpha"], config["beta"], config["s"], p, config["delta"]
@@ -290,6 +290,8 @@ def cmd_sweep(config, args) -> tuple:
         raise ConfigError(f"vary must be one of {SWEEP_KEYS}, got {config['vary']!r}")
     if not 1 <= config["count"] <= MAX_POINTS:
         raise ConfigError(f"count must lie in [1, {MAX_POINTS}], got {config['count']}")
+    for name in ("mu_bar", "epsilon"):  # build_plan's rule, checked even where no row is feasible
+        check_real(name, config[name], 0, 1, "()")
     count = config["count"]
     step = (config["stop"] - config["start"]) / (count - 1) if count > 1 else 0.0
     if not math.isfinite(step):

@@ -47,12 +47,6 @@ def load_fixtures(path=None) -> dict:
     return records
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def regenerate(path=None) -> dict:
     """Recompute all golden records at doubled cutoff and write the file."""
     eff_unc = EffectiveChannel(0.25, 0.525, 0.1)
@@ -63,7 +57,6 @@ def regenerate(path=None) -> dict:
     produced = 48
     tight = 1e-12
     numerics = rg.RegionNumerics(cutoff=produced, psk_order=produced, tail_tol=tight)
-    psk_mi, tail = fock._psk_ensemble_mi_and_tail(eff_unc, 64, produced, None, tight)
     records = {
         "psk_mi_unconditioned": {
             "kappa_eff": eff_unc.kappa_eff,
@@ -72,8 +65,8 @@ def regenerate(path=None) -> dict:
             "psk_order": 64,
             "cutoff": 24,
             "produced_cutoff": produced,
-            "tail": tail,
-            "value": psk_mi,
+            "tail": fock.conditional_output_density(eff_unc, produced, tail_tol=tight).tail(),
+            "value": fock.psk_ensemble_mi(eff_unc, 64, produced, tail_tol=tight),
             "tolerance": 5e-7,
         },
         "continuous_mi_conditioned": {
@@ -110,7 +103,7 @@ def regenerate(path=None) -> dict:
         lines.append("")
         lines.append(f"[{name}]")
         for key, value in rec.items():
-            lines.append(f"{key} = {_fmt(value)}")
+            lines.append(f"{key} = {value}")
     target = Path(path) if path else _data_path()
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text("\n".join(lines) + "\n")

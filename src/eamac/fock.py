@@ -149,14 +149,14 @@ class FockDensity:
 def tmsv_fock(n_s: float, cutoff: int, tail_tol: float = rg.DEFAULT_TAIL_TOL) -> FockVector:
     """Two-mode squeezed vacuum, amplitudes sqrt(n_s^k / (n_s+1)^(k+1)) on |k,k>."""
     check_real("n_s", n_s, 0)
-    check_count("cutoff", cutoff)  # the law is built before the state checks it
+    check_count("cutoff", cutoff)  # the tail test reads it first
     rg._check_tail("TMSV tail", n_s, cutoff, check_real("tail_tol", tail_tol, 0, 1, "()"))
     return FockVector(cutoff, 2, np.diag(np.sqrt(rg.photon_distribution_thermal(n_s, cutoff))))
 
 
 def thermal_fock(n_mean: float, cutoff: int) -> FockDensity:
     """Single-mode thermal state, diagonal geometric distribution."""
-    check_count("cutoff", cutoff)  # the law is built before the state checks it
+    check_count("cutoff", cutoff)  # the states' rule and message; the law adds its table cap
     return FockDensity(cutoff, 1, np.diag(rg.photon_distribution_thermal(n_mean, cutoff)))
 
 
@@ -424,16 +424,9 @@ def psk_ensemble_mi(
     Entropy of the phase-averaged (B, idler) state minus the entropy of a
     single conditional state.  Thermal loss is phase covariant, so the
     modulation commutes past the channel and a single channel application
-    plus an exact pinching reproduces the full ensemble.
-    """
-    return _psk_ensemble_mi_and_tail(eff, psk_order, cutoff, d_env, tail_tol)[0]
-
-
-def _psk_ensemble_mi_and_tail(eff, psk_order, cutoff, d_env, tail_tol) -> tuple[float, float]:
-    """``psk_ensemble_mi`` and the trace deficit of its conditional state, from one build of that state.
-
-    One density is held: once the conditional state's entropy is taken,
-    that same matrix, private to this call, is pinched in place.
+    plus an exact pinching reproduces the full ensemble.  One density is
+    held: once the conditional state's entropy is taken, that same matrix,
+    private to this call, is pinched in place.
     """
     check_count("psk_order", psk_order)
     check_count("cutoff", cutoff)
@@ -441,13 +434,10 @@ def _psk_ensemble_mi_and_tail(eff, psk_order, cutoff, d_env, tail_tol) -> tuple[
     # the product's output test (region.phase_averaged_spectra), before any Fock work
     rg._check_tail("the output tail (mean {mean:.6g})", eff.kappa_eff * eff.n_s + eff.n_t_eff, cutoff, tail_tol, 5.0)
     rho0 = conditional_output_density(eff, cutoff, d_env=d_env, tail_tol=tail_tol)
-    deficit = rho0.tail()
-    rg._check_deficit(deficit, tail_tol)
-    if psk_order == 1:
-        return 0.0, deficit
+    rg._check_deficit(rho0.tail(), tail_tol)
     s_cond = entropy_fock(rho0)
     _pinch(rho0, psk_order, mode=0)
-    return entropy_fock(rho0) - s_cond, deficit
+    return entropy_fock(rho0) - s_cond
 
 
 def mac_joint_fock(

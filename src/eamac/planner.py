@@ -23,7 +23,7 @@ import numpy as np
 from .channel import MacParams
 from .errors import ConfigError, DomainError, InfeasibleError, check_choice, check_count, check_real
 from .gaussian import _g
-from .region import _low_photon_coefficients, photon_distribution_thermal, required_cutoff
+from .region import _MAX_LAW_LEVELS, _low_photon_coefficients, photon_distribution_thermal, required_cutoff
 
 __all__ = [
     "q_func",
@@ -361,8 +361,6 @@ class RelEntStats:
 
 
 _MARGINALS = ("joint", "x", "y")
-# most photon levels of a slot law table, about 32 MB for its four laws
-_MAX_LAW_LEVELS = 1 << 20
 
 
 def relent_leading(p: MacParams, alpha: float, beta: float, s: float, receiver: str, marginal: str) -> RelEntStats:
@@ -493,6 +491,7 @@ def willie_tv_mc(
     """
     if seed is None:
         raise ConfigError("willie_tv_mc requires an explicit seed for reproducibility")
+    check_count("seed", seed, 0)
     check_count("n", n, 1, 2**63 - 1)  # multinomial draws int64 counts
     check_count("samples", samples, 1, MAX_SAMPLES)
     check_count("workers", workers)

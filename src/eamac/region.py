@@ -143,9 +143,14 @@ def _check_deficit(deficit: float, tail_tol: float) -> None:
         raise TruncationError(f"output trace deficit {deficit:.3e} exceeds budget {4.0 * tail_tol:g}; raise the cutoff")
 
 
+# most photon levels of a photon-number law, about 32 MB for a table of four laws
+_MAX_LAW_LEVELS = 1 << 20
+
+
 def photon_distribution_thermal(n_mean, cutoff: int) -> np.ndarray:
     """Geometric photon-number law (n/(n+1))^k / (n+1) for k < cutoff, one row per mean of an
     array of means; a zero mean gives the vacuum row [1, 0, ...] through 0^0 = 1."""
+    check_count("cutoff", cutoff, 1, _MAX_LAW_LEVELS)
     n = np.asarray(n_mean, dtype=float)[..., None]
     # two ufunc reductions, which NaN fails, cost about as much as one elementwise sign check
     low, high = np.minimum.reduce(n, axis=None, initial=0.0), np.maximum.reduce(n, axis=None, initial=0.0)
@@ -156,7 +161,8 @@ def photon_distribution_thermal(n_mean, cutoff: int) -> np.ndarray:
 
 def spectral_entropy(eigs: np.ndarray) -> float | np.ndarray:
     """Entropy -sum lambda ln lambda in nats of a density-matrix spectrum, or of each row of a stack."""
-    if (low := eigs.min()) < -1e-10:
+    # NaN fails the test, and an empty spectrum passes it with entropy 0
+    if not (low := eigs.min(initial=np.inf)) >= -1e-10:
         raise PhysicalityError(f"density matrix has eigenvalue {low:.3e} < -1e-10")
     # 0 ln 0 = 0, and a rounding below 0 counts as 0; a positive spectrum needs no mask
     logs = np.log(eigs) if low > 0.0 else np.log(eigs, out=np.zeros(eigs.shape), where=eigs > 0.0)
@@ -251,6 +257,8 @@ def phase_averaged_spectra(effs, cutoff: int, psk_order, tail_tol=DEFAULT_TAIL_T
     check_count("cutoff", cutoff, 1, MAX_CUTOFF)
     check_count("psk_order", psk_order)
     check_real("tail_tol", tail_tol, 0, 1, "()")
+    if not effs:
+        return np.zeros((0, cutoff**2)), np.zeros(0)
     for i, eff in enumerate(effs):
         # the B marginal is thermal with mean kappa_eff n_s + n_t_eff, so by data processing the
         # output trace deficit is at least its tail minus tail_tol: a tail beyond 5 tail_tol would

@@ -229,6 +229,21 @@ class TestPlannerInputDomain:
         err = capsys.readouterr().err
         assert all(k in err.split("missing")[1] for k in ("alpha", "beta", "s") if k not in given)
 
+    def test_budget_all_or_none_rule_comes_before_the_budget(self, tmp_path, capsys):
+        # n = 0 fails the budget, which was computed before the rule was checked
+        cfg = write_config(tmp_path / "c.cfg", tau=0.5, kappa=0.5, n_b=1.0, n=0, delta=0.1, alpha=0.1)
+        assert run(["budget", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "config error: budget needs all of alpha, beta, s or none; missing beta, s\n"
+
+    @pytest.mark.parametrize("key, value", [("mu_bar", 5.0), ("epsilon", 7.0), ("mu_bar", 0.0), ("epsilon", 1.0)])
+    def test_all_infeasible_sweep_checks_plan_parameters(self, tmp_path, capsys, key, value):
+        # every row of s in [0.4, 0.5] is infeasible, so no row reaches build_plan's check
+        cfg = write_config(tmp_path / "c.cfg", **{**PLANNER_BASES["sweep"], "start": 0.4, "stop": 0.5, key: value})
+        assert run(["sweep", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {key} must lie in (0, 1), got {value}\n"
+
 
 class TestBudgetAndPlan:
     def test_budget_zero_delta(self, tmp_path):

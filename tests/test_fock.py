@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -269,6 +270,15 @@ class TestThermalLaw:
         # a NaN mean once passed the sign check and gave the vacuum law
         with pytest.raises(DomainError, match="mean photon number must be >= 0, got nan"):
             rg.photon_distribution_thermal(math.nan, 8)
+
+    @pytest.mark.parametrize("cutoff", [2.5, -1, 0, True, "8", (1 << 20) + 1])
+    def test_cutoff_is_a_count_up_to_the_law_table_cap(self, cutoff):
+        # 2.5 once gave three levels and -1 an empty law
+        message = re.escape(f"cutoff must be an integer in [1, 1048576], got {cutoff}")
+        with pytest.raises(DomainError, match=message):
+            rg.photon_distribution_thermal(0.5, cutoff)
+        with pytest.raises(DomainError, match="cutoff must be an integer"):
+            fk.thermal_fock(0.5, cutoff)
 
 
 class TestNonFiniteInputs:

@@ -633,7 +633,7 @@ NAMES = {
     "receiver": st.sampled_from(["bob", "willie", "eve", None]),
     "marginal": st.sampled_from(["joint", "x", "y", "xy"]),
     "direction": st.sampled_from(["lower", "upper", "both"]),
-    "seed": st.just(7),
+    "seed": st.sampled_from([7, -1, 2.5, True, "7"]),
 }
 
 

@@ -65,6 +65,16 @@ class TestPhaseAveragedSpectraArguments:
         with pytest.raises(DomainError, match=f"{key} must be an integer"):
             rg.phase_averaged_spectra(self.LINKS, cutoff, psk_order)
 
+    @pytest.mark.parametrize("psk_order", [24, 8], ids=["continuous", "finite-psk"])
+    def test_empty_batch_gives_empty_arrays(self, psk_order):
+        # once a bare ValueError on both branches
+        spectra, deficits = rg.phase_averaged_spectra([], 24, psk_order)
+        assert spectra.shape == (0, 576) and deficits.shape == (0,)
+
+    def test_empty_batch_still_checks_its_arguments(self):
+        with pytest.raises(DomainError, match="psk_order must be an integer"):
+            rg.phase_averaged_spectra([], 24, 0)
+
 
 def _region_links(p, n_s):
     """The four links of a region, in achievable_region's order."""
@@ -294,6 +304,39 @@ def test_region_is_finite_or_raises_eamac_error(tau, kappa, n_b, n_s):
     assert all(math.isfinite(v) for v in bounds)
 
 
+# links over the criterion-7 ranges, with n_s log-uniform in [1e-4, 10^-0.5]
+CEILING_LINKS = st.builds(
+    EffectiveChannel,
+    kappa_eff=st.floats(0.0, 1.0),
+    n_t_eff=st.floats(0.0, 1.2),
+    n_s=st.floats(-4.0, -0.5).map(lambda e: 10.0**e),
+)
+
+
+@pytest.mark.parametrize("psk_order", [64, 8], ids=["continuous", "finite-psk"])
+def test_link_mi_is_below_the_entanglement_assisted_capacity(psk_order):
+    # C_E = g(n_s) + g(kappa_eff n_s + n_t_eff) - S(conditional) of thermal loss at input n_s
+    # (Holevo & Werner, PRA 63, 032312 (2001)) bounds every phase-modulated link's MI, since
+    # S(averaged) <= S(B) + S(idler) by subadditivity; no cutoff enters the ceiling
+    numerics = rg.RegionNumerics(cutoff=24, psk_order=psk_order, tail_tol=1e-5)
+    checked = []
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(eff=CEILING_LINKS)
+    def below_capacity(eff):
+        try:
+            (mi,) = rg.link_mis([eff], numerics)
+        except TruncationError:  # a near-decoupled link the -1e-9 floor refuses (ROADMAP item 7b)
+            return
+        output = eff.kappa_eff * eff.n_s + eff.n_t_eff
+        capacity = g.g_entropy(eff.n_s) + g.g_entropy(output) - rg.conditional_entropy_term(eff)
+        assert mi <= capacity + 1e-12, (eff, mi - capacity)
+        checked.append(mi - capacity)
+
+    below_capacity()
+    assert len(checked) >= 250
+
+
 class TestConditionalEntropyTerm:
     def test_no_signal_reduces_to_background(self):
         eff = EffectiveChannel(0.25, 0.525, 0.0)
@@ -349,6 +392,16 @@ class TestSpectralEntropy:
     def test_eigenvalue_below_rounding_is_unphysical(self, eigs):
         with pytest.raises(PhysicalityError, match=r"density matrix has eigenvalue -1\.000e-09 < -1e-10"):
             rg.spectral_entropy(np.array(eigs))
+
+    @pytest.mark.parametrize("eigs", [[0.5, math.nan], [[1.0, 0.0], [math.nan, 1.0]]], ids=["spectrum", "stack"])
+    def test_nan_eigenvalue_is_unphysical(self, eigs):
+        # once a NaN entropy
+        with pytest.raises(PhysicalityError, match="density matrix has eigenvalue nan"):
+            rg.spectral_entropy(np.array(eigs))
+
+    def test_empty_spectrum_has_zero_entropy(self):
+        # once a bare ValueError
+        assert rg.spectral_entropy(np.zeros(0)) == 0.0
 
 
 class TestLoadFixtures:
