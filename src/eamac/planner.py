@@ -23,7 +23,7 @@ import numpy as np
 from .channel import MacParams
 from .errors import ConfigError, DomainError, InfeasibleError, check_choice, check_count, check_real
 from .gaussian import _g
-from .region import _MAX_LAW_LEVELS, _low_photon_coefficients, photon_distribution_thermal, required_cutoff
+from .region import _low_photon_coefficients, photon_distribution_thermal, required_cutoff
 
 __all__ = [
     "q_func",
@@ -401,7 +401,6 @@ def slot_laws(p: MacParams, alpha: float, beta: float, s: float, receiver: str):
     x, y = np.ogrid[:2, :2]
     means = background + kappa_r * (p.tau * s * x + (1.0 - p.tau) * s * y)
     cutoff = max(required_cutoff(background + kappa_r * s, 1e-18) + 16, 32)
-    check_count("slot law cutoff", cutoff, 32, _MAX_LAW_LEVELS)
     return weights, photon_distribution_thermal(means, cutoff)
 
 

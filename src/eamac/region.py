@@ -73,16 +73,44 @@ class RegionNumerics:
 
 @dataclass(frozen=True)
 class RateRegion:
-    """Polygon of achievable rate pairs in nats per channel use."""
+    """Achievable rate pairs x <= x_bound, y <= y_bound, x + y <= sum_bound in nats per channel use."""
 
     x_bound: float
     y_bound: float
     sum_bound: float
     sum_branch: str
-    sum_active: bool
-    vertices: list
     validity: dict = field(default_factory=dict)
     sum_candidates: tuple = ()
+
+    @property
+    def sum_active(self) -> bool:
+        """Whether the sum bound cuts the rectangle of the two per-sender bounds."""
+        return self.sum_bound < self.x_bound + self.y_bound
+
+    @property
+    def vertices(self) -> list:
+        """Counterclockwise vertices of the three-constraint polygon."""
+        x_cap = min(self.x_bound, self.sum_bound)
+        y_cap = min(self.y_bound, self.sum_bound)
+        if x_cap + y_cap <= self.sum_bound:
+            raw = [(0.0, 0.0), (x_cap, 0.0), (x_cap, y_cap), (0.0, y_cap)]
+        else:
+            raw = [
+                (0.0, 0.0),
+                (x_cap, 0.0),
+                (x_cap, self.sum_bound - x_cap),
+                (self.sum_bound - y_cap, y_cap),
+                (0.0, y_cap),
+            ]
+        scale = max(self.x_bound, self.y_bound, 1e-30)
+        vertices = []
+        for vx, vy in raw:
+            if vertices and abs(vx - vertices[-1][0]) <= 1e-12 * scale and abs(vy - vertices[-1][1]) <= 1e-12 * scale:
+                continue
+            vertices.append((float(vx), float(vy)))
+        while len(vertices) > 1 and vertices[0] == vertices[-1]:
+            vertices.pop()
+        return vertices
 
     def constraints(self):
         return [
@@ -312,8 +340,6 @@ def link_mis(effs, numerics: RegionNumerics = RegionNumerics()) -> list:
     """
     live = [i for i, eff in enumerate(effs) if eff.n_s > 0.0 and eff.kappa_eff > 0.0]
     values = [0.0] * len(effs)
-    if not live:
-        return values
     links = [effs[i] for i in live]
     spectra, deficits = phase_averaged_spectra(links, numerics.cutoff, numerics.psk_order, numerics.tail_tol)
     for i, deficit, entropy in zip(live, deficits.tolist(), spectral_entropy(spectra).tolist()):
@@ -350,7 +376,6 @@ def achievable_region(p: MacParams, m: ModulationConfig, numerics: RegionNumeric
     if not (sum_bound >= order_x_first - 1e-15 and sum_bound >= order_y_first - 1e-15):
         raise NumericalError(f"sum bound {sum_bound!r} below a decoding order {(order_x_first, order_y_first)}")
 
-    vertices = _assemble_vertices(mi_x_cond, mi_y_cond, sum_bound)
     names = ("x_conditioned", "y_conditioned", "x_unconditioned", "y_unconditioned")
     validity = {name: noise_condition_ok(eff) for name, eff in zip(names, effs)}
     return RateRegion(
@@ -358,36 +383,9 @@ def achievable_region(p: MacParams, m: ModulationConfig, numerics: RegionNumeric
         y_bound=mi_y_cond,
         sum_bound=sum_bound,
         sum_branch=branch,
-        sum_active=sum_bound < mi_x_cond + mi_y_cond,
-        vertices=vertices,
         validity=validity,
         sum_candidates=(order_x_first, order_y_first),
     )
-
-
-def _assemble_vertices(x_bound: float, y_bound: float, sum_bound: float) -> list:
-    """Counterclockwise vertices of the three-constraint polygon."""
-    x_cap = min(x_bound, sum_bound)
-    y_cap = min(y_bound, sum_bound)
-    if x_cap + y_cap <= sum_bound:
-        raw = [(0.0, 0.0), (x_cap, 0.0), (x_cap, y_cap), (0.0, y_cap)]
-    else:
-        raw = [
-            (0.0, 0.0),
-            (x_cap, 0.0),
-            (x_cap, sum_bound - x_cap),
-            (sum_bound - y_cap, y_cap),
-            (0.0, y_cap),
-        ]
-    scale = max(x_bound, y_bound, 1e-30)
-    vertices = []
-    for vx, vy in raw:
-        if vertices and abs(vx - vertices[-1][0]) <= 1e-12 * scale and abs(vy - vertices[-1][1]) <= 1e-12 * scale:
-            continue
-        vertices.append((float(vx), float(vy)))
-    while len(vertices) > 1 and vertices[0] == vertices[-1]:
-        vertices.pop()
-    return vertices
 
 
 def _low_photon_coefficients(p: MacParams) -> tuple[float, float]:
@@ -412,7 +410,4 @@ def covert_rectangle(p: MacParams, s: float) -> RateRegion:
         y_bound=y_bound,
         sum_bound=x_bound + y_bound,
         sum_branch="rectangle-limit",
-        sum_active=False,
-        vertices=_assemble_vertices(x_bound, y_bound, x_bound + y_bound),
-        validity={},
     )

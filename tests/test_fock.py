@@ -396,6 +396,35 @@ class TestIntegerArguments:
         assert err.value.required_cutoff == need
 
 
+class TestDenseStateCap:
+    """A dense state whose basis has more than MAX_DENSE_ROWS rows is refused before it is built."""
+
+    @staticmethod
+    def refusal(modes, cutoff):
+        return re.escape(f"cutoff must be an integer with cutoff**{modes} <= 4096 rows, got {cutoff}")
+
+    @pytest.mark.parametrize(
+        "build, modes",
+        [(lambda: fk.thermal_fock(0.5, 100000), 1), (lambda: fk.tmsv_fock(0.0, 100000), 2)],
+        ids=["thermal_fock", "tmsv_fock"],
+    )
+    def test_refused_before_any_allocation(self, build, modes, monkeypatch):
+        # each once ended in a bare MemoryError from a 100000 x 100000 matrix
+        monkeypatch.setattr(rg, "photon_distribution_thermal", lambda *args: pytest.fail("the state's law was built"))
+        with pytest.raises(DomainError, match=self.refusal(modes, 100000)):
+            build()
+
+    def test_tmsv_cap_is_64_levels(self):
+        assert fk.tmsv_fock(0.0, 64).amplitudes.shape == (64, 64)
+        with pytest.raises(DomainError, match=self.refusal(2, 65)):
+            fk.tmsv_fock(0.0, 65)
+
+    def test_mac_joint_state_refused_before_the_beamsplitter(self, monkeypatch):
+        monkeypatch.setattr(fk, "_beamsplitter_amplitudes", lambda *args: pytest.fail("the beamsplitter was built"))
+        with pytest.raises(DomainError, match=self.refusal(3, 17)):
+            fk.mac_joint_fock(ch.MacParams(tau=0.5, kappa=0.5, n_b=1.0), 0.1, 17)
+
+
 VALID_MEANS = st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, 5e-324, 1e-300, 1e-12, 5.0, 1e6, 1e300]))
 EXTREME_MEANS = st.one_of(VALID_MEANS, st.sampled_from([math.inf, -math.inf, math.nan, -1e-9]))
 EXTREME_CUTOFFS = st.one_of(st.integers(1, 48), st.sampled_from([0, -2, 2.5, 3.0, math.nan, math.inf, True]))

@@ -1,5 +1,6 @@
 """Rate-region assembly, conditional entropy formula, covert rectangle."""
 
+import dataclasses
 import math
 import re
 import time
@@ -13,7 +14,7 @@ from eamac import fixtures
 from eamac import fock as fk
 from eamac import gaussian as g
 from eamac import region as rg
-from eamac.channel import EffectiveChannel, MacParams, ModulationConfig, effective_cov, effective_params
+from eamac.channel import EffectiveChannel, MacParams, ModulationConfig, bob_joint_cov, effective_cov, effective_params
 from eamac.errors import DomainError, EamacError, NumericalError, PhysicalityError, TruncationError
 
 # unit-test numerics: small cutoff, budget matched to its tail size
@@ -115,6 +116,7 @@ class TestLinkMis:
         values = rg.link_mis([hot, live, silent], FAST)
         assert values == [0.0, rg.continuous_phase_mi(live, FAST), 0.0]
         assert rg.link_mis([hot, silent], FAST) == [0.0, 0.0]
+        assert rg.link_mis([], FAST) == []
 
     def test_noise_at_unit_transmissivity_in_a_batch(self):
         effs = [EffectiveChannel(1.0, 0.3, 0.2), EffectiveChannel(0.25, 0.525, 0.1), EffectiveChannel(1.0, 0.0, 0.2)]
@@ -337,6 +339,47 @@ def test_link_mi_is_below_the_entanglement_assisted_capacity(psk_order):
     assert len(checked) >= 250
 
 
+# channels with n_b log-uniform in [1e-3, 10^0.3], for signals over CEILING_LINKS's n_s
+CEILING_REGIONS = st.builds(
+    lambda tau, kappa, n_b, n_s: (MacParams(tau=tau, kappa=kappa, n_b=n_b), ModulationConfig(n_s=n_s)),
+    tau=st.floats(0.0, 1.0),
+    kappa=st.floats(0.1, 0.9),
+    n_b=st.floats(-3.0, 0.3).map(lambda e: 10.0**e),
+    n_s=st.floats(-4.0, -0.5).map(lambda e: 10.0**e),
+)
+
+
+@pytest.mark.parametrize("psk_order", [64, 5], ids=["continuous", "finite-psk"])
+def test_sum_bound_is_below_the_gaussian_joint_information(psk_order):
+    """sum_bound <= 2 g(n_s) + g(kappa n_s + n_t) - S(bob_joint_cov), the Gaussian I(B; I_X I_Y).
+
+    Each branch's sum is chi(first; B I_first) + chi(second; B I_second M | first), with M the
+    heterodyne outcome on the first idler: by data processing each term is at most its value on
+    R = (B, I_X, I_Y), so by the chain rule the sum is at most chi(X Y; R) = S(average) - S(rho).
+    The phases act on the idlers as local unitaries, so S(rho) is that of bob_joint_cov at zero
+    phase, and the average keeps the B and idler marginals, so by subadditivity
+    S(average) <= g(kappa n_s + n_t) + 2 g(n_s).  Regions the numerics refuse are skipped.
+    """
+    numerics = rg.RegionNumerics(cutoff=24, psk_order=psk_order, tail_tol=1e-5)
+    checked = []
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(channel=CEILING_REGIONS)
+    def below_joint_information(channel):
+        p, m = channel
+        try:
+            reg = rg.achievable_region(p, m, numerics)
+        except TruncationError:
+            return
+        output = p.kappa * m.n_s + p.n_t
+        joint = 2.0 * g.g_entropy(m.n_s) + g.g_entropy(output) - g.entropy_from_cov(bob_joint_cov(p, m))
+        assert reg.sum_bound <= joint + 1e-12, (p, m, reg.sum_bound - joint)
+        checked.append(reg.sum_bound - joint)
+
+    below_joint_information()
+    assert len(checked) >= 180
+
+
 class TestConditionalEntropyTerm:
     def test_no_signal_reduces_to_background(self):
         eff = EffectiveChannel(0.25, 0.525, 0.0)
@@ -481,6 +524,15 @@ class TestAchievableRegion:
         reg = rg.achievable_region(p, ModulationConfig(n_s=0.12), FAST)
         assert all(vx >= 0.0 and vy >= 0.0 for vx, vy in reg.vertices)
         assert reg.sum_bound >= max(reg.sum_candidates) - 1e-15
+
+    def test_replaced_bound_gives_its_own_polygon(self):
+        # the vertices and sum_active flag were once stored, so a replaced bound kept the old polygon
+        reg = rg.achievable_region(MacParams(tau=0.35, kappa=0.55, n_b=0.7), ModulationConfig(n_s=0.12), FAST)
+        assert reg.sum_active and len(reg.vertices) == 5
+        x = (reg.sum_bound - reg.y_bound) / 2.0
+        rect = dataclasses.replace(reg, x_bound=x)
+        assert not rect.sum_active
+        assert rect.vertices == [(0.0, 0.0), (x, 0.0), (x, reg.y_bound), (0.0, reg.y_bound)]
 
     def test_monotone_in_signal_power(self):
         p = MacParams(tau=0.5, kappa=0.5, n_b=1.0)
