@@ -44,7 +44,7 @@ HERMITIAN_SLAB = 1 << 16
 # environment levels the dense oracle builds at most: the per-sector exponentials
 # take about 13 s at 512 levels and grow as the fourth power
 MAX_ENV_CUTOFF = 512
-# basis rows a dense state may have: a 4096-row density is 134 MB
+# basis rows cutoff**modes a dense state may have, checked before it is built: 4096 rows is 134 MB
 MAX_DENSE_ROWS = 4096
 
 __all__ = [
@@ -148,25 +148,19 @@ class FockDensity:
         return FockDensity(self.cutoff, len(keep), tensor.reshape(dim, dim))
 
 
-def _check_dense(cutoff: int, modes: int) -> None:
-    """Refuse, before any allocation, a dense state whose basis has more than MAX_DENSE_ROWS rows."""
-    if cutoff**modes > MAX_DENSE_ROWS:
-        raise DomainError(f"cutoff must be an integer with cutoff**{modes} <= {MAX_DENSE_ROWS} rows, got {cutoff}")
-
-
 def tmsv_fock(n_s: float, cutoff: int, tail_tol: float = rg.DEFAULT_TAIL_TOL) -> FockVector:
     """Two-mode squeezed vacuum, amplitudes sqrt(n_s^k / (n_s+1)^(k+1)) on |k,k>."""
     check_real("n_s", n_s, 0)
     check_count("cutoff", cutoff)  # the tail test reads it first
     rg._check_tail("TMSV tail", n_s, cutoff, check_real("tail_tol", tail_tol, 0, 1, "()"))
-    _check_dense(cutoff, 2)  # after the tail test, which the product shares
+    check_count("cutoff", cutoff, 1, math.isqrt(MAX_DENSE_ROWS))  # after the tail test, which the product shares
     return FockVector(cutoff, 2, np.diag(np.sqrt(rg.photon_distribution_thermal(n_s, cutoff))))
 
 
 def thermal_fock(n_mean: float, cutoff: int) -> FockDensity:
     """Single-mode thermal state, diagonal geometric distribution."""
-    check_count("cutoff", cutoff)  # the states' rule and message
-    _check_dense(cutoff, 1)
+    check_count("cutoff", cutoff)  # the states' rule and message, then the dense cap
+    check_count("cutoff", cutoff, 1, MAX_DENSE_ROWS)
     return FockDensity(cutoff, 1, np.diag(rg.photon_distribution_thermal(n_mean, cutoff)))
 
 
@@ -466,7 +460,7 @@ def mac_joint_fock(
     """
     d = cutoff
     psi = tmsv_fock(n_s, d, tail_tol)
-    _check_dense(d, 3)
+    check_count("cutoff", d, 1, round(MAX_DENSE_ROWS ** (1 / 3)))
     # a TMSV lives on |k, k>: its diagonal holds the (signal, idler) amplitudes
     c_x = np.diagonal(phase_rotate_fock(psi, theta, mode=0).amplitudes)
     c_y = np.diagonal(phase_rotate_fock(psi, phi, mode=0).amplitudes)

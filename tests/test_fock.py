@@ -397,31 +397,31 @@ class TestIntegerArguments:
 
 
 class TestDenseStateCap:
-    """A dense state whose basis has more than MAX_DENSE_ROWS rows is refused before it is built."""
+    """A dense state whose basis has more than MAX_DENSE_ROWS = 4096 rows is refused before it is built."""
 
     @staticmethod
-    def refusal(modes, cutoff):
-        return re.escape(f"cutoff must be an integer with cutoff**{modes} <= 4096 rows, got {cutoff}")
+    def refusal(cap, cutoff):
+        return re.escape(f"cutoff must be an integer in [1, {cap}], got {cutoff}")
 
     @pytest.mark.parametrize(
-        "build, modes",
-        [(lambda: fk.thermal_fock(0.5, 100000), 1), (lambda: fk.tmsv_fock(0.0, 100000), 2)],
+        "build, cap",
+        [(lambda: fk.thermal_fock(0.5, 100000), 4096), (lambda: fk.tmsv_fock(0.0, 100000), 64)],
         ids=["thermal_fock", "tmsv_fock"],
     )
-    def test_refused_before_any_allocation(self, build, modes, monkeypatch):
+    def test_refused_before_any_allocation(self, build, cap, monkeypatch):
         # each once ended in a bare MemoryError from a 100000 x 100000 matrix
         monkeypatch.setattr(rg, "photon_distribution_thermal", lambda *args: pytest.fail("the state's law was built"))
-        with pytest.raises(DomainError, match=self.refusal(modes, 100000)):
+        with pytest.raises(DomainError, match=self.refusal(cap, 100000)):
             build()
 
     def test_tmsv_cap_is_64_levels(self):
         assert fk.tmsv_fock(0.0, 64).amplitudes.shape == (64, 64)
-        with pytest.raises(DomainError, match=self.refusal(2, 65)):
+        with pytest.raises(DomainError, match=self.refusal(64, 65)):
             fk.tmsv_fock(0.0, 65)
 
     def test_mac_joint_state_refused_before_the_beamsplitter(self, monkeypatch):
         monkeypatch.setattr(fk, "_beamsplitter_amplitudes", lambda *args: pytest.fail("the beamsplitter was built"))
-        with pytest.raises(DomainError, match=self.refusal(3, 17)):
+        with pytest.raises(DomainError, match=self.refusal(16, 17)):
             fk.mac_joint_fock(ch.MacParams(tau=0.5, kappa=0.5, n_b=1.0), 0.1, 17)
 
 
