@@ -15,7 +15,8 @@ from pathlib import Path
 
 from . import __version__, planner, region as rg
 from .channel import MacParams, ModulationConfig
-from .errors import ConfigError, DomainError, EamacError, InfeasibleError, ShapeError, check_real
+from .errors import ConfigError, DomainError, EamacError, InfeasibleError, ShapeError
+from .errors import check_choice, check_count, check_real
 
 LN2 = math.log(2.0)
 REQUIRED = object()
@@ -213,8 +214,7 @@ def _mac_params(config) -> MacParams:
 
 
 def cmd_region(config, args) -> tuple:
-    if not 0 <= config["boundary_points"] <= MAX_POINTS:
-        raise ConfigError(f"boundary_points must lie in [0, {MAX_POINTS}], got {config['boundary_points']}")
+    check_count("boundary_points", config["boundary_points"], 0, MAX_POINTS)
     p = _mac_params(config)
     m = ModulationConfig(n_s=config["n_s"])
     numerics = rg.RegionNumerics(cutoff=config["cutoff"], psk_order=config["psk_order"], tail_tol=config["tail_tol"])
@@ -286,10 +286,8 @@ def _sweep_row(config, args, value) -> str:
 
 
 def cmd_sweep(config, args) -> tuple:
-    if config["vary"] not in SWEEP_KEYS:
-        raise ConfigError(f"vary must be one of {SWEEP_KEYS}, got {config['vary']!r}")
-    if not 1 <= config["count"] <= MAX_POINTS:
-        raise ConfigError(f"count must lie in [1, {MAX_POINTS}], got {config['count']}")
+    check_choice("vary", config["vary"], SWEEP_KEYS)
+    check_count("count", config["count"], 1, MAX_POINTS)
     for name in ("mu_bar", "epsilon"):  # build_plan's rule, checked even where no row is feasible
         check_real(name, config[name], 0, 1, "()")
     count = config["count"]
@@ -308,8 +306,7 @@ def cmd_validate(config, args) -> tuple:
 
     if args.seed is None:
         raise ConfigError("validate is stochastic; --seed is required")
-    if not 1 <= config["samples"] <= planner.MAX_SAMPLES:
-        raise ConfigError(f"samples must lie in [1, {planner.MAX_SAMPLES}], got {config['samples']}")
+    check_count("samples", config["samples"], 1, planner.MAX_SAMPLES)
     results = run_suite(args.seed, samples=config["samples"], workers=args.workers)
     fields = []
     for res in results:
@@ -354,15 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.format not in FORMATS[args.command]:
-            raise ConfigError(
-                f"format {args.format!r} not supported by {args.command}; "
-                f"choose from {FORMATS[args.command]}"
-            )
-        if args.workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-        if args.seed is not None and not 0 <= args.seed < 2**64:
-            raise ConfigError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
+        check_choice("--format", args.format, FORMATS[args.command])
+        check_count("--workers", args.workers, 1, planner.MAX_WORKERS)
+        if args.seed is not None:
+            check_count("--seed", args.seed, 0, 2**64 - 1)
         config = parse_config(args.config, SCHEMAS[args.command])
         text, code = COMMANDS[args.command](config, args)
     except (ConfigError, DomainError, ShapeError) as exc:

@@ -6,6 +6,7 @@ the Fock oracle at doubled cutoff and tighter tail budget, and are then
 compared against fresh computations at the stated working cutoff.
 """
 
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -57,41 +58,26 @@ def regenerate(path=None) -> dict:
     produced = 48
     tight = 1e-12
     numerics = rg.RegionNumerics(cutoff=produced, psk_order=produced, tail_tol=tight)
+    cutoffs = {"cutoff": 24, "produced_cutoff": produced}
+    reg = rg.achievable_region(p, m, numerics)
     records = {
         "psk_mi_unconditioned": {
-            "kappa_eff": eff_unc.kappa_eff,
-            "n_t_eff": eff_unc.n_t_eff,
-            "n_s": eff_unc.n_s,
+            **asdict(eff_unc),
             "psk_order": 64,
-            "cutoff": 24,
-            "produced_cutoff": produced,
+            **cutoffs,
             "tail": fock.conditional_output_density(eff_unc, produced, tail_tol=tight).tail(),
             "value": fock.psk_ensemble_mi(eff_unc, 64, produced, tail_tol=tight),
-            "tolerance": 5e-7,
         },
-        "continuous_mi_conditioned": {
-            "kappa_eff": eff_cond.kappa_eff,
-            "n_t_eff": eff_cond.n_t_eff,
-            "n_s": eff_cond.n_s,
-            "cutoff": 24,
-            "produced_cutoff": produced,
-            "value": rg.continuous_phase_mi(eff_cond, numerics),
-            "tolerance": 5e-7,
+        "continuous_mi_conditioned": {**asdict(eff_cond), **cutoffs, "value": rg.continuous_phase_mi(eff_cond, numerics)},
+        "region_canonical": {
+            **asdict(p),
+            **asdict(m),
+            **cutoffs,
+            **{key: getattr(reg, key) for key in ("x_bound", "y_bound", "sum_bound")},
         },
     }
-    reg = rg.achievable_region(p, m, numerics)
-    records["region_canonical"] = {
-        "tau": p.tau,
-        "kappa": p.kappa,
-        "n_b": p.n_b,
-        "n_s": m.n_s,
-        "cutoff": 24,
-        "produced_cutoff": produced,
-        "x_bound": reg.x_bound,
-        "y_bound": reg.y_bound,
-        "sum_bound": reg.sum_bound,
-        "tolerance": 5e-7,
-    }
+    for rec in records.values():
+        rec["tolerance"] = 5e-7
 
     lines = [
         "# Golden oracle records: parameters, working cutoff, provenance, value.",

@@ -252,8 +252,9 @@ def build_plan(
 
 
 def _resolve_plan(n, alpha, beta, s, p, delta, epsilon, mu_bar, feasibility=None) -> CovertPlan:
-    """``build_plan``, reusing the (power, budget, feasible) of ``covert_feasibility`` when given."""
-    for name, value in (("alpha", alpha), ("beta", beta), ("s", s), ("mu_bar", mu_bar), ("epsilon", epsilon)):
+    """``build_plan``, reusing the (power, budget, feasible) of ``covert_feasibility`` when given;
+    alpha and beta take that function's rule, [0, 1]."""
+    for name, value in (("s", s), ("mu_bar", mu_bar), ("epsilon", epsilon)):
         check_real(name, value, 0, 1, "()")
     power, budget, feasible = feasibility or covert_feasibility(n, alpha, beta, s, p, delta)
     if not feasible:
@@ -452,6 +453,9 @@ _MC_BLOCK = 1 << 12
 # most bytes of int64 counts one multinomial call holds, whatever the table width
 _MC_DRAW_BYTES = 1 << 19
 MAX_SAMPLES = 10**8  # most Monte Carlo samples of one estimate, about a minute on two workers
+# most Monte Carlo threads: the estimate never depends on the count, and each thread
+# holds up to _MC_DRAW_BYTES of counts, so the pool's counts stay within 32 MB
+MAX_WORKERS = 64
 
 
 def willie_tv_mc(
@@ -493,7 +497,7 @@ def willie_tv_mc(
     check_count("seed", seed, 0)
     check_count("n", n, 1, 2**63 - 1)  # multinomial draws int64 counts
     check_count("samples", samples, 1, MAX_SAMPLES)
-    check_count("workers", workers)
+    check_count("workers", workers, 1, MAX_WORKERS)
     weights, laws = slot_laws(p, alpha, beta, s, "willie")
     q0 = laws[0, 0]
     # q1 is q0 plus the weighted shifts of the other keys, so it equals q0

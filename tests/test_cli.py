@@ -80,7 +80,17 @@ class TestConfigHandling:
     def test_zero_workers_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", **REGION_BASE)
         assert run(["region", "--config", cfg, "--workers", "0"]) == 2
-        assert "config error: --workers must be >= 1, got 0" in capsys.readouterr().err
+        assert "config error: --workers must be an integer in [1, 64], got 0" in capsys.readouterr().err
+
+    def test_workers_past_the_top_exit_2_before_the_suite(self, tmp_path, capsys, monkeypatch):
+        # validate at 10^8 samples once started one thread per chunk, up to 1526
+        from eamac import planner, validate
+
+        monkeypatch.setattr(validate, "run_suite", lambda *args, **kwargs: pytest.fail("the suite ran"))
+        cfg = write_config(tmp_path / "v.cfg", samples=10**8)
+        workers = str(planner.MAX_WORKERS + 1)
+        assert run(["validate", "--config", cfg, "--seed", "1", "--workers", workers]) == 2
+        assert capsys.readouterr().err == f"config error: --workers must be an integer in [1, 64], got {workers}\n"
 
 
 class TestRegionCommand:
@@ -298,6 +308,17 @@ class TestBudgetAndPlan:
         assert "units = bits" in text
         assert f"log_m_x1 = {0.041666666666666664 / math.log(2.0)!r}" in text
 
+    @pytest.mark.parametrize("silent, sender", [("alpha", "x"), ("beta", "y")])
+    def test_plan_with_a_silent_sender_gives_it_zero_rates(self, tmp_path, silent, sender):
+        # alpha = 0 and beta = 0 are the ends of the covert line, feasible for budget and sweep
+        cfg = write_config(tmp_path / "c.cfg", **{**PLAN_BASE, silent: 0.0})
+        out = tmp_path / "p.txt"
+        assert run(["plan", "--config", cfg, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        for name in (f"log_m_{sender}1", f"log_m_{sender}1_keys", f"log_m_{sender}2", f"ent_nats_{sender}"):
+            assert f"{name} = 0.0" in lines
+        assert f"l_{sender} = 0" in lines
+
     def test_infeasible_plan_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", **{**PLAN_BASE, "n": 100, "alpha": 0.5, "beta": 0.5, "s": 0.5})
         assert run(["plan", "--config", cfg]) == 3
@@ -345,6 +366,16 @@ class TestSweep:
         assert run(["sweep", "--config", cfg, "--out", str(out)]) == 0
         assert out.read_text().count(",true,") > 0
         assert len(calls) == 25
+
+    def test_sweep_from_a_silent_sender_prints_every_row(self, tmp_path):
+        # a feasible alpha = 0 row once exited 2 where an infeasible one printed
+        cfg = self._config(tmp_path, vary="alpha", start=0.0, stop=0.02, count=3)
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()[-3:]]
+        assert [row[0] for row in rows] == ["0.0", "0.01", "0.02"]
+        assert all(row[3] == "true" for row in rows)
+        assert rows[0][4] == "0.0"  # log_m_x1
 
     def test_grid_cap(self, tmp_path):
         cfg = self._config(tmp_path, count=200001)

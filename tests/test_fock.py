@@ -779,7 +779,7 @@ class TestPhaseAveragedSpectrum:
         assert abs(deficit - tail_dense) <= 1e-12
 
     def test_blocks_are_one_by_one_for_large_order(self):
-        # L >= 2d leaves a diagonal state: d^2 eigenvalues, one per (x, k)
+        # L >= d leaves a diagonal state: d^2 eigenvalues, one per (x, k)
         eff = ch.EffectiveChannel(0.25, 0.525, 0.1)
         (eigs,), (deficit,) = rg.phase_averaged_spectra([eff], 12, 24, tail_tol=1e-5)
         (diag,), _ = rg.phase_averaged_spectra([eff], 12, 64, tail_tol=1e-5)

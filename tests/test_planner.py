@@ -409,8 +409,17 @@ class TestWillieTv:
             pl.willie_tv_mc(100, 0.1, 0.1, math.nan, P_CANON, samples=100, seed=1)
 
     def test_mc_rejects_no_workers(self):
-        with pytest.raises(DomainError, match="workers must be an integer >= 1, got 0"):
+        with pytest.raises(DomainError, match=rf"workers must be an integer in \[1, {pl.MAX_WORKERS}\], got 0"):
             pl.willie_tv_mc(100, 0.1, 0.1, 0.01, P_CANON, samples=100, seed=1, workers=0)
+
+    def test_mc_rejects_workers_past_the_top_before_any_pool(self, monkeypatch):
+        # 10^8 samples are 1526 chunks, and the pool once started min(workers, chunks) threads
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda **kwargs: pytest.fail("a pool started"))
+        match = rf"workers must be an integer in \[1, {pl.MAX_WORKERS}\], got {pl.MAX_WORKERS + 1}"
+        with pytest.raises(DomainError, match=match):
+            pl.willie_tv_mc(100, 0.1, 0.1, 0.01, P_CANON, samples=pl.MAX_SAMPLES, seed=1, workers=pl.MAX_WORKERS + 1)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -430,7 +439,8 @@ class TestWillieTv:
         ],
     )
     def test_mc_rejects_bad_counts(self, field, value):
-        bound = {"n": rf"in \[1, {2**63 - 1}\]", "samples": rf"in \[1, {pl.MAX_SAMPLES}\]"}.get(field, ">= 1")
+        tops = {"n": 2**63 - 1, "samples": pl.MAX_SAMPLES, "workers": pl.MAX_WORKERS}
+        bound = rf"in \[1, {tops[field]}\]"
         kwargs = {"n": 100, "samples": 100, "workers": 1, field: value}
         with pytest.raises(DomainError, match=f"{field} must be an integer {bound}, got {value}"):
             pl.willie_tv_mc(alpha=0.1, beta=0.1, s=0.01, p=P_CANON, seed=1, **kwargs)

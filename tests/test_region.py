@@ -313,6 +313,10 @@ CEILING_LINKS = st.builds(
     n_t_eff=st.floats(0.0, 1.2),
     n_s=st.floats(-4.0, -0.5).map(lambda e: 10.0**e),
 )
+# Hypothesis mixes the literals of every loaded module into its draws, so its examples move
+# with what is collected and with any edit to the package; each test's guard that enough
+# examples were checked runs on a seeded NumPy sample of the same ranges instead
+GUARD_SEED = 2026
 
 
 @pytest.mark.parametrize("psk_order", [64, 8], ids=["continuous", "finite-psk"])
@@ -321,22 +325,26 @@ def test_link_mi_is_below_the_entanglement_assisted_capacity(psk_order):
     # (Holevo & Werner, PRA 63, 032312 (2001)) bounds every phase-modulated link's MI, since
     # S(averaged) <= S(B) + S(idler) by subadditivity; no cutoff enters the ceiling
     numerics = rg.RegionNumerics(cutoff=24, psk_order=psk_order, tail_tol=1e-5)
-    checked = []
 
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(eff=CEILING_LINKS)
-    def below_capacity(eff):
+    def below_capacity(eff) -> bool:
         try:
             (mi,) = rg.link_mis([eff], numerics)
         except TruncationError:  # a near-decoupled link the -1e-9 floor refuses (ROADMAP item 7b)
-            return
+            return False
         output = eff.kappa_eff * eff.n_s + eff.n_t_eff
         capacity = g.g_entropy(eff.n_s) + g.g_entropy(output) - rg.conditional_entropy_term(eff)
         assert mi <= capacity + 1e-12, (eff, mi - capacity)
-        checked.append(mi - capacity)
+        return True
 
-    below_capacity()
-    assert len(checked) >= 250
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(eff=CEILING_LINKS)
+    def below_capacity_anywhere(eff):
+        below_capacity(eff)
+
+    below_capacity_anywhere()
+    draws = np.random.default_rng(GUARD_SEED).uniform((0.0, 0.0, -4.0), (1.0, 1.2, -0.5), (300, 3)).tolist()
+    checked = [below_capacity(EffectiveChannel(kappa, n_t, 10.0**e)) for kappa, n_t, e in draws]
+    assert sum(checked) >= 250
 
 
 # channels with n_b log-uniform in [1e-3, 10^0.3], for signals over CEILING_LINKS's n_s
@@ -361,23 +369,26 @@ def test_sum_bound_is_below_the_gaussian_joint_information(psk_order):
     S(average) <= g(kappa n_s + n_t) + 2 g(n_s).  Regions the numerics refuse are skipped.
     """
     numerics = rg.RegionNumerics(cutoff=24, psk_order=psk_order, tail_tol=1e-5)
-    checked = []
 
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-    @given(channel=CEILING_REGIONS)
-    def below_joint_information(channel):
-        p, m = channel
+    def below_joint_information(p, m) -> bool:
         try:
             reg = rg.achievable_region(p, m, numerics)
         except TruncationError:
-            return
+            return False
         output = p.kappa * m.n_s + p.n_t
         joint = 2.0 * g.g_entropy(m.n_s) + g.g_entropy(output) - g.entropy_from_cov(bob_joint_cov(p, m))
         assert reg.sum_bound <= joint + 1e-12, (p, m, reg.sum_bound - joint)
-        checked.append(reg.sum_bound - joint)
+        return True
 
-    below_joint_information()
-    assert len(checked) >= 180
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(channel=CEILING_REGIONS)
+    def below_joint_information_anywhere(channel):
+        below_joint_information(*channel)
+
+    below_joint_information_anywhere()
+    draws = np.random.default_rng(GUARD_SEED).uniform((0.0, 0.1, -3.0, -4.0), (1.0, 0.9, 0.3, -0.5), (200, 4)).tolist()
+    checked = [below_joint_information(MacParams(t, k, 10.0**b), ModulationConfig(10.0**e)) for t, k, b, e in draws]
+    assert sum(checked) >= 180
 
 
 class TestConditionalEntropyTerm:
